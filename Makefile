@@ -33,41 +33,61 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Each contract gate below runs its tests as $(call gate,PKG,PATTERN):
+# uncached, and only after `go test -list` confirms that every |-separated
+# alternative of PATTERN matches at least one test, fuzz target or example in
+# PKG. `go test -run` passes when nothing matches, so without the check a
+# renamed or deleted test would drop out of its gate silently.
+gate = @names=$$($(GO) test -list . $(1) | grep -E '^(Test|Fuzz|Example)') || { \
+		echo "gate: $(1) lists no tests"; exit 1; }; \
+	for alt in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$names" | grep -Eq -- "$$alt" || { \
+			echo "gate: '$$alt' matches no test in $(1)"; exit 1; }; \
+	done; \
+	echo "$(GO) test -count=1 -run '$(2)' $(1)"; \
+	$(GO) test -count=1 -run '$(2)' $(1)
+
 # The sharding contract, run explicitly (and uncached) as its own CI gate:
 # a 3-way sharded sweep must merge byte-identically to the single-process
 # run, results must not depend on the worker count, and the distributed
 # coordinator — stragglers re-dispatched, duplicates discarded — must
 # produce the same bytes end to end over HTTP.
 shardcheck:
-	$(GO) test -count=1 -run 'TestShardMergeEquivalence|TestWorkersInvariance' ./internal/experiments
-	$(GO) test -count=1 -run 'TestCoordinatorEndToEnd' ./internal/coordctl
+	$(call gate,./internal/experiments,TestShardMergeEquivalence|TestWorkersInvariance)
+	$(call gate,./internal/coordctl,TestCoordinatorEndToEnd)
 
 # The trace-replay contract, uncached: the codec round-trips (v1 and both v2
 # containers, including the fuzz corpora), every replay path — bulk loop,
 # streaming, compiled, mmap zero-decode, frame-streaming — is bit-identical
-# to v1 stream replay (the four-way parity gate), decode rejects every
-# corruption class without hanging or over-reading, downsampled traces
-# validate against full-rate footprints, trace-driven pools run through the
-# sweep/shard plumbing with content-bound pool hashes, and the
-# content-addressed corpus round-trips over HTTP (fetch, verify, resume,
-# tamper rejection) byte-identically to a local trace-dir sweep.
+# to v1 stream replay (the four-way parity gate), NextRun consumes exactly
+# what as many Next calls would for every synthetic profile and for the
+# Next-only adapter (whose engine timing matches native NextRun replay),
+# decode rejects every corruption class without hanging or over-reading,
+# downsampled traces validate against full-rate footprints, trace-driven
+# pools run through the sweep/shard plumbing with content-bound pool hashes,
+# and the content-addressed corpus round-trips over HTTP (fetch, verify,
+# resume, tamper rejection) byte-identically to a local trace-dir sweep.
 tracecheck:
-	$(GO) test -count=1 -run 'TestReader|TestCompile|TestCorrupt|TestTruncated|TestRunReplay|TestStreamReplay|TestBatchReplay|TestReplayParity|TestCompiledRoundTrip|TestCompiledEmptyAndTailOnly|TestCompiledDecodeErrors|TestReadCompiledLyingHeader|TestWriteV1RoundTrip|TestMmapOpenCompiled|TestFrameStreamReplay|TestDownsample|FuzzTraceRoundTrip|FuzzCompiledDecode' ./internal/trace
-	$(GO) test -count=1 -run 'TestTrace|TestSelectProfiles|TestArenaVirt|TestListTraceDir|TestCorpus' ./internal/experiments
-	$(GO) test -count=1 -run 'TestCorpusCampaignEndToEnd|TestFetchTrace' ./internal/coordctl
+	$(call gate,./internal/trace,TestReader|TestCompile|TestCorrupt|TestTruncated|TestRunReplay|TestStreamReplay|TestBatchReplay|TestReplayParity|TestCompiledRoundTrip|TestCompiledEmptyAndTailOnly|TestCompiledDecodeErrors|TestReadCompiledLyingHeader|TestWriteV1RoundTrip|TestMmapOpenCompiled|TestFrameStreamReplay|TestDownsample|FuzzTraceRoundTrip|FuzzCompiledDecode)
+	$(call gate,./internal/workload,TestNextRunMatchesNext|TestAsRunSource)
+	$(call gate,./internal/experiments,TestTrace|TestSelectProfiles|TestArenaVirt|TestListTraceDir|TestCorpus)
+	$(call gate,./internal/coordctl,TestCorpusCampaignEndToEnd|TestFetchTrace)
 
-# The lazy-signature contract, uncached: eager and lazy capture are
-# bit-identical under random schedules, directed copy-on-write mutation, the
-# codec, and the full two-phase campaign; the fused popcount kernel matches
-# its two-pass oracle (seed corpus of the differential fuzz target); the
-# monitor quantum and the per-switch capture stay allocation-free; the
-# scratch bisection matches the allocating one.
+# The lazy-signature contract, uncached: lazy capture is bit-identical to
+# the eager test oracle (bloom's ContextSwitchEagerInto) under random
+# schedules, directed copy-on-write mutation, the codec, and cmd/bench -sig's
+# schedule at the paper geometry over its whole (P, N) grid; one full
+# two-phase campaign reproduces its recorded mapping and per-candidate user
+# cycles (TestCampaignGolden); the fused popcount kernel matches its
+# two-pass oracle (seed corpus of the differential fuzz target); the monitor
+# quantum and the per-switch capture stay allocation-free; the scratch
+# bisection matches the allocating one.
 sigcheck:
-	$(GO) test -count=1 -run 'TestLazy|TestSignatureCodecLazyMaterialization|TestSignatureClone|TestSignatureRelease|TestCaptureSteadyStateAllocs' ./internal/bloom
-	$(GO) test -count=1 -run 'TestXorAndCountMatchesNaive|FuzzXorAndCount' ./internal/bitvec
-	$(GO) test -count=1 -run 'TestBisectIntoMatchesBisect' ./internal/graph
-	$(GO) test -count=1 -run 'TestMonitorSteadyStateAllocs|TestObserveScratchMatchesAllocate' ./internal/monitor
-	$(GO) test -count=1 -run 'TestEagerLazyCampaignParity' ./internal/experiments
+	$(call gate,./internal/bloom,TestLazy|TestLazyCaptureParityPaperGeometry|TestSignatureCodecLazyMaterialization|TestSignatureClone|TestSignatureRelease|TestCaptureSteadyStateAllocs)
+	$(call gate,./internal/bitvec,TestXorAndCountMatchesNaive|FuzzXorAndCount)
+	$(call gate,./internal/graph,TestBisectIntoMatchesBisect)
+	$(call gate,./internal/monitor,TestMonitorSteadyStateAllocs|TestObserveScratchMatchesAllocate)
+	$(call gate,./internal/experiments,TestCampaignGolden)
 
 # The coordinator-as-a-service contract, uncached: journal recovery (a tail
 # torn at EVERY byte offset replays cleanly; mid-file damage is a typed
@@ -79,7 +99,7 @@ sigcheck:
 # successful exchange, and the 50-worker load smoke reconciling client
 # counts, server counters, and journal records three ways.
 servicecheck:
-	$(GO) test -count=1 -run 'TestJournal|TestServiceRestartResume|TestCoordinatorAuth|TestCoordinatorTLS|TestCampaignAPI|TestCancelPersistsAcrossRestart|TestWorkerFailureBudgetResetsOnContact|TestCoordinatorLoadSmoke' ./internal/coordctl
+	$(call gate,./internal/coordctl,TestJournal|TestServiceRestartResume|TestCoordinatorAuth|TestCoordinatorTLS|TestCampaignAPI|TestCancelPersistsAcrossRestart|TestWorkerFailureBudgetResetsOnContact|TestCoordinatorLoadSmoke)
 
 # The churn contract, uncached: incremental insert/remove/age on the sparse
 # graph stays parity-exact with a fresh Builder build (fuzz seed corpus +
@@ -91,10 +111,10 @@ servicecheck:
 # arrival/departure campaign — both Poisson and trace modes, including the
 # drift-triggered rebuild fallback — replays byte-identically.
 churncheck:
-	$(GO) test -count=1 -run 'TestInsertNode|TestRemoveNode|TestDriftCountersAndCompact|TestInsertAndRepair|TestRemoveAndRepairRestoresEnvelope|TestChurnInterleaved|FuzzPartition' ./internal/graph
-	$(GO) test -count=1 -run 'TestSmoothShrinkThenGrow|TestForget|TestAger' ./internal/monitor
-	$(GO) test -count=1 -run 'TestSnapshotterShrinksAfterBurst|TestSnapshotterSteadyStateAllocs' ./internal/kernel
-	$(GO) test -count=1 -run 'TestChurn' ./internal/experiments
+	$(call gate,./internal/graph,TestInsertNode|TestRemoveNode|TestDriftCountersAndCompact|TestInsertAndRepair|TestRemoveAndRepairRestoresEnvelope|TestChurnInterleaved|FuzzPartition)
+	$(call gate,./internal/monitor,TestSmoothShrinkThenGrow|TestForget|TestAger)
+	$(call gate,./internal/kernel,TestSnapshotterShrinksAfterBurst|TestSnapshotterSteadyStateAllocs)
+	$(call gate,./internal/experiments,TestChurn)
 
 # One iteration of every benchmark: catches bit-rot in the bench suite (and
 # regenerates each figure once) without committing to real measurement time.
@@ -109,8 +129,9 @@ allocbench:
 	$(GO) run ./cmd/bench -alloconly -allocreps 3 -allocdense 64
 
 # Signature-path smoke: one quick pass of the per-switch capture and
-# monitor-quantum sweep — each point self-checks eager-vs-lazy parity, so
-# this doubles as an end-to-end capture-equivalence gate at full geometry.
+# monitor-quantum sweep, so the harness can't bit-rot. Each point checks that
+# its record and decision checksums repeat across samples; capture parity at
+# this geometry is sigcheck's (TestLazyCaptureParityPaperGeometry).
 sigbench:
 	$(GO) run ./cmd/bench -sigonly -sigreps 3
 

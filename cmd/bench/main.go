@@ -102,7 +102,7 @@ func main() {
 	allocOnly := flag.Bool("alloconly", false, "run only the allocator microbenchmark, skipping the Figure 10 sweep")
 	allocReps := flag.Int("allocreps", 21, "allocator benchmark invocations per point (p50/p99 are computed over these)")
 	allocDense := flag.Int("allocdense", 256, "largest P at which the dense allocator baseline is measured (0 disables; P=1024 costs minutes per invocation)")
-	sigBench := flag.Bool("sig", false, "also run the signature-path microbenchmark (per-switch capture cost eager vs lazy, monitor-quantum latency across the (P,N) grid)")
+	sigBench := flag.Bool("sig", false, "also run the signature-path microbenchmark (per-switch capture cost and monitor-quantum latency across the (P,N) grid)")
 	sigOnly := flag.Bool("sigonly", false, "run only the signature-path microbenchmark, skipping the Figure 10 sweep")
 	sigReps := flag.Int("sigreps", 7, "signature benchmark samples per point (p50 is computed over these)")
 	traceBench := flag.Bool("trace", false, "also run the trace I/O benchmark (open-to-first-run and replay throughput, v1 vs compiled vs mmap vs compressed)")

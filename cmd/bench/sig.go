@@ -14,20 +14,14 @@ import (
 
 // The signature-path microbenchmark: what one context switch costs the
 // signature unit, and what one full monitor quantum costs the control loop,
-// as the thread count P and core count N grow. Two capture modes per point:
-//
-//   - eager: the pre-lazy baseline — the unit computes the full (2+N)-entry
-//     symbiosis record at every switch, O(N · filter words) each.
-//   - lazy:  the default — a switch snapshots the RBV and takes filter-
-//     version references, O(words + N); the symbiosis vectors materialize on
-//     the first read (here: inside the monitor quantum) and are memoized.
-//
-// Both units replay the IDENTICAL fill/evict/switch schedule, and the
-// materialized records are hashed at the end: a mismatch between the two
-// modes aborts the benchmark, so every recorded point is also a parity
-// check. The monitor quantum is measured on the lazy unit — snapshot
-// (including materialization), smoothing, allocation — with fresh captures
-// before every invocation, the way a live control loop pays it.
+// as the thread count P and core count N grow. A switch snapshots the RBV and
+// takes filter-version references, O(words + N); the symbiosis vectors
+// materialize on the first read (here: inside the monitor quantum) and are
+// memoized. internal/bloom's TestLazyCaptureParityPaperGeometry replays this
+// schedule against an eager oracle. The monitor quantum — snapshot
+// (including materialization), smoothing, allocation — is measured with
+// fresh captures before every invocation, the way a live control loop pays
+// it.
 //
 // Latencies are p50 over -sigreps samples; the checksums (FNV of the
 // materialized records and of the monitor's mapping decision) are
@@ -42,24 +36,21 @@ type SigPoint struct {
 	P        int `json:"p"`        // threads
 	N        int `json:"n"`        // cores
 	Switches int `json:"switches"` // timed switches per sample
-	// Per-switch capture cost under each mode, p50 over samples.
-	EagerNsPerSwitch float64 `json:"eager_ns_per_switch"`
-	LazyNsPerSwitch  float64 `json:"lazy_ns_per_switch"`
-	Speedup          float64 `json:"speedup"`
+	// Per-switch capture cost, p50 over samples.
+	LazyNsPerSwitch float64 `json:"lazy_ns_per_switch"`
 	// Full monitor quantum on the lazy unit: snapshot + smooth + allocate.
 	// Min is the gated statistic (robust to ambient load, like the sweep's
 	// min_seconds); p50/p99 show the spread.
 	MonitorMinMicros float64 `json:"monitor_min_micros"`
 	MonitorP50Micros float64 `json:"monitor_p50_micros"`
 	MonitorP99Micros float64 `json:"monitor_p99_micros"`
-	// SigChecksum hashes every thread's materialized record (identical for
-	// both modes by construction — verified before the point is emitted).
+	// SigChecksum hashes every thread's materialized record.
 	SigChecksum string `json:"sig_checksum"`
 	// Checksum hashes the monitor's final mapping decision.
 	Checksum string `json:"checksum"`
 }
 
-// sigBench holds one capture mode's replay state.
+// sigBench holds the replay state of one sample.
 type sigBench struct {
 	unit *bloom.Unit
 	sigs []*bloom.Signature
@@ -73,11 +64,10 @@ type fillRecord struct {
 	set, way int
 }
 
-func newSigBench(p, n int, eager bool) *sigBench {
+func newSigBench(p, n int) *sigBench {
 	cfg := bloom.DefaultConfig(bloom.Geometry{Sets: 4096, Ways: 16}, n)
 	cfg.CounterBits = 8
 	cfg.SampleRate = 4
-	cfg.EagerCapture = eager
 	return &sigBench{
 		unit: bloom.NewUnit(cfg),
 		sigs: make([]*bloom.Signature, p),
@@ -110,8 +100,7 @@ func (b *sigBench) mutate(core int) {
 }
 
 // run replays iters mutate+switch steps and returns the wall time of the
-// whole batch. The schedule is a pure function of the LCG state, so eager
-// and lazy replicas stay in lockstep.
+// whole batch. The schedule is a pure function of the LCG state.
 func (b *sigBench) run(n, iters int) time.Duration {
 	start := time.Now()
 	for i := 0; i < iters; i++ {
@@ -155,8 +144,8 @@ func (b *sigBench) checksum() string {
 // replays the IDENTICAL schedule from the identical starting state — the
 // timings are repeated samples of one computation and the checksum is
 // invariant to -sigreps, matching the allocator benchmark's protocol.
-func sampleSwitches(p, n, iters int, eager bool) (nsPerSwitch float64, sum string) {
-	b := newSigBench(p, n, eager)
+func sampleSwitches(p, n, iters int) (nsPerSwitch float64, sum string) {
+	b := newSigBench(p, n)
 	b.run(n, iters)
 	t := b.run(n, iters)
 	return float64(t.Nanoseconds()) / float64(iters), b.checksum()
@@ -172,41 +161,30 @@ func runSigBench(reps int) []SigPoint {
 			iters = 512
 		}
 
-		eagerNs := make([]float64, 0, reps)
-		lazyNs := make([]float64, 0, reps)
-		var eagerSum, lazySum string
+		nsPerSwitch := make([]float64, 0, reps)
+		var sigSum string
 		for s := 0; s < reps; s++ {
-			ens, esum := sampleSwitches(p, n, iters, true)
-			lns, lsum := sampleSwitches(p, n, iters, false)
-			eagerNs = append(eagerNs, ens)
-			lazyNs = append(lazyNs, lns)
+			ns, sum := sampleSwitches(p, n, iters)
+			nsPerSwitch = append(nsPerSwitch, ns)
 			if s == 0 {
-				eagerSum, lazySum = esum, lsum
-			} else if esum != eagerSum || lsum != lazySum {
+				sigSum = sum
+			} else if sum != sigSum {
 				fatal(fmt.Errorf("sig P=%d N=%d: sample %d not deterministic", p, n, s))
 			}
 		}
-		if eagerSum != lazySum {
-			fatal(fmt.Errorf("sig P=%d N=%d: eager and lazy capture disagree (%s vs %s) — the lazy path is broken, do not record this build", p, n, eagerSum, lazySum))
-		}
 
-		pt := SigPoint{P: p, N: n, Switches: iters, SigChecksum: lazySum}
-		pt.EagerNsPerSwitch, _ = percentiles(eagerNs)
-		pt.LazyNsPerSwitch, _ = percentiles(lazyNs)
-		if pt.LazyNsPerSwitch > 0 {
-			pt.Speedup = pt.EagerNsPerSwitch / pt.LazyNsPerSwitch
-		}
+		pt := SigPoint{P: p, N: n, Switches: iters, SigChecksum: sigSum}
+		pt.LazyNsPerSwitch, _ = percentiles(nsPerSwitch)
 
 		pt.MonitorMinMicros, pt.MonitorP50Micros, pt.MonitorP99Micros, pt.Checksum = measureMonitorQuantum(p, n, iters, reps)
 		points = append(points, pt)
-		fmt.Fprintf(os.Stderr, "sig   P=%-4d N=%-3d: eager %.0fns lazy %.0fns per switch (%.1fx), monitor min %.0fµs p50 %.0fµs p99 %.0fµs\n",
-			p, n, pt.EagerNsPerSwitch, pt.LazyNsPerSwitch, pt.Speedup,
-			pt.MonitorMinMicros, pt.MonitorP50Micros, pt.MonitorP99Micros)
+		fmt.Fprintf(os.Stderr, "sig   P=%-4d N=%-3d: %.0fns per switch, monitor min %.0fµs p50 %.0fµs p99 %.0fµs\n",
+			p, n, pt.LazyNsPerSwitch, pt.MonitorMinMicros, pt.MonitorP50Micros, pt.MonitorP99Micros)
 	}
 	return points
 }
 
-// measureMonitorQuantum times the full control-loop step on the lazy unit:
+// measureMonitorQuantum times the full control-loop step:
 // snapshot with deferred materialization, smoothing, allocation. Like the
 // switch samples, every invocation rebuilds the identical state — fresh
 // unit, fresh captures for all P threads, fresh monitor — so the mapping
@@ -223,7 +201,7 @@ func measureMonitorQuantum(p, n, iters, reps int) (min, p50, p99 float64, checks
 	var sum string
 	times := make([]float64, 0, reps)
 	for s := 0; s < reps; s++ {
-		b := newSigBench(p, n, false)
+		b := newSigBench(p, n)
 		b.run(n, iters) // same warm + capture schedule as the switch samples
 		b.run(n, iters)
 		for i, pr := range procs {

@@ -148,8 +148,8 @@ func TestSignatureCodecQuick(t *testing.T) {
 // both must match an eager twin (Marshal force-materializes, so the payload
 // carries concrete values, never unmaterialized zeros).
 func TestSignatureCodecLazyMaterialization(t *testing.T) {
-	lazyCfg, eagerCfg := lazyPairConfig()
-	ul, ue := NewUnit(lazyCfg), NewUnit(eagerCfg)
+	cfg := lazyTestConfig()
+	ul, ue := NewUnit(cfg), NewUnit(cfg)
 	feed := func(u *Unit) {
 		for i := 0; i < 50; i++ {
 			u.OnFill(i%4, uint64(i*131), i%64, i%4)
@@ -158,7 +158,7 @@ func TestSignatureCodecLazyMaterialization(t *testing.T) {
 	feed(ul)
 	feed(ue)
 	lz := ul.ContextSwitchInto(2, nil) // never read before marshal
-	eg := ue.ContextSwitchInto(2, nil)
+	eg := ue.ContextSwitchEagerInto(2, nil)
 
 	// Mutate the filters so an unfrozen lazy read here would see the wrong
 	// contents, then serialize the still-unmaterialized record.

@@ -35,13 +35,6 @@ type Config struct {
 	// the load factor and restores the occupancy signal for cache-filling
 	// pairs at twice the (still small) storage cost.
 	EntriesFactor int
-	// EagerCapture restores the pre-lazy capture behaviour: ContextSwitchInto
-	// computes the full per-core symbiosis/overlap vectors at the switch
-	// instead of deferring them to first read. The two modes are bit-identical
-	// by construction (copy-on-write core-filter versions preserve the
-	// capture-time contents); the flag exists so parity tests and the -sig
-	// benchmark can run both paths through otherwise identical engines.
-	EagerCapture bool
 }
 
 func (c Config) validate() error {
@@ -470,19 +463,18 @@ func (u *Unit) ContextSwitch(core int) *Signature {
 // other code still aliases — the engine passes the descheduled thread's own
 // record, which is being replaced anyway.
 //
-// By default the capture is LAZY: only the RBV (one fused AndNot/compare/
-// popcount pass) and N version references are taken here — O(filter words
-// + N) instead of the eager O(N · filter words) — and the per-core
+// The capture is LAZY: only the RBV (one fused AndNot/compare/popcount
+// pass) and N version references are taken here — O(filter words + N)
+// instead of the eager O(N · filter words) — and the per-core
 // Symbiosis/Overlap vectors are owed until Materialize (which the kernel
 // snapshot calls). When the RBV, last core and every referenced filter
 // version are unchanged since the previous capture into the same record,
 // the previously materialized entries remain valid and the next Materialize
 // is free — the cross-switch memoization that makes tight switch/monitor
-// ratios cheap. Config.EagerCapture routes to ContextSwitchEagerInto.
+// ratios cheap. The unit tests pin every materialized value against an
+// eager oracle that computes the vectors at the switch, as the hardware
+// description in §3.1 does.
 func (u *Unit) ContextSwitchInto(core int, reuse *Signature) *Signature {
-	if u.cfg.EagerCapture {
-		return u.ContextSwitchEagerInto(core, reuse)
-	}
 	cf := u.cf[core]
 	sig := reuse
 	if sig != nil && sig.unit != nil && sig.unit != u {
@@ -521,40 +513,6 @@ func (u *Unit) ContextSwitchInto(core int, reuse *Signature) *Signature {
 		}
 		sig.cfRefs[j] = nv
 	}
-	u.lf[core].CopyFrom(cf)
-	return sig
-}
-
-// ContextSwitchEagerInto performs the capture with the symbiosis/overlap
-// vectors computed immediately, as the hardware description in §3.1 does —
-// the pre-lazy behaviour, kept as the parity baseline and for callers that
-// always read every vector they capture. The returned signature is fully
-// materialized and holds no version references.
-func (u *Unit) ContextSwitchEagerInto(core int, reuse *Signature) *Signature {
-	cf := u.cf[core]
-	sig := reuse
-	if sig != nil && sig.unit != nil {
-		sig.releaseRefs()
-	}
-	if sig == nil || sig.RBV == nil || sig.RBV.Len() != u.entries ||
-		len(sig.Symbiosis) != u.cfg.Cores || len(sig.Overlap) != u.cfg.Cores {
-		sig = u.takeSignature()
-	}
-	sig.ensureLazy(u.cfg.Cores)
-	rbv := sig.RBV
-	rbv.AndNot(cf, u.lf[core])
-	sig.LastCore = core
-	sig.Occupancy = rbv.PopCount()
-	for j := 0; j < u.cfg.Cores; j++ {
-		if j == core {
-			u.scratchFor().AndNot(cf, rbv)
-			sig.Symbiosis[j], sig.Overlap[j] = rbv.XorAndCount(u.scratch)
-		} else {
-			sig.Symbiosis[j], sig.Overlap[j] = rbv.XorAndCount(u.cf[j])
-		}
-		sig.valid[j] = true
-	}
-	sig.mat = true
 	u.lf[core].CopyFrom(cf)
 	return sig
 }

@@ -39,7 +39,10 @@ type Config struct {
 	// the virtualization layer sets it to model VM world-switch cost.
 	SwitchCost uint64
 	// AccessHook, if set, observes every memory access after it resolves
-	// (instrumentation for footprint ground truth; nil in normal runs).
+	// (instrumentation for footprint ground truth; nil in normal runs). It
+	// only observes: a hooked run is cycle- and counter-identical to an
+	// unhooked one. Thread and cache counters are credited once per batch,
+	// so a hook must not read them.
 	AccessHook func(core int, lineAddr uint64, level cache.Level)
 	// DisableSignature leaves the signature units detached from the L2s:
 	// fills and evictions skip the Bloom-filter maintenance entirely and
@@ -492,13 +495,6 @@ func (m *Machine) pickCore() int {
 }
 
 // step runs one dispatch batch on core c and returns instructions retired.
-//
-// The per-access work is dispatched to one of three specialized batch
-// loops so the hot path carries no per-instruction conditionals that are
-// invariant across the batch: the AccessHook nil check and the cost-factor
-// resolution happen once per batch, and the common case (no hook, synthetic
-// generator) calls the workload generator through a concrete pointer
-// instead of the RefSource interface.
 func (m *Machine) step(c int) uint64 {
 	cs := &m.cores[c]
 	if cs.bgGen != nil && cs.time >= cs.nextBg {
@@ -514,39 +510,26 @@ func (m *Machine) step(c int) uint64 {
 		num, den = 1, 1
 	}
 	n := m.cfg.Batch
-	var cycles uint64
-	switch {
-	case m.cfg.AccessHook != nil:
-		cycles = m.batchHooked(cs, t, c, n, num, den)
-	default:
-		switch gen := t.Gen.(type) {
-		case *workload.Generator:
-			cycles = m.batchGen(cs, t, gen, c, n, num, den)
-		case workload.RunSource:
-			cycles = m.batchReplay(cs, t, gen, c, n, num, den)
-		default:
-			cycles = m.batchSrc(cs, t, t.Gen, c, n, num, den)
-		}
-	}
 	// The per-instruction cost factor (virtualization overhead) is applied
 	// at batch granularity to avoid integer-truncation bias on cheap ops.
-	cycles = cycles * num / den
+	cycles := m.batch(cs, t, c, n, num, den) * num / den
 	t.UserCycles += cycles
 	cs.time += cycles
 	cs.quantumLeft -= int64(cycles)
 	return uint64(n)
 }
 
-// batchGen is the common-case batch loop: no access hook, concrete
-// synthetic generator. It consumes the generator through NextRun, so the
-// per-instruction loop lives inside the generator's integer accumulator and
-// the engine pays one call (and one cost/retirement update) per memory
-// operation; the compute instructions between memory operations are retired
-// in bulk at one cycle each. Observable state (cycles, retirement counts,
-// completion times, cache traffic) is bit-identical to the per-instruction
-// loop in batchSrc — keep the two (and batchReplay, the RunSource twin of
-// this loop) in sync.
-func (m *Machine) batchGen(cs *coreState, t *kernel.Thread, gen *workload.Generator, c, n int, num, den uint64) uint64 {
+// batch is the engine's access loop: it runs n instructions of thread t on
+// core c and returns their cycles before the cost factor num/den. It
+// consumes the thread's source through NextRun, so the engine pays one call
+// (and one cost/retirement update) per memory operation; the compute
+// instructions between memory operations are retired in bulk at one cycle
+// each. NextRun consumes exactly the instructions that as many Next calls
+// would (workload's contract test pins this for every source), so the loop
+// is exact for synthetic generators, trace replays and wrapped Next-only
+// sources alike.
+func (m *Machine) batch(cs *coreState, t *kernel.Thread, c, n int, num, den uint64) uint64 {
+	src, hook := t.Gen, m.cfg.AccessHook
 	// The two hierarchy levels are hoisted to concrete cache pointers: the
 	// per-access walk is two direct calls with no wrapper frame, matching
 	// Hierarchy.Access exactly (non-inclusive, L1 then the core's L2).
@@ -562,7 +545,7 @@ func (m *Machine) batchGen(cs *coreState, t *kernel.Thread, gen *workload.Genera
 	var cycles uint64
 	i := 0
 	for i < n {
-		skip, addr, mem := gen.NextRun(n - i)
+		skip, addr, mem := src.NextRun(n - i)
 		if skip > 0 {
 			// Bulk-retire the run of compute instructions: 1 cycle each, with
 			// run-completion checks folded into whole-target chunks. The inner
@@ -588,11 +571,12 @@ func (m *Machine) batchGen(cs *coreState, t *kernel.Thread, gen *workload.Genera
 		}
 		i++
 		memRefs++
-		cost := uint64(1)
+		cost, level := uint64(1), cache.L1
 		if l1.AccessFast(c, addr) {
 			cost += l1Cost
 		} else if l2Refs++; l2.AccessFast(c, addr) {
 			cost += l2Cost
+			level = cache.L2
 		} else {
 			l2Misses++
 			line := addr >> 6
@@ -602,6 +586,10 @@ func (m *Machine) batchGen(cs *coreState, t *kernel.Thread, gen *workload.Genera
 				cost += memCost
 			}
 			lastMiss = line
+			level = cache.Memory
+		}
+		if hook != nil {
+			hook(c, addr>>6, level)
 		}
 		cycles += cost
 		retired++
@@ -626,173 +614,10 @@ func (m *Machine) batchGen(cs *coreState, t *kernel.Thread, gen *workload.Genera
 	return cycles
 }
 
-// batchReplay is batchGen for bulk-capable non-synthetic sources
-// (workload.RunSource — compiled and streaming trace replays): the identical
-// loop body over the RunSource interface instead of the concrete generator
-// pointer, so replay pays one interface call per memory operation rather
-// than one per instruction. Observable state is bit-identical to feeding the
-// same stream through batchSrc — keep all three loops in sync.
-//
-// The body is a deliberate duplicate of batchGen rather than a shared
-// generic: a gcshape-stenciled batchRun[S] would demote the *Generator case
-// to dictionary-indirect calls, regressing the synthetic hot path the
-// concrete loop exists for.
-func (m *Machine) batchReplay(cs *coreState, t *kernel.Thread, gen workload.RunSource, c, n int, num, den uint64) uint64 {
-	l1, l2 := m.hier.L1For(c), m.hier.L2For(c)
-	l1Cost, l2Cost := m.cfg.L1Cost, m.cfg.L2Cost
-	memCost, prefCost := m.cfg.MemCost, m.cfg.PrefetchCost
-	target, retired := t.InstrTarget, t.InstrRetired
-	lastMiss := cs.lastMissLine
-	var memRefs, l2Refs, l2Misses uint64
-	var cycles uint64
-	i := 0
-	for i < n {
-		skip, addr, mem := gen.NextRun(n - i)
-		if skip > 0 {
-			i += skip
-			left := uint64(skip)
-			for left >= target-retired {
-				done := target - retired
-				left -= done
-				cycles += done
-				if t.Runs == 0 {
-					t.CompletionUser = t.UserCycles + cycles*num/den
-				}
-				t.Runs++
-				retired = 0
-			}
-			retired += left
-			cycles += left
-		}
-		if !mem {
-			break
-		}
-		i++
-		memRefs++
-		cost := uint64(1)
-		if l1.AccessFast(c, addr) {
-			cost += l1Cost
-		} else if l2Refs++; l2.AccessFast(c, addr) {
-			cost += l2Cost
-		} else {
-			l2Misses++
-			line := addr >> 6
-			if line == lastMiss+1 {
-				cost += prefCost
-			} else {
-				cost += memCost
-			}
-			lastMiss = line
-		}
-		cycles += cost
-		retired++
-		if retired >= target {
-			if t.Runs == 0 {
-				t.CompletionUser = t.UserCycles + cycles*num/den
-			}
-			t.Runs++
-			retired = 0
-		}
-	}
-	t.InstrRetired = retired
-	t.MemRefs += memRefs
-	t.L2Refs += l2Refs
-	t.L2Misses += l2Misses
-	cs.lastMissLine = lastMiss
-	l1.AddCoreStats(c, memRefs-l2Refs, l2Refs)
-	l2.AddCoreStats(c, l2Refs-l2Misses, l2Misses)
-	return cycles
-}
-
-// batchSrc is batchGen for non-synthetic instruction sources (trace replay,
-// custom RefSource implementations).
-func (m *Machine) batchSrc(cs *coreState, t *kernel.Thread, gen workload.RefSource, c, n int, num, den uint64) uint64 {
-	hier := m.hier
-	l1Cost, l2Cost := m.cfg.L1Cost, m.cfg.L2Cost
-	memCost, prefCost := m.cfg.MemCost, m.cfg.PrefetchCost
-	var cycles uint64
-	for i := 0; i < n; i++ {
-		ref := gen.Next()
-		cost := uint64(1)
-		if ref.Mem {
-			t.MemRefs++
-			switch hier.Access(c, ref.Addr) {
-			case cache.L1:
-				cost += l1Cost
-			case cache.L2:
-				t.L2Refs++
-				cost += l2Cost
-			default:
-				t.L2Refs++
-				t.L2Misses++
-				line := ref.Addr >> 6
-				if line == cs.lastMissLine+1 {
-					cost += prefCost
-				} else {
-					cost += memCost
-				}
-				cs.lastMissLine = line
-			}
-		}
-		cycles += cost
-		t.InstrRetired++
-		if t.InstrRetired >= t.InstrTarget {
-			if t.Runs == 0 {
-				t.CompletionUser = t.UserCycles + cycles*num/den
-			}
-			t.Runs++
-			t.InstrRetired = 0
-		}
-	}
-	return cycles
-}
-
-// batchHooked is the instrumented batch loop: every resolved memory access
-// is reported to the AccessHook (footprint ground-truth collection).
-func (m *Machine) batchHooked(cs *coreState, t *kernel.Thread, c, n int, num, den uint64) uint64 {
-	hier := m.hier
-	hook := m.cfg.AccessHook
-	var cycles uint64
-	for i := 0; i < n; i++ {
-		ref := t.Gen.Next()
-		cost := uint64(1)
-		if ref.Mem {
-			t.MemRefs++
-			level := hier.Access(c, ref.Addr)
-			switch level {
-			case cache.L1:
-				cost += m.cfg.L1Cost
-			case cache.L2:
-				t.L2Refs++
-				cost += m.cfg.L2Cost
-			default:
-				t.L2Refs++
-				t.L2Misses++
-				line := ref.Addr >> 6
-				if line == cs.lastMissLine+1 {
-					cost += m.cfg.PrefetchCost
-				} else {
-					cost += m.cfg.MemCost
-				}
-				cs.lastMissLine = line
-			}
-			hook(c, ref.Addr>>6, level)
-		}
-		cycles += cost
-		t.InstrRetired++
-		if t.InstrRetired >= t.InstrTarget {
-			if t.Runs == 0 {
-				t.CompletionUser = t.UserCycles + cycles*num/den
-			}
-			t.Runs++
-			t.InstrRetired = 0
-		}
-	}
-	return cycles
-}
-
 // runBackground executes one burst of service activity on core c, charging
-// wall time (and cache pollution) but no thread's user time.
+// wall time (and cache pollution) but no thread's user time. It is kept
+// apart from batch because it gets no prefetch credit and is charged to the
+// core clock, not to a thread.
 func (m *Machine) runBackground(c int) {
 	cs := &m.cores[c]
 	var cycles uint64
@@ -821,12 +646,12 @@ func (m *Machine) runBackground(c int) {
 // state) and is skipped entirely when the signature unit is detached.
 //
 // The capture is lazy (see bloom.ContextSwitchInto): only the RBV and the
-// filter-version references are taken here, so the per-switch cost inside
-// the batch execution loops (batchGen/batchReplay/batchSrc all funnel their
-// quantum expiries through this path) is O(filter words), not O(cores ×
-// filter words). The symbiosis/overlap vectors materialize when the monitor
-// snapshot reads them — runs whose signatures are never read (phase-2
-// pinned runs, detached-monitor sweeps) never pay for them.
+// filter-version references are taken here, so the per-switch cost (every
+// quantum expiry in the batch loop funnels through this path) is O(filter
+// words), not O(cores × filter words). The symbiosis/overlap vectors
+// materialize when the monitor snapshot reads them — runs whose signatures
+// are never read (phase-2 pinned runs, detached-monitor sweeps) never pay
+// for them.
 func (m *Machine) contextSwitch(c int) {
 	cs := &m.cores[c]
 	if !m.cfg.DisableSignature {

@@ -53,13 +53,6 @@ type Config struct {
 	// filter has only 256 entries and saturates, losing the footprint
 	// discrimination the full-size filter retains at 25% sampling.
 	SampleRate int
-	// EagerCapture forces the signature unit to compute the full symbiosis
-	// record at every context switch instead of the default lazy capture
-	// (RBV snapshot plus filter-version references, materialized on first
-	// read). The two modes are bit-identical in results — the parity tests
-	// pin this — so the flag exists only for the overhead measurements in
-	// cmd/bench and for A/B debugging.
-	EagerCapture bool
 	// ShardIndex/ShardTotal select one deterministic slice of a sweep's
 	// combination space for cross-machine sharding (see shard.go): shard i
 	// of N covers combos [i·C/N, (i+1)·C/N). Both zero means the whole
@@ -126,15 +119,6 @@ func (c Config) EngineConfig() engine.Config {
 		sig.CounterBits = 8
 		sig.SampleRate = c.SampleRate
 		ec.Signature = sig
-	}
-	if c.EagerCapture {
-		if ec.Signature == (bloom.Config{}) {
-			// The engine would otherwise fill the default lazily; build it
-			// here so the flag has a config to land on.
-			g := bloom.Geometry{Sets: ec.Hierarchy.L2.Sets(), Ways: ec.Hierarchy.L2.Ways}
-			ec.Signature = bloom.DefaultConfig(g, ec.Hierarchy.Cores)
-		}
-		ec.Signature.EagerCapture = true
 	}
 	return ec
 }

@@ -181,8 +181,8 @@ func TracePoolFromFiles(files []TraceFile) ([]workload.Profile, error) {
 			return nil, fmt.Errorf("experiments: %s: unknown trace format", tf.Path)
 		}
 		p := traceProfile(tf.Name, fingerprint, ct.Instructions(), ct.MemRefs())
-		p.MakeSources = func(asid int, _, _ uint64) []workload.RefSource {
-			return []workload.RefSource{trace.NewRunReplay(ct, true, traceBase(asid))}
+		p.MakeSources = func(asid int, _, _ uint64) []workload.RunSource {
+			return []workload.RunSource{trace.NewRunReplay(ct, true, traceBase(asid))}
 		}
 		pool = append(pool, p)
 	}
@@ -228,7 +228,7 @@ func StreamingTracePoolFromFiles(files []TraceFile, bufRuns int) ([]workload.Pro
 				return nil, err
 			}
 			p = traceProfile(tf.Name, fingerprint, instr, memRefs)
-			p.MakeSources = func(asid int, _, _ uint64) []workload.RefSource {
+			p.MakeSources = func(asid int, _, _ uint64) []workload.RunSource {
 				f, err := os.Open(tf.Path)
 				if err != nil {
 					panic(fmt.Sprintf("experiments: trace vanished after scan: %v", err))
@@ -238,7 +238,7 @@ func StreamingTracePoolFromFiles(files []TraceFile, bufRuns int) ([]workload.Pro
 					f.Close()
 					panic(fmt.Sprintf("experiments: %s: %v", tf.Path, err))
 				}
-				return []workload.RefSource{sr}
+				return []workload.RunSource{sr}
 			}
 		case trace.FormatCompiled:
 			hf, err := os.Open(tf.Path)
@@ -252,7 +252,7 @@ func StreamingTracePoolFromFiles(files []TraceFile, bufRuns int) ([]workload.Pro
 			}
 			p = traceProfile(tf.Name, fmt.Sprintf("%016x", hdr.Fingerprint), hdr.Instr, hdr.MemRefs)
 			if hdr.Framed {
-				p.MakeSources = func(asid int, _, _ uint64) []workload.RefSource {
+				p.MakeSources = func(asid int, _, _ uint64) []workload.RunSource {
 					f, err := os.Open(tf.Path)
 					if err != nil {
 						panic(fmt.Sprintf("experiments: trace vanished after scan: %v", err))
@@ -262,7 +262,7 @@ func StreamingTracePoolFromFiles(files []TraceFile, bufRuns int) ([]workload.Pro
 						f.Close()
 						panic(fmt.Sprintf("experiments: %s: %v", tf.Path, err))
 					}
-					return []workload.RefSource{fs}
+					return []workload.RunSource{fs}
 				}
 			} else {
 				// Raw compiled: the mmap view is already as cheap as streaming
@@ -272,8 +272,8 @@ func StreamingTracePoolFromFiles(files []TraceFile, bufRuns int) ([]workload.Pro
 					return nil, fmt.Errorf("experiments: %s: %w", tf.Path, err)
 				}
 				ct := mt.Trace()
-				p.MakeSources = func(asid int, _, _ uint64) []workload.RefSource {
-					return []workload.RefSource{trace.NewRunReplay(ct, true, traceBase(asid))}
+				p.MakeSources = func(asid int, _, _ uint64) []workload.RunSource {
+					return []workload.RunSource{trace.NewRunReplay(ct, true, traceBase(asid))}
 				}
 			}
 		default:

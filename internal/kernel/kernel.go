@@ -20,7 +20,7 @@ import (
 type Thread struct {
 	ID   int // global thread index
 	Proc *Process
-	Gen  workload.RefSource
+	Gen  workload.RunSource
 
 	// Affinity is the core this thread is pinned to. The paper's monitor
 	// only ever pins (sets affinity bits); the in-core time-slicing is left
@@ -199,15 +199,16 @@ func ResetWorkload(procs []*Process) bool {
 }
 
 // SourceProcess wraps an arbitrary instruction source (a trace replay, a
-// custom model) as a single-threaded process with the given run length. The
-// returned process's thread ID is id; callers composing mixed process sets
-// must keep IDs dense in creation order.
+// custom model) as a single-threaded process with the given run length. A
+// Next-only source is adapted to a RunSource here, once (see
+// workload.AsRunSource). The returned process's thread ID is id; callers
+// composing mixed process sets must keep IDs dense in creation order.
 func SourceProcess(id int, name string, src workload.RefSource, instrTarget uint64) *Process {
 	if instrTarget == 0 {
 		panic("kernel: zero instruction target")
 	}
 	p := &Process{ID: id, Name: name, Profile: workload.Profile{Name: name, Threads: 1}}
-	p.Threads = []*Thread{{ID: id, Proc: p, Gen: src, InstrTarget: instrTarget}}
+	p.Threads = []*Thread{{ID: id, Proc: p, Gen: workload.AsRunSource(src), InstrTarget: instrTarget}}
 	return p
 }
 

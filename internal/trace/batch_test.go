@@ -10,23 +10,14 @@ import (
 	"symbiosched/internal/workload"
 )
 
-// refOnly hides the bulk RunSource interface, forcing the engine's
-// per-instruction batchSrc path over the same underlying stream. It keeps
-// Rewind so benchmark loops can reset workloads in place.
+// refOnly hides the bulk RunSource interface, so kernel.SourceProcess wraps
+// the same underlying stream in workload.AsRunSource's per-instruction
+// adapter. It keeps Rewind so benchmark loops can reset workloads in place
+// through the adapter.
 type refOnly struct{ rp *RunReplay }
 
 func (r refOnly) Next() workload.Ref { return r.rp.Next() }
 func (r refOnly) Rewind() bool       { return r.rp.Rewind() }
-
-// runOnly hides *workload.Generator's concrete type, forcing the engine's
-// interface batchReplay path for a stream whose reference timing comes from
-// the concrete batchGen path.
-type runOnly struct{ g *workload.Generator }
-
-func (r runOnly) Next() workload.Ref { return r.g.Next() }
-func (r runOnly) NextRun(limit int) (int, uint64, bool) {
-	return r.g.NextRun(limit)
-}
 
 func batchConfig() engine.Config {
 	return engine.Config{
@@ -37,7 +28,7 @@ func batchConfig() engine.Config {
 
 // contendedRun simulates two processes sharing the L2 (one per core) and
 // returns their completion times plus the shared-L2 statistics — everything
-// the batch loops influence.
+// the access loop influences.
 func contendedRun(t testing.TB, mk func(id int) workload.RefSource) (u0, u1 uint64, st cache.Stats) {
 	t.Helper()
 	procs := []*kernel.Process{
@@ -50,10 +41,10 @@ func contendedRun(t testing.TB, mk func(id int) workload.RefSource) (u0, u1 uint
 	return procs[0].CompletionUser(), procs[1].CompletionUser(), m.Hierarchy().L2For(0).Stats()
 }
 
-// TestBatchReplayMatchesBatchSrc pins the tentpole invariant: a RunSource
-// replay dispatched through the bulk batchReplay loop is bit-identical — user
-// times and shared-cache statistics — to the same stream dispatched
-// per-instruction through batchSrc.
+// TestBatchReplayMatchesBatchSrc pins the Next-only adapter against native
+// NextRun: a RunSource replay consumed through its own NextRun is
+// bit-identical — user times and shared-cache statistics — to the same
+// stream consumed per instruction through workload.AsRunSource's adapter.
 func TestBatchReplayMatchesBatchSrc(t *testing.T) {
 	mcf := captureBench(t, "mcf", 41, 150_000)
 	lq := captureBench(t, "libquantum", 43, 150_000)
@@ -73,41 +64,18 @@ func TestBatchReplayMatchesBatchSrc(t *testing.T) {
 		return refOnly{NewRunReplay(cts[id], true, uint64(id)<<40)}
 	})
 	if fastU0 != slowU0 || fastU1 != slowU1 {
-		t.Fatalf("batchReplay diverged from batchSrc: user times (%d, %d) vs (%d, %d)",
-			fastU0, fastU1, slowU0, slowU1)
+		t.Fatalf("adapter diverged from native NextRun: user times (%d, %d) vs (%d, %d)",
+			slowU0, slowU1, fastU0, fastU1)
 	}
 	if fastStats != slowStats {
-		t.Fatalf("batchReplay diverged from batchSrc: L2 stats %+v vs %+v", fastStats, slowStats)
+		t.Fatalf("adapter diverged from native NextRun: L2 stats %+v vs %+v", slowStats, fastStats)
 	}
 }
 
-// TestBatchReplayMatchesBatchGen pins the other face of the same loop: the
-// interface batchReplay path must time a generator-backed RunSource exactly
-// like the concrete batchGen path times the generator itself.
-func TestBatchReplayMatchesBatchGen(t *testing.T) {
-	mkGen := func(id int) *workload.Generator {
-		name := []string{"omnetpp", "hmmer"}[id]
-		p, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.NewThreads(id+1, 47, 64)[0]
-	}
-	genU0, genU1, genStats := contendedRun(t, func(id int) workload.RefSource { return mkGen(id) })
-	ifaceU0, ifaceU1, ifaceStats := contendedRun(t, func(id int) workload.RefSource { return runOnly{mkGen(id)} })
-	if genU0 != ifaceU0 || genU1 != ifaceU1 {
-		t.Fatalf("batchReplay diverged from batchGen: user times (%d, %d) vs (%d, %d)",
-			genU0, genU1, ifaceU0, ifaceU1)
-	}
-	if genStats != ifaceStats {
-		t.Fatalf("batchReplay diverged from batchGen: L2 stats %+v vs %+v", genStats, ifaceStats)
-	}
-}
-
-// BenchmarkReplay compares the two ways a trace can drive the simulator: the
-// bulk batchReplay fast path (RunSource) against the per-instruction batchSrc
-// interface path. Both reuse machine and workload across iterations, so the
-// delta is pure replay-loop cost.
+// BenchmarkReplay compares the two ways a trace can feed the engine's access
+// loop: its native bulk NextRun against a Next-only view stepped one
+// instruction at a time by workload.AsRunSource's adapter. Both reuse
+// machine and workload across iterations, so the delta is pure replay cost.
 //
 // The win scales with compute-run length — bulk retirement replaces one
 // interface call per instruction with one per memory reference. "sparse"

@@ -83,9 +83,9 @@ func Compile(r io.Reader) (*CompiledTrace, error) {
 }
 
 // RunReplay replays a compiled trace as a workload.RunSource: the engine's
-// fast batch loop consumes it one compute-run+memory-reference pair per
-// call, mirroring Generator.NextRun. Loop wraps the stream around forever
-// (the simulator restarts finished benchmarks); a non-looping replay pads
+// access loop consumes it one compute-run+memory-reference pair per call,
+// mirroring Generator.NextRun. Loop wraps the stream around forever (the
+// simulator restarts finished benchmarks); a non-looping replay pads
 // with compute no-ops after exhaustion, exactly like trace.Replay. Base is
 // added to every replayed byte address, which is how a trace captured in
 // address space 1 is rebased into another process's address space.
@@ -158,8 +158,8 @@ func (rp *RunReplay) NextRun(limit int) (skipped int, addr uint64, mem bool) {
 	return skipped, addr, true
 }
 
-// Next implements workload.RefSource (the engine only uses it off the fast
-// path, e.g. under an AccessHook).
+// Next implements workload.RefSource (the engine itself only calls
+// NextRun).
 func (rp *RunReplay) Next() workload.Ref {
 	_, addr, mem := rp.NextRun(1)
 	if mem {

@@ -10,9 +10,10 @@ type Ref struct {
 }
 
 // RefSource is anything that produces an instruction stream: synthetic
-// generators, trace replays, or custom models. The engine consumes threads
-// through this interface, so captured (or externally produced) traces can
-// substitute for the synthetic workloads.
+// generators, trace replays, or custom models. Any RefSource can drive an
+// engine thread (kernel.SourceProcess adapts it with AsRunSource), so
+// captured (or externally produced) traces can substitute for the synthetic
+// workloads.
 type RefSource interface {
 	Next() Ref
 }
@@ -21,13 +22,44 @@ type RefSource interface {
 // to limit instructions in one call, returning the length of the compute run
 // and the memory operation that ends it (see Generator.NextRun for the exact
 // contract — skipped+1 ≤ limit instructions consumed when mem is true,
-// exactly limit compute instructions when mem is false). The engine's batch
-// loop detects RunSource implementations and pays one interface call per
-// memory operation instead of one per instruction; Generator and the trace
-// package's compiled/streaming replays all implement it.
+// exactly limit compute instructions when mem is false — and in every case
+// exactly the instructions that as many Next calls would consume). The
+// engine's access loop consumes every thread through NextRun, paying one
+// interface call per memory operation instead of one per instruction;
+// Generator and the trace package's compiled/streaming replays implement it
+// natively, and AsRunSource adapts any other RefSource.
 type RunSource interface {
 	RefSource
 	NextRun(limit int) (skipped int, addr uint64, mem bool)
+}
+
+// AsRunSource returns src as a RunSource: src itself when it already is one,
+// otherwise src wrapped in an adapter whose NextRun steps Next one
+// instruction at a time. The adapter forwards Rewind to src (reporting false
+// when src is not a Rewinder), so wrapping changes neither the stream nor
+// whether a workload can be reset in place.
+func AsRunSource(src RefSource) RunSource {
+	if rs, ok := src.(RunSource); ok {
+		return rs
+	}
+	return refRuns{src}
+}
+
+// refRuns is the RunSource view of a Next-only source.
+type refRuns struct{ RefSource }
+
+func (r refRuns) NextRun(limit int) (skipped int, addr uint64, mem bool) {
+	for ; skipped < limit; skipped++ {
+		if ref := r.Next(); ref.Mem {
+			return skipped, ref.Addr, true
+		}
+	}
+	return skipped, 0, false
+}
+
+func (r refRuns) Rewind() bool {
+	rw, ok := r.RefSource.(Rewinder)
+	return ok && rw.Rewind()
 }
 
 // Rewinder is implemented by instruction sources that can rewind to their

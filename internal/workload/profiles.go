@@ -67,7 +67,7 @@ type Profile struct {
 	// sources' address spaces disjoint exactly as NewThreads would; seed and
 	// div are passed through for sources that still derive anything from
 	// them (trace replays typically ignore both — the stream is the capture).
-	MakeSources func(asid int, seed uint64, div uint64) []RefSource
+	MakeSources func(asid int, seed uint64, div uint64) []RunSource
 	// Fingerprint identifies an externally sourced instruction stream (the
 	// content hash of a trace file). It is empty for synthetic profiles;
 	// when set it participates in workload cache keys and shard pool hashes
@@ -194,12 +194,12 @@ func (p Profile) NewThreads(asid int, seed uint64, div uint64) []*Generator {
 // NewThreads generators otherwise. kernel.Workload consumes profiles through
 // this method, drawing exactly one seed per profile either way, so a pool
 // that mixes synthetic and trace-driven profiles perturbs neither's streams.
-func (p Profile) NewSources(asid int, seed uint64, div uint64) []RefSource {
+func (p Profile) NewSources(asid int, seed uint64, div uint64) []RunSource {
 	if p.MakeSources != nil {
 		return p.MakeSources(asid, seed, div)
 	}
 	gens := p.NewThreads(asid, seed, div)
-	srcs := make([]RefSource, len(gens))
+	srcs := make([]RunSource, len(gens))
 	for i, g := range gens {
 		srcs[i] = g
 	}
