@@ -75,8 +75,8 @@ tracecheck:
 
 # The lazy-signature contract, uncached: lazy capture is bit-identical to
 # the eager test oracle (bloom's ContextSwitchEagerInto) under random
-# schedules, directed copy-on-write mutation, the codec, and cmd/bench -sig's
-# schedule at the paper geometry over its whole (P, N) grid; one full
+# schedules, directed copy-on-write mutation, the codec, and cmd/bench's sig
+# layer schedule at the paper geometry over its whole (P, N) grid; one full
 # two-phase campaign reproduces its recorded mapping and per-candidate user
 # cycles (TestCampaignGolden); the fused popcount kernel matches its
 # two-pass oracle (seed corpus of the differential fuzz target); the monitor
@@ -121,60 +121,61 @@ churncheck:
 benchsmoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# Allocator-scaling smoke: one quick pass of the dense/sparse/repair latency
-# sweep (P up to 4096) so the allocator benchmark harness can't bit-rot.
-# Dense is capped at P=64 here; `make benchgate` and the recorded artifacts
-# carry the real measurements.
+# The layer smokes below run one layer of cmd/bench at two samples per
+# point, so no layer of the harness can bit-rot. Every point checks that its
+# checksum repeats across samples; nothing is recorded (no -out).
+#
+# Allocator layer: dense/sparse/repair decision latency, P up to 4096 (dense
+# up to P=256).
 allocbench:
-	$(GO) run ./cmd/bench -alloconly -allocreps 3 -allocdense 64
+	$(GO) run ./cmd/bench -layers alloc -reps 2
 
-# Signature-path smoke: one quick pass of the per-switch capture and
-# monitor-quantum sweep, so the harness can't bit-rot. Each point checks that
-# its record and decision checksums repeat across samples; capture parity at
-# this geometry is sigcheck's (TestLazyCaptureParityPaperGeometry).
+# Signature layer: per-switch capture and monitor-quantum latency over the
+# (P, N) grid, with record and decision checksums; capture parity at this
+# geometry is sigcheck's (TestLazyCaptureParityPaperGeometry).
 sigbench:
-	$(GO) run ./cmd/bench -sigonly -sigreps 3
+	$(GO) run ./cmd/bench -layers sig -reps 2
 
-# Trace I/O smoke: one quick pass of the open-latency/replay-throughput
-# sweep on a small fixture — each run self-checks that all four replay paths
-# (v1 compile, compiled read, mmap, framed streaming) produce one identical
-# instruction stream, so this doubles as a replay-parity gate on a trace
-# none of the unit tests generated. Real measurements use -tracemb ≥ 128.
+# Trace layer: open-to-first-run latency and full replay of the 128 MiB
+# fixture through all four replay paths (v1 compile, compiled read, mmap,
+# framed streaming). All four must replay one identical stream, so this
+# doubles as a replay-parity gate on a trace none of the unit tests
+# generated.
 tracebench:
-	$(GO) run ./cmd/bench -traceonly -tracereps 3 -tracemb 8
+	$(GO) run ./cmd/bench -layers trace -reps 2
 
-# Coordinator service smoke: the 50-worker load harness as a bench, printing
-# lease throughput and round-trip latency percentiles. Every run reconciles
+# Coordinator layer: the 50-worker load harness as a bench, printing lease
+# throughput and round-trip latency percentiles. Every run reconciles
 # client accepts, server counters, and journal records before reporting, so
 # this doubles as a correctness gate; the latency numbers themselves are
 # recorded but never -check-gated (loopback HTTP + fsync jitter on shared
 # runners would make any useful tolerance flake).
 servicebench:
-	$(GO) run ./cmd/bench -coordonly
+	$(GO) run ./cmd/bench -layers coord -reps 2
 
-# Churn smoke: one short Poisson campaign per P with per-event timing — the
-# insert-vs-rebuild ratio and the crossover rate print on stderr, and the
-# campaign checksum is deterministic, so this doubles as an end-to-end churn
-# gate at real scale (P=1024 single-event updates without a full rebuild).
+# Churn layer: one 200-quantum Poisson campaign per P with per-event timing
+# (insert/remove/age percentiles and the rebuild crossover in the point's
+# info). The campaign checksum is deterministic, so this doubles as an
+# end-to-end churn gate at real scale (P=1024 single-event updates without
+# a full rebuild).
 churnbench:
-	$(GO) run ./cmd/bench -churnonly -churnquanta 100
+	$(GO) run ./cmd/bench -layers churn -reps 2
 
-# Perf regression gate: measure the Fig 10 sweep plus the allocator,
-# signature, and trace I/O latency sweeps and fail if any is >15% slower
-# than the newest recorded baseline entry (or if any determinism checksum
-# diverges). Wall time on shared runners is noisy — CI runs this as a soft
+# Perf regression gate: measure the Fig 10 sweep and the alloc, sig, trace
+# and churn layers, then compare against the newest entry of the recorded
+# ledger. Every checksum must match, the sweep's minimum and every point's
+# p50 at or above its layer's floor may be at most 15% slower, and a layer
+# or point that entry lacks fails the gate rather than being skipped. Wall
+# time on shared runners is noisy — CI runs this as a soft
 # (continue-on-error) job; treat a local failure on a quiet box as real.
-# Dense allocator points beyond P=256 are skipped here (minutes per
-# invocation); unmatched baseline points are simply not compared. The trace
-# fixture size must match the baseline entry's (points pair by format and
-# record count).
 benchgate:
-	$(GO) run ./cmd/bench -reps 3 -alloc -allocreps 11 -allocdense 256 -sig -sigreps 5 -trace -tracereps 5 -tracemb 128 -churn -churnquanta 200 -check results/BENCH_2026-08-06.json -tolerance 0.15
+	$(GO) run ./cmd/bench -layers sweep,alloc,sig,trace,churn -reps 5 -check results/BENCH_2026-08-06.json -tolerance 0.15
 
-# Real measurement: the recorded Figure 10 sweep harness. Appends to
-# results/BENCH_<date>.json; see README "Performance".
+# Real measurement: every layer, with the sweep repeated at GOMAXPROCS=1
+# (-mp1), appended to results/BENCH_<date>.json; see README "Performance".
+# An entry recorded this way is a complete baseline for benchgate.
 bench:
-	$(GO) run ./cmd/bench -label $$(git rev-parse --short HEAD)
+	$(GO) run ./cmd/bench -layers sweep,alloc,sig,trace,coord,churn -reps 5 -mp1 -label $$(git rev-parse --short HEAD)
 
 clean:
 	$(GO) clean ./...

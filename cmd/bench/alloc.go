@@ -2,10 +2,6 @@ package main
 
 import (
 	"fmt"
-	"hash/fnv"
-	"os"
-	"sort"
-	"time"
 
 	"symbiosched/internal/alloc"
 	"symbiosched/internal/experiments"
@@ -13,209 +9,102 @@ import (
 	"symbiosched/internal/kernel"
 )
 
-// The allocator microbenchmark: how long one allocation decision takes as
-// the thread count grows. Three paths per P:
+// The allocator layer: how long one allocation decision takes as the thread
+// count grows. Three paths per P:
 //
 //   - dense:  the pre-sparsification baseline (n×n matrix + recursive
-//     bisection), forced via AllocateDense. Scales ~n⁴; capped by
-//     -allocdense because P=1024 costs minutes per invocation.
+//     bisection), forced via AllocateDense. Scales ~n⁴, so it runs only up
+//     to allocDenseMax.
 //   - sparse: the top-m sparse build + multilevel partition the policies use
 //     beyond the 64-thread threshold.
 //   - repair: the incremental path — 8 signature deltas applied with
-//     UpdateWeight, then RepairPartition. The steady-state per-quantum cost
-//     once a partition exists.
+//     UpdateWeight, then Repair. The steady-state per-quantum cost once a
+//     partition exists.
 //
-// Latency is reported as p50/p99 over the invocations; the checksum (an FNV
-// hash of the canonical decision) is a determinism gate — two builds whose
-// checksums differ did not compute the same allocation and must not be
-// time-compared.
+// Each point's checksum hashes the canonical decision.
 
 // allocPs is the P-sweep; k = P/16 cores keeps the per-core load constant.
 var allocPs = []int{64, 256, 1024, 4096}
 
-// AllocPoint is one (path, P) cell of the allocator benchmark.
-type AllocPoint struct {
-	Path        string  `json:"path"` // dense | sparse | repair
-	P           int     `json:"p"`
-	K           int     `json:"k"`
-	Invocations int     `json:"invocations"`
-	P50Micros   float64 `json:"p50_micros"`
-	P99Micros   float64 `json:"p99_micros"`
-	// Checksum hashes the canonical allocation decision (or the repaired
-	// assignment); a determinism gate like the sweep's improvement
-	// percentages.
-	Checksum string `json:"checksum"`
-	// CutWeight is the partition quality on the sparse paths (informational;
-	// covered by Checksum for gating).
-	CutWeight float64 `json:"cut_weight,omitempty"`
-}
+// allocDenseMax is the largest P the dense baseline runs at: one dense
+// P=1024 decision costs minutes (results/BENCH_2026-08-06.json holds one).
+const allocDenseMax = 256
 
-// runAllocBench measures every (path, P) point and streams progress to
-// stderr. denseMax caps the dense baseline's P (0 disables it entirely).
-func runAllocBench(reps, denseMax int) []AllocPoint {
-	var points []AllocPoint
+func runAlloc(reps int) []Point {
+	var pts []Point
 	for _, p := range allocPs {
 		k := p / 16
 		views := experiments.SynthAllocViews(p, k)
-
-		if p <= denseMax {
-			n := reps
-			if p >= 512 {
-				n = 1 // minutes per invocation: measure once, flag it
-			}
-			points = append(points, measureAlloc("dense", p, k, n, func() (alloc.Mapping, float64) {
-				return alloc.WeightedInterferenceGraph{}.AllocateDense(views, k), 0
-			}))
+		cell := fmt.Sprintf("P=%d k=%d", p, k)
+		if p <= allocDenseMax {
+			pts = append(pts, measure("alloc", "dense "+cell, reps, decision(func() alloc.Mapping {
+				return alloc.WeightedInterferenceGraph{}.AllocateDense(views, k)
+			})))
 		}
-
-		points = append(points, measureAlloc("sparse", p, k, reps, func() (alloc.Mapping, float64) {
-			s := alloc.SparseInterferenceGraph(views)
-			groups := s.PartitionK(k)
-			m := make(alloc.Mapping, p)
-			var assign []int32
-			for core, grp := range groups {
-				for _, t := range grp {
-					m[t] = core
-				}
-			}
-			assign = make([]int32, p)
-			for i, c := range m {
-				assign[i] = int32(c)
-			}
-			return m, s.CutK(assign)
-		}))
-
-		points = append(points, measureRepair(p, k, reps, views))
+		pts = append(pts,
+			measure("alloc", "sparse "+cell, reps, decision(func() alloc.Mapping { return sparseDecision(views, k) })),
+			measure("alloc", "repair "+cell, reps, repairTrial(views, k)))
 	}
-	return points
+	return pts
 }
 
-// measureAlloc times fn over n invocations and hashes its decision.
-func measureAlloc(path string, p, k, n int, fn func() (alloc.Mapping, float64)) AllocPoint {
-	times := make([]float64, 0, n)
-	var m alloc.Mapping
-	var cut float64
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		m, cut = fn()
-		times = append(times, float64(time.Since(start).Nanoseconds())/1e3)
+// decision is the trial that times one allocation decision.
+func decision(decide func() alloc.Mapping) trial {
+	return func() (func(), func() string) {
+		var m alloc.Mapping
+		return func() { m = decide() }, func() string { return mappingChecksum(m) }
 	}
-	pt := AllocPoint{
-		Path: path, P: p, K: k, Invocations: n,
-		Checksum: mappingChecksum(m.Canonical()), CutWeight: cut,
-	}
-	pt.P50Micros, pt.P99Micros = percentiles(times)
-	fmt.Fprintf(os.Stderr, "alloc %-6s P=%-4d k=%-3d: p50 %.0fµs p99 %.0fµs (%d invocations)\n",
-		path, p, k, pt.P50Micros, pt.P99Micros, n)
-	return pt
 }
 
-// measureRepair times the incremental path: per invocation, a fresh graph
-// and partition, then 8 weight deltas + RepairPartition. Every invocation
-// replays the IDENTICAL delta schedule — the timings are repeated samples
-// of one decision, and the checksum is invariant to -allocreps.
-func measureRepair(p, k, n int, views []kernel.View) AllocPoint {
-	times := make([]float64, 0, n)
-	var pt *graph.Partition
-	var s *graph.Sparse
+// sparseDecision builds the top-m sparse interference graph and partitions
+// it multilevel: the graph policies' path beyond 64 threads, and the full
+// rebuild that churn's incremental edits avoid.
+func sparseDecision(views []kernel.View, k int) alloc.Mapping {
+	m := make(alloc.Mapping, len(views))
+	for core, grp := range alloc.SparseInterferenceGraph(views).PartitionK(k) {
+		for _, t := range grp {
+			m[t] = core
+		}
+	}
+	return m
+}
+
+// repairTrial times the incremental path: on a fresh graph and partition
+// (untimed), 8 weight deltas and one Repair. Every sample replays the
+// identical delta schedule, so the samples are repeats of one decision.
+func repairTrial(views []kernel.View, k int) trial {
 	part := graph.NewPartitioner()
 	touched := make([]int, 8)
-	for i := 0; i < n; i++ {
-		s = alloc.SparseInterferenceGraph(views)
-		pt = s.NewPartition(k)
-		start := time.Now()
-		for t := range touched {
-			v := (131 + t*17) % p
-			touched[t] = v
-			cols, wts := s.Row(v)
-			if len(cols) > 0 {
-				e := t % len(cols)
-				pt.UpdateWeight(s, v, int(cols[e]), wts[e]*1.5+0.1)
+	return func() (func(), func() string) {
+		s := alloc.SparseInterferenceGraph(views)
+		pt := s.NewPartition(k)
+		return func() {
+				for t := range touched {
+					v := (131 + t*17) % len(views)
+					touched[t] = v
+					cols, wts := s.Row(v)
+					if len(cols) > 0 {
+						e := t % len(cols)
+						pt.UpdateWeight(s, v, int(cols[e]), wts[e]*1.5+0.1)
+					}
+				}
+				part.Repair(s, pt, touched)
+			}, func() string {
+				m := make(alloc.Mapping, len(views))
+				for i, c := range pt.Assign() {
+					m[i] = int(c)
+				}
+				return mappingChecksum(m)
 			}
-		}
-		part.Repair(s, pt, touched)
-		times = append(times, float64(time.Since(start).Nanoseconds())/1e3)
 	}
-	out := AllocPoint{
-		Path: "repair", P: p, K: k, Invocations: n,
-		Checksum: assignChecksum(pt.Assign()), CutWeight: pt.Cut(),
-	}
-	out.P50Micros, out.P99Micros = percentiles(times)
-	fmt.Fprintf(os.Stderr, "alloc %-6s P=%-4d k=%-3d: p50 %.0fµs p99 %.0fµs (%d invocations)\n",
-		"repair", p, k, out.P50Micros, out.P99Micros, n)
-	return out
 }
 
-func percentiles(times []float64) (p50, p99 float64) {
-	sort.Float64s(times)
-	p50 = times[len(times)/2]
-	i99 := (99*len(times) + 99) / 100 // ceil(0.99n), 1-based
-	if i99 > len(times) {
-		i99 = len(times)
-	}
-	p99 = times[i99-1]
-	return p50, p99
-}
-
+// mappingChecksum digests a mapping in canonical form, so relabelled cores
+// hash alike.
 func mappingChecksum(m alloc.Mapping) string {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, c := range m {
-		for i := range b {
-			b[i] = byte(c >> (8 * i))
-		}
-		h.Write(b[:])
+	d := newDigest()
+	for _, c := range m.Canonical() {
+		d.put(uint64(c))
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func assignChecksum(assign []int32) string {
-	m := make(alloc.Mapping, len(assign))
-	for i, c := range assign {
-		m[i] = int(c)
-	}
-	return mappingChecksum(m.Canonical())
-}
-
-// checkAllocPoints is the -check extension for the allocator benchmark:
-// compare every (path, P, k) point present in both the baseline's newest
-// entry and the measured entry. Checksums must match exactly; p50 latency
-// may not regress more than the tolerance. Returns false on violation.
-func checkAllocPoints(base, cur []AllocPoint, tolerance float64) bool {
-	type key struct {
-		path string
-		p, k int
-	}
-	byKey := map[key]AllocPoint{}
-	for _, pt := range base {
-		byKey[key{pt.Path, pt.P, pt.K}] = pt
-	}
-	ok := true
-	matched := 0
-	for _, pt := range cur {
-		ref, found := byKey[key{pt.Path, pt.P, pt.K}]
-		if !found {
-			continue
-		}
-		matched++
-		if ref.Checksum != pt.Checksum {
-			fmt.Fprintf(os.Stderr, "bench: alloc %s P=%d k=%d: determinism checksum mismatch (%s vs baseline %s) — the allocator's decision changed, record a new baseline before gating on time\n",
-				pt.Path, pt.P, pt.K, pt.Checksum, ref.Checksum)
-			ok = false
-			continue
-		}
-		// Sub-millisecond points are timer/scheduler noise on shared
-		// runners: checksum-gated above, but not latency-gated.
-		if ref.P50Micros >= 1000 && pt.P50Micros > ref.P50Micros*(1+tolerance) {
-			fmt.Fprintf(os.Stderr, "bench: alloc REGRESSION: %s P=%d k=%d p50 %.0fµs vs baseline %.0fµs (%+.1f%%, tolerance %.0f%%)\n",
-				pt.Path, pt.P, pt.K, pt.P50Micros, ref.P50Micros,
-				100*(pt.P50Micros/ref.P50Micros-1), 100*tolerance)
-			ok = false
-		}
-	}
-	if ok && matched > 0 {
-		fmt.Printf("bench: alloc ok: %d points within %.0f%% of baseline, checksums identical\n",
-			matched, 100*tolerance)
-	}
-	return ok
+	return d.String()
 }

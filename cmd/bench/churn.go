@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -10,66 +9,32 @@ import (
 	"symbiosched/internal/experiments"
 )
 
-// The churn microbenchmark: per-event cost of the incremental
-// arrival/departure path versus the full rebuild it replaces. One seeded
-// Poisson campaign per P; every arrival (alloc.PairWeight scoring + top-m
-// selection + graph.InsertAndRepair), departure (graph.RemoveAndRepair) and
-// aging refresh (monitor.Ager.Refresh + local repair) is timed through the
-// driver's observer, which never feeds the report — the campaign checksum
-// is a pure function of the seed and gates determinism exactly like the
-// sweep's improvement percentages.
-//
-// The headline derived number is the rebuild-vs-repair crossover: how many
-// structural events must land in one monitor quantum before rebuilding the
-// graph and partition once is cheaper than absorbing each event
-// incrementally. The incremental path wins below it; the campaign's
-// drift-triggered fallback handles the tail above it.
+// The churn layer: per-event cost of the incremental arrival/departure path
+// versus the full rebuild it replaces. Per P, the campaign point samples one
+// seeded Poisson campaign, whose every arrival (alloc.PairWeight scoring +
+// top-m selection + graph.InsertAndRepair), departure
+// (graph.RemoveAndRepair) and aging refresh (monitor.Ager.Refresh + local
+// repair) is timed through the driver's observer; timing never feeds the
+// report, so the campaign checksum is a pure function of the seed. The
+// rebuild point samples the alloc layer's sparse decision at the same scale.
+// Their ratio is the crossover: the events per monitor quantum above which
+// one rebuild is cheaper than absorbing each event, a rate the campaign's
+// drift-triggered rebuild fallback covers.
 
-// churnPs is the population sweep; k = P/16 matches the allocator bench.
-var churnPs = []int{256, 1024}
+// churnQuanta is the campaign length in monitor quanta.
+const churnQuanta = 200
 
-// ChurnPoint is one (P) row of the churn benchmark.
-type ChurnPoint struct {
-	Mode       string `json:"mode"`
-	P          int    `json:"p"`
-	K          int    `json:"k"`
-	Quanta     int    `json:"quanta"`
-	Arrivals   int    `json:"arrivals"`
-	Departures int    `json:"departures"`
-	Migrations int    `json:"migrations"`
-	Rebuilds   int    `json:"rebuilds"`
-	// MigPerEvent is placement stability: reassignments per structural
-	// event (arrivals + departures), the §4 migration-cost proxy.
-	MigPerEvent float64 `json:"mig_per_event"`
-	InsertP50   float64 `json:"insert_p50_micros"`
-	InsertP99   float64 `json:"insert_p99_micros"`
-	RemoveP50   float64 `json:"remove_p50_micros"`
-	RemoveP99   float64 `json:"remove_p99_micros"`
-	AgeP50      float64 `json:"age_p50_micros"`
-	AgeP99      float64 `json:"age_p99_micros"`
-	// RebuildMicros is the median cost of the path churn avoids: a fresh
-	// top-m build plus multilevel partition at this P.
-	RebuildMicros float64 `json:"rebuild_micros"`
-	// CrossoverEventsPerQuantum = RebuildMicros / median event cost: the
-	// event rate above which one rebuild per quantum is cheaper than
-	// per-event repair.
-	CrossoverEventsPerQuantum float64 `json:"crossover_events_per_quantum"`
-	// Checksum is the campaign's deterministic report checksum.
-	Checksum string `json:"checksum"`
-}
-
-// runChurnBench measures one campaign per P and streams progress to stderr.
-func runChurnBench(quanta int) []ChurnPoint {
-	var points []ChurnPoint
-	for _, p := range churnPs {
-		k := p / 16
+func runChurn(reps int) []Point {
+	var pts []Point
+	for _, p := range []int{256, 1024} {
+		k := p / 16 // as in the allocator layer
 		byKind := map[string][]float64{}
 		cfg := experiments.ChurnConfig{
 			Mode:        "poisson",
 			Seed:        42,
 			P0:          p,
 			Cores:       k,
-			Quanta:      quanta,
+			Quanta:      churnQuanta,
 			ArrivalRate: 2,
 			MeanLife:    float64(p),       // population hovers near P0
 			RefreshFrac: 0.5 / float64(p), // one thread per quantum: per-refresh timing
@@ -78,97 +43,33 @@ func runChurnBench(quanta int) []ChurnPoint {
 				byKind[kind] = append(byKind[kind], float64(d.Nanoseconds())/1e3)
 			},
 		}
-		rep := experiments.RunChurn(cfg)
-
-		// The cost the incremental path avoids: fresh top-m build +
-		// multilevel partition over the same population scale.
+		var rep experiments.ChurnReport
+		campaign := measure("churn", fmt.Sprintf("campaign P=%d k=%d quanta=%d", p, k, churnQuanta), reps,
+			func() (func(), func() string) {
+				return func() { rep = experiments.RunChurn(cfg) }, func() string { return rep.Checksum }
+			})
 		views := experiments.SynthAllocViews(p, k)
-		rebuilds := make([]float64, 0, 5)
-		for i := 0; i < 5; i++ {
-			start := time.Now()
-			s := alloc.SparseInterferenceGraph(views)
-			s.PartitionK(k)
-			rebuilds = append(rebuilds, float64(time.Since(start).Nanoseconds())/1e3)
-		}
-		sort.Float64s(rebuilds)
+		rebuild := measure("churn", fmt.Sprintf("rebuild P=%d k=%d", p, k), reps,
+			decision(func() alloc.Mapping { return sparseDecision(views, k) }))
 
-		pt := ChurnPoint{
-			Mode: cfg.Mode, P: p, K: k, Quanta: quanta,
-			Arrivals: rep.Arrivals, Departures: rep.Departures,
-			Migrations: rep.Migrations, Rebuilds: rep.Rebuilds,
-			RebuildMicros: rebuilds[len(rebuilds)/2],
-			Checksum:      rep.Checksum,
-		}
+		info := map[string]float64{"arrivals": float64(rep.Arrivals), "departures": float64(rep.Departures),
+			"migrations": float64(rep.Migrations), "rebuilds": float64(rep.Rebuilds)}
 		if ev := rep.Arrivals + rep.Departures; ev > 0 {
-			pt.MigPerEvent = float64(rep.Migrations) / float64(ev)
+			// Placement stability: reassignments per structural event, the
+			// §4 migration-cost proxy.
+			info["mig_per_event"] = float64(rep.Migrations) / float64(ev)
 		}
-		pt.InsertP50, pt.InsertP99 = pctOrZero(byKind["arrive"])
-		pt.RemoveP50, pt.RemoveP99 = pctOrZero(byKind["depart"])
-		pt.AgeP50, pt.AgeP99 = pctOrZero(byKind["refresh"])
-		event := pt.InsertP50
-		if pt.RemoveP50 > event {
-			event = pt.RemoveP50 // conservative: the slower event kind
+		for kind, key := range map[string]string{"arrive": "insert", "depart": "remove", "refresh": "age"} {
+			sort.Float64s(byKind[kind])
+			info[key+"_p50_us"], info[key+"_p99_us"] = percentiles(byKind[kind])
 		}
-		if event > 0 {
-			pt.CrossoverEventsPerQuantum = pt.RebuildMicros / event
+		// The slower event kind, conservatively, against the median rebuild:
+		// the event rate above which one rebuild per quantum is cheaper.
+		if event := max(info["insert_p50_us"], info["remove_p50_us"]); event > 0 {
+			info["crossover_events_per_quantum"] = rebuild.P50Micros / event
 		}
-		points = append(points, pt)
-		fmt.Fprintf(os.Stderr,
-			"churn P=%-4d k=%-3d: insert p50 %.1fµs  remove p50 %.1fµs  age p50 %.1fµs  rebuild %.0fµs  (%.0fx insert, crossover %.0f events/quantum, %.2f migrations/event)\n",
-			p, k, pt.InsertP50, pt.RemoveP50, pt.AgeP50, pt.RebuildMicros,
-			pt.RebuildMicros/pt.InsertP50, pt.CrossoverEventsPerQuantum, pt.MigPerEvent)
+		campaign.Info = info
+		pts = append(pts, campaign, rebuild)
 	}
-	return points
-}
-
-// pctOrZero is percentiles with an empty-sample guard: a campaign with no
-// events of one kind reports zeros rather than panicking.
-func pctOrZero(times []float64) (p50, p99 float64) {
-	if len(times) == 0 {
-		return 0, 0
-	}
-	return percentiles(times)
-}
-
-// checkChurnPoints is the -check extension for the churn benchmark:
-// campaign checksums must match exactly; latency gates only apply to points
-// slow enough to be signal (≥1ms), same policy as the allocator points.
-func checkChurnPoints(base, cur []ChurnPoint, tolerance float64) bool {
-	type key struct {
-		mode      string
-		p, quanta int
-	}
-	byKey := map[key]ChurnPoint{}
-	for _, pt := range base {
-		byKey[key{pt.Mode, pt.P, pt.Quanta}] = pt
-	}
-	ok := true
-	matched := 0
-	for _, pt := range cur {
-		ref, found := byKey[key{pt.Mode, pt.P, pt.Quanta}]
-		if !found {
-			continue
-		}
-		matched++
-		if ref.Checksum != pt.Checksum {
-			fmt.Fprintf(os.Stderr, "bench: churn P=%d: campaign checksum mismatch (%s vs baseline %s) — the churn loop's decisions changed, record a new baseline before gating on time\n",
-				pt.P, pt.Checksum, ref.Checksum)
-			ok = false
-			continue
-		}
-		if ref.InsertP50 >= 1000 && pt.InsertP50 > ref.InsertP50*(1+tolerance) {
-			fmt.Fprintf(os.Stderr, "bench: churn REGRESSION: P=%d insert p50 %.0fµs vs baseline %.0fµs (tolerance %.0f%%)\n",
-				pt.P, pt.InsertP50, ref.InsertP50, 100*tolerance)
-			ok = false
-		}
-		if ref.RebuildMicros >= 1000 && pt.RebuildMicros > ref.RebuildMicros*(1+tolerance) {
-			fmt.Fprintf(os.Stderr, "bench: churn REGRESSION: P=%d rebuild %.0fµs vs baseline %.0fµs (tolerance %.0f%%)\n",
-				pt.P, pt.RebuildMicros, ref.RebuildMicros, 100*tolerance)
-			ok = false
-		}
-	}
-	if ok && matched > 0 {
-		fmt.Printf("bench: churn ok: %d campaigns, checksums identical\n", matched)
-	}
-	return ok
+	return pts
 }

@@ -2,18 +2,17 @@ package main
 
 import (
 	"fmt"
-	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"symbiosched/internal/trace"
 	"symbiosched/internal/workload"
 )
 
-// The trace I/O microbenchmark: what it costs to go from a corpus file on
-// disk to the first replayed run, and how fast a full decode+replay pass
-// moves, for each of the four replay paths:
+// The trace layer: what it costs to go from a corpus file on disk to the
+// first replayed run, and how long a full decode+replay pass takes, for each
+// of the four replay paths:
 //
 //   - v1-compile:  varint capture, trace.Compile decodes the whole file into
 //     run-length form before the first run is available — the pre-v2
@@ -25,36 +24,24 @@ import (
 //   - compressed:  v2 framed-flate container streamed frame by frame
 //     (FrameStreamReplay), the O(frame) memory path.
 //
-// The fixture is synthesized deterministically (LCG) at -tracemb MiB of
-// resident run records, written once per container, and every path must
-// replay the identical instruction stream: the FNV checksum over
-// (skip, line) pairs plus the tail is computed on every pass and all four
-// rows must agree — a divergence aborts the benchmark, so every recorded
-// point is also a replay-parity check. Open-to-first-run is p50/p99 over
-// -tracereps samples; throughput is resident MiB (records actually decoded,
-// 16 B per memory reference) per second of the full pass, so the rows are
-// comparable even though their on-disk sizes differ.
+// The fixture is synthesized deterministically (LCG) and written once per
+// container. A replay point's checksum digests the replayed (skip, line)
+// stream and its length; all four paths must agree or the run aborts, so
+// every recorded replay point is also a replay-parity check. An open point's
+// checksum digests the first run. Info mib_per_s is resident MiB (16 B per
+// memory reference) over the fastest pass, comparable across containers of
+// different on-disk sizes. Replay samples read the whole file before a
+// path's open samples run, so opens are measured warm.
 
-// TracePoint is one replay path's row of the trace I/O benchmark.
-type TracePoint struct {
-	Format  string  `json:"format"`
-	FileMB  float64 `json:"file_mb"` // on-disk size of this container
-	MemRefs uint64  `json:"mem_refs"`
-	// Open-to-first-run latency over -tracereps samples.
-	OpenP50Ms float64 `json:"open_p50_ms"`
-	OpenP99Ms float64 `json:"open_p99_ms"`
-	// Full decode+replay pass, resident MiB per second.
-	ReplayMBps float64 `json:"replay_mbps"`
-	// Checksum hashes the replayed instruction stream; all formats must agree.
-	Checksum string `json:"checksum"`
-}
+// traceMiB is the fixture size: large enough that decoding dominates the
+// open of the paths that decode.
+const traceMiB = 128
 
 // synthTrace builds the deterministic fixture: mb MiB of 16-byte run records
 // with an mcf-like reference density (skips of 0..3) over a 256 MiB-line
 // region, so the varint baseline neither degenerates nor inflates.
 func synthTrace(mb int) *trace.CompiledTrace {
-	n := uint64(mb) << 20 / 16
-	runs := make([]trace.Run, n)
+	runs := make([]trace.Run, uint64(mb)<<20/16)
 	rng := uint64(0x9E3779B97F4A7C15)
 	for i := range runs {
 		rng = rng*6364136223846793005 + 1442695040888963407
@@ -64,233 +51,99 @@ func synthTrace(mb int) *trace.CompiledTrace {
 	return trace.NewCompiled(runs, 17)
 }
 
+// openTrace opens the fixture in dir through one replay path and returns the
+// source with the file or mapping to close after it.
+func openTrace(dir, format string) (workload.RunSource, io.Closer) {
+	if format == "mmap" {
+		mt, err := trace.OpenCompiled(filepath.Join(dir, "raw.symc"))
+		check(err)
+		return trace.NewRunReplay(mt.Trace(), false, 0), mt
+	}
+	decode, file := trace.Compile, "v1.trc"
+	switch format {
+	case "compiled":
+		decode, file = trace.ReadCompiled, "raw.symc"
+	case "compressed":
+		f, err := os.Open(filepath.Join(dir, "flate.symc"))
+		check(err)
+		src, err := trace.NewFrameStreamReplay(f, false, 0)
+		check(err)
+		return src, f
+	}
+	f, err := os.Open(filepath.Join(dir, file))
+	check(err)
+	ct, err := decode(f)
+	check(err)
+	return trace.NewRunReplay(ct, false, 0), f
+}
+
 // replayChecksum drains src for exactly instr instructions and hashes the
 // stream. Replay sources pad with compute no-ops after exhaustion, so the
 // caller's instruction count is the termination condition — the same
 // contract the engine runs under.
 func replayChecksum(src workload.RunSource, instr uint64) string {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
+	d := newDigest()
 	var done uint64
 	for done < instr {
-		limit := instr - done
-		if limit > 1<<20 {
-			limit = 1 << 20
-		}
-		skipped, addr, mem := src.NextRun(int(limit))
+		skipped, addr, mem := src.NextRun(int(min(instr-done, 1<<20)))
 		done += uint64(skipped)
 		if mem {
 			done++
-			put(uint64(skipped))
-			put(addr)
+			d.put(uint64(skipped), addr)
 		}
 	}
-	put(done)
-	return fmt.Sprintf("%016x", h.Sum64())
+	d.put(done)
+	return d.String()
 }
 
-// traceOpener abstracts one replay path: open the file, surface the first
-// run (openFirst), and hand back a source for the full replay pass plus a
-// cleanup. Open cost and replay cost are measured on separate invocations so
-// page-cache warmth is the only state they share.
-type traceOpener struct {
-	format string
-	path   string
-	open   func(path string) (workload.RunSource, func() error, error)
-}
-
-func traceOpeners(dir string) []traceOpener {
-	openV1 := func(path string) (workload.RunSource, func() error, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		ct, err := trace.Compile(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return trace.NewRunReplay(ct, false, 0), f.Close, nil
-	}
-	openRead := func(path string) (workload.RunSource, func() error, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		ct, err := trace.ReadCompiled(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return trace.NewRunReplay(ct, false, 0), f.Close, nil
-	}
-	openMmap := func(path string) (workload.RunSource, func() error, error) {
-		mt, err := trace.OpenCompiled(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return trace.NewRunReplay(mt.Trace(), false, 0), mt.Close, nil
-	}
-	openStream := func(path string) (workload.RunSource, func() error, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		fs, err := trace.NewFrameStreamReplay(f, false, 0)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return fs, f.Close, nil
-	}
-	return []traceOpener{
-		{"v1-compile", filepath.Join(dir, "bench.trc"), openV1},
-		{"compiled", filepath.Join(dir, "bench.symc"), openRead},
-		{"mmap", filepath.Join(dir, "bench.symc"), openMmap},
-		{"compressed", filepath.Join(dir, "bench-z.symc"), openStream},
-	}
-}
-
-// runTraceBench synthesizes the fixture, writes the three containers, and
-// measures every replay path. All four checksums must agree.
-func runTraceBench(reps, mb int) []TracePoint {
+// runTrace synthesizes the fixture, writes its three containers, and
+// measures every replay path.
+func runTrace(reps int) []Point {
 	dir, err := os.MkdirTemp("", "symbiosched-tracebench-")
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	defer os.RemoveAll(dir)
 
-	ct := synthTrace(mb)
-	fmt.Fprintf(os.Stderr, "trace: synthesizing %d MiB fixture (%d runs, %d instructions)\n",
-		mb, ct.MemRefs(), ct.Instructions())
-	writeWith := func(name string, write func(f *os.File) error) {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			fatal(err)
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	ct := synthTrace(traceMiB)
+	fmt.Fprintf(os.Stderr, "trace: synthesized a %d MiB fixture (%d runs, %d instructions)\n",
+		traceMiB, ct.MemRefs(), ct.Instructions())
+	for file, write := range map[string]func(io.Writer, *trace.CompiledTrace) error{
+		"v1.trc":     trace.WriteV1,
+		"raw.symc":   trace.WriteCompiled,
+		"flate.symc": func(w io.Writer, ct *trace.CompiledTrace) error { return trace.WriteCompiledFrames(w, ct, 0, 0) },
+	} {
+		f, err := os.Create(filepath.Join(dir, file))
+		check(err)
+		check(write(f, ct))
+		check(f.Close())
 	}
-	writeWith("bench.trc", func(f *os.File) error { return trace.WriteV1(f, ct) })
-	writeWith("bench.symc", func(f *os.File) error { return trace.WriteCompiled(f, ct) })
-	writeWith("bench-z.symc", func(f *os.File) error { return trace.WriteCompiledFrames(f, ct, 0, 0) })
-
 	instr, refs := ct.Instructions(), ct.MemRefs()
-	residentMB := float64(refs*16) / (1 << 20)
 	ct = nil // the benchmark reads the files, not the fixture
 
-	var points []TracePoint
-	for _, op := range traceOpeners(dir) {
-		st, err := os.Stat(op.path)
-		if err != nil {
-			fatal(err)
-		}
-		pt := TracePoint{Format: op.format, FileMB: float64(st.Size()) / (1 << 20), MemRefs: refs}
-
-		// Open-to-first-run: open, pull one run, close. One untimed warm-up
-		// pass loads the page cache so all formats are measured warm.
-		opens := make([]float64, 0, reps)
-		for s := -1; s < reps; s++ {
-			start := time.Now()
-			src, cleanup, err := op.open(op.path)
-			if err != nil {
-				fatal(fmt.Errorf("trace %s: %w", op.format, err))
-			}
-			if _, _, mem := src.NextRun(1 << 20); !mem {
-				fatal(fmt.Errorf("trace %s: no first run", op.format))
-			}
-			ms := float64(time.Since(start).Nanoseconds()) / 1e6
-			cleanup()
-			if s >= 0 {
-				opens = append(opens, ms)
-			}
-		}
-		pt.OpenP50Ms, pt.OpenP99Ms = percentiles(opens)
-
-		// Full replay pass: best of 3, so a page-cache hiccup cannot mark a
-		// fast path slow.
-		for s := 0; s < 3; s++ {
-			src, cleanup, err := op.open(op.path)
-			if err != nil {
-				fatal(err)
-			}
-			start := time.Now()
-			sum := replayChecksum(src, instr)
-			secs := time.Since(start).Seconds()
-			cleanup()
-			if pt.Checksum == "" {
-				pt.Checksum = sum
-			} else if sum != pt.Checksum {
-				fatal(fmt.Errorf("trace %s: replay not deterministic (%s vs %s)", op.format, sum, pt.Checksum))
-			}
-			if mbps := residentMB / secs; mbps > pt.ReplayMBps {
-				pt.ReplayMBps = mbps
-			}
+	var pts []Point
+	for _, format := range []string{"v1-compile", "compiled", "mmap", "compressed"} {
+		name := fmt.Sprintf("%s %dMiB", format, traceMiB)
+		replay := measure("trace", "replay "+name, reps, func() (func(), func() string) {
+			src, c := openTrace(dir, format)
+			var sum string
+			return func() { sum = replayChecksum(src, instr) }, func() string { c.Close(); return sum }
+		})
+		replay.Info = map[string]float64{"mib_per_s": float64(refs*16) / (1 << 20) / (replay.MinMicros / 1e6)}
+		if len(pts) > 0 && replay.Checksum != pts[1].Checksum {
+			fatal(fmt.Errorf("trace: %s replays a different stream than %s (%s vs %s)",
+				replay.Name, pts[1].Name, replay.Checksum, pts[1].Checksum))
 		}
 
-		points = append(points, pt)
-		fmt.Fprintf(os.Stderr, "trace %-10s: %7.1f MiB file, open p50 %8.3fms p99 %8.3fms, replay %7.0f MiB/s\n",
-			op.format, pt.FileMB, pt.OpenP50Ms, pt.OpenP99Ms, pt.ReplayMBps)
+		open := measure("trace", "open "+name, reps, func() (func(), func() string) {
+			var c io.Closer
+			d := newDigest()
+			return func() {
+				var src workload.RunSource
+				src, c = openTrace(dir, format)
+				skip, addr, _ := src.NextRun(1 << 20)
+				d.put(uint64(skip), addr)
+			}, func() string { c.Close(); return d.String() }
+		})
+		pts = append(pts, open, replay)
 	}
-
-	for _, pt := range points[1:] {
-		if pt.Checksum != points[0].Checksum {
-			fatal(fmt.Errorf("trace: %s replays a different stream than %s (%s vs %s) — do not record this build",
-				pt.Format, points[0].Format, pt.Checksum, points[0].Checksum))
-		}
-	}
-	return points
-}
-
-// checkTracePoints is the -check extension for the trace benchmark: points
-// are matched by format and fixture size. Checksums must agree exactly —
-// they certify all four paths replay one identical stream — and the
-// open-to-first-run p50 is tolerance-gated when it is large enough to
-// measure reliably (≥10ms; the mmap path opens in microseconds, where the
-// gate would only amplify timer noise). Throughput is informational.
-func checkTracePoints(base, cur []TracePoint, tolerance float64) bool {
-	type key struct {
-		format string
-		refs   uint64
-	}
-	byKey := map[key]TracePoint{}
-	for _, pt := range base {
-		byKey[key{pt.Format, pt.MemRefs}] = pt
-	}
-	ok := true
-	matched := 0
-	for _, pt := range cur {
-		ref, found := byKey[key{pt.Format, pt.MemRefs}]
-		if !found {
-			continue
-		}
-		matched++
-		if ref.Checksum != pt.Checksum {
-			fmt.Fprintf(os.Stderr, "bench: trace %s: replay checksum mismatch (%s vs baseline %s) — the replayed stream changed, record a new baseline before gating on time\n",
-				pt.Format, pt.Checksum, ref.Checksum)
-			ok = false
-			continue
-		}
-		if ref.OpenP50Ms >= 10 && pt.OpenP50Ms > ref.OpenP50Ms*(1+tolerance) {
-			fmt.Fprintf(os.Stderr, "bench: trace REGRESSION: %s open p50 %.1fms vs baseline %.1fms (%+.1f%%, tolerance %.0f%%)\n",
-				pt.Format, pt.OpenP50Ms, ref.OpenP50Ms,
-				100*(pt.OpenP50Ms/ref.OpenP50Ms-1), 100*tolerance)
-			ok = false
-		}
-	}
-	if ok && matched > 0 {
-		fmt.Printf("bench: trace ok: %d points, checksums identical\n", matched)
-	}
-	return ok
+	return pts
 }

@@ -142,12 +142,12 @@ func TestLazyCaptureParityRandomSchedules(t *testing.T) {
 
 // TestLazyCaptureParityPaperGeometry checks lazy against the eager oracle at
 // the paper's geometry (4096 sets × 16 ways, 1/4 set sampling, 8-bit
-// counters) over the (threads, cores) cells cmd/bench -sig measures, replaying
-// that benchmark's schedule: per switch, two LCG-placed fills on the
-// switching core and, once a 4096-entry history ring is warm, FIFO evictions
-// of the oldest fills; max(2P, 512) switches, twice. Every thread's record is
-// read only at the end, so most captures materialize against frozen filter
-// versions.
+// counters) over the (threads, cores) cells cmd/bench's sig layer measures,
+// replaying that benchmark's schedule: per switch, two LCG-placed fills on
+// the switching core and, once a 4096-entry history ring is warm, FIFO
+// evictions of the oldest fills; max(2P, 512) switches, twice. Every
+// thread's record is read only at the end, so most captures materialize
+// against frozen filter versions.
 func TestLazyCaptureParityPaperGeometry(t *testing.T) {
 	type fill struct {
 		addr     uint64

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the coordinator load-smoke harness, shared between the CI
-// gate (TestCoordinatorLoadSmoke) and the bench artifact (cmd/bench -coord):
+// gate (TestCoordinatorLoadSmoke) and cmd/bench's coord layer:
 // a fleet of fake workers hammering one daemon over real HTTP with
 // fabricated (header-valid, physics-free) shards, so what is measured is the
 // coordinator's own path — mutex, lease table, validation, journal fsync —

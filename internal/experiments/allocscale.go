@@ -22,8 +22,8 @@ import (
 //
 // The Quick configuration stops at P=256 with the dense baseline capped at
 // P=64; the Default configuration sweeps to P=4096 with dense capped at
-// P=256 (a dense P=1024 decision costs minutes — cmd/bench -allocdense
-// records it when asked). Latencies are medians over the repetitions.
+// P=256 (a dense P=1024 decision costs minutes; results/BENCH_2026-08-06.json
+// holds one). Latencies are medians over the repetitions.
 func AllocScale(cfg Config) metrics.Table {
 	ps := []int{64, 256, 1024, 4096}
 	denseMax, reps := 256, 9
@@ -103,7 +103,7 @@ func medianMS(reps int, fn func()) float64 {
 // SynthAllocViews builds a deterministic large-P monitor snapshot with
 // planted interference cliques (threads i ≡ j mod cores interfere), the
 // shape the allocator sees from a clustered workload. Shared by AllocScale
-// and the cmd/bench allocator harness so both measure the same input.
+// and cmd/bench's alloc layer so both measure the same input.
 func SynthAllocViews(p, cores int) []kernel.View {
 	rng := rand.New(rand.NewSource(int64(p)*1009 + int64(cores)))
 	views := make([]kernel.View, p)

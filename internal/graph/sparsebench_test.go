@@ -65,8 +65,9 @@ func BenchmarkPartitionK(b *testing.B) {
 
 // BenchmarkPartitionKDense is the seed baseline: the dense recursive
 // full-copy bisection on the same logical graphs. P=1024 takes minutes per
-// invocation, so it only runs when ALLOCBENCH_DENSE_FULL is set (cmd/bench
-// -alloc measures it once for the recorded artifact).
+// invocation, so it only runs when ALLOCBENCH_DENSE_FULL is set (the ledger
+// in results/BENCH_2026-08-06.json holds one measured invocation; cmd/bench's
+// alloc layer stops its dense path at P=256).
 func BenchmarkPartitionKDense(b *testing.B) {
 	ps := []int{64, 256}
 	if os.Getenv("ALLOCBENCH_DENSE_FULL") != "" {
