@@ -80,12 +80,13 @@ tracecheck:
 # two-phase campaign reproduces its recorded mapping and per-candidate user
 # cycles (TestCampaignGolden); the fused popcount kernel matches its
 # two-pass oracle (seed corpus of the differential fuzz target); the monitor
-# quantum and the per-switch capture stay allocation-free; the scratch
-# bisection matches the allocating one.
+# quantum and the per-switch capture stay allocation-free; every graph
+# policy reproduces its recorded decisions on a seeded snapshot corpus, on
+# the allocating and the scratch path alike (TestPolicyDecisionsGolden).
 sigcheck:
 	$(call gate,./internal/bloom,TestLazy|TestLazyCaptureParityPaperGeometry|TestSignatureCodecLazyMaterialization|TestSignatureClone|TestSignatureRelease|TestCaptureSteadyStateAllocs)
 	$(call gate,./internal/bitvec,TestXorAndCountMatchesNaive|FuzzXorAndCount)
-	$(call gate,./internal/graph,TestBisectIntoMatchesBisect)
+	$(call gate,./internal/alloc,TestPolicyDecisionsGolden)
 	$(call gate,./internal/monitor,TestMonitorSteadyStateAllocs|TestObserveScratchMatchesAllocate)
 	$(call gate,./internal/experiments,TestCampaignGolden)
 
@@ -125,8 +126,8 @@ benchsmoke:
 # point, so no layer of the harness can bit-rot. Every point checks that its
 # checksum repeats across samples; nothing is recorded (no -out).
 #
-# Allocator layer: dense/sparse/repair decision latency, P up to 4096 (dense
-# up to P=256).
+# Allocator layer: full-decision (sparse build + partition) and incremental
+# repair latency, P up to 4096.
 allocbench:
 	$(GO) run ./cmd/bench -layers alloc -reps 2
 

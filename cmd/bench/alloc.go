@@ -10,13 +10,10 @@ import (
 )
 
 // The allocator layer: how long one allocation decision takes as the thread
-// count grows. Three paths per P:
+// count grows. Two paths per P:
 //
-//   - dense:  the pre-sparsification baseline (n×n matrix + recursive
-//     bisection), forced via AllocateDense. Scales ~n⁴, so it runs only up
-//     to allocDenseMax.
-//   - sparse: the top-m sparse build + multilevel partition the policies use
-//     beyond the 64-thread threshold.
+//   - sparse: the top-m sparse build + hierarchical partition every graph
+//     policy runs.
 //   - repair: the incremental path — 8 signature deltas applied with
 //     UpdateWeight, then Repair. The steady-state per-quantum cost once a
 //     partition exists.
@@ -26,21 +23,12 @@ import (
 // allocPs is the P-sweep; k = P/16 cores keeps the per-core load constant.
 var allocPs = []int{64, 256, 1024, 4096}
 
-// allocDenseMax is the largest P the dense baseline runs at: one dense
-// P=1024 decision costs minutes (results/BENCH_2026-08-06.json holds one).
-const allocDenseMax = 256
-
 func runAlloc(reps int) []Point {
 	var pts []Point
 	for _, p := range allocPs {
 		k := p / 16
 		views := experiments.SynthAllocViews(p, k)
 		cell := fmt.Sprintf("P=%d k=%d", p, k)
-		if p <= allocDenseMax {
-			pts = append(pts, measure("alloc", "dense "+cell, reps, decision(func() alloc.Mapping {
-				return alloc.WeightedInterferenceGraph{}.AllocateDense(views, k)
-			})))
-		}
 		pts = append(pts,
 			measure("alloc", "sparse "+cell, reps, decision(func() alloc.Mapping { return sparseDecision(views, k) })),
 			measure("alloc", "repair "+cell, reps, repairTrial(views, k)))
@@ -57,8 +45,8 @@ func decision(decide func() alloc.Mapping) trial {
 }
 
 // sparseDecision builds the top-m sparse interference graph and partitions
-// it multilevel: the graph policies' path beyond 64 threads, and the full
-// rebuild that churn's incremental edits avoid.
+// it: the graph policies' decision, and the full rebuild that churn's
+// incremental edits avoid.
 func sparseDecision(views []kernel.View, k int) alloc.Mapping {
 	m := make(alloc.Mapping, len(views))
 	for core, grp := range alloc.SparseInterferenceGraph(views).PartitionK(k) {

@@ -128,7 +128,8 @@ func (d *digest) String() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
 // must match exactly, and a p50 whose baseline is at or above its layer's
 // floor may be at most tolerance slower (the sweep gates its min_seconds).
 // A measurement the baseline lacks fails: a gate that compares nothing
-// must not pass.
+// must not pass. So does a baseline point missing from a layer this run
+// measured; layers the run did not measure are skipped.
 func compare(w io.Writer, ref, cur Entry, sweep bool, tolerance float64) bool {
 	ok := true
 	verdict := func(what string, failed bool, detail string, a ...any) {
@@ -146,7 +147,7 @@ func compare(w io.Writer, ref, cur Entry, sweep bool, tolerance float64) bool {
 			cur.AvgImprovementPct, cur.MaxImprovementPct, ref.AvgImprovementPct, ref.MaxImprovementPct)
 	}
 
-	base := map[string]Point{}
+	base, seen := map[string]Point{}, map[string]bool{}
 	for _, pt := range ref.Points {
 		base[pt.Layer+" "+pt.Name] = pt
 	}
@@ -156,6 +157,7 @@ func compare(w io.Writer, ref, cur Entry, sweep bool, tolerance float64) bool {
 		if n[pt.Layer]++; n[pt.Layer] == 1 {
 			order = append(order, pt.Layer)
 		}
+		seen[pt.Layer+" "+pt.Name] = true
 		b, found := base[pt.Layer+" "+pt.Name]
 		gate := found && b.P50Micros >= layers[pt.Layer].floor
 		if gate {
@@ -174,6 +176,12 @@ func compare(w io.Writer, ref, cur Entry, sweep bool, tolerance float64) bool {
 		}
 		failed[pt.Layer]++
 		fmt.Fprintf(w, "bench: %s %s: %s\n", pt.Layer, pt.Name, why)
+	}
+	for _, b := range ref.Points {
+		if n[b.Layer] > 0 && !seen[b.Layer+" "+b.Name] {
+			failed[b.Layer]++
+			fmt.Fprintf(w, "bench: %s %s: missing from this run but in baseline %q, record a new baseline\n", b.Layer, b.Name, ref.Label)
+		}
 	}
 	for _, l := range order {
 		verdict(l, failed[l] > 0, "%d points vs baseline %q, %d failed, %d latency-gated (tolerance %.0f%%)",

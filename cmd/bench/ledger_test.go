@@ -71,6 +71,7 @@ func TestCompare(t *testing.T) {
 		{"same slowdown under the floor", base, with(func(e *Entry) { e.Points[1].P50Micros = 600 }), true},
 		{"coord never latency-gated", base, with(func(e *Entry) { e.Points[3].P50Micros = 1e7 }), true},
 		{"missing layer", with(func(e *Entry) { e.Points = append(e.Points[:2], e.Points[3]) }), base, false},
+		{"point gone from a measured layer", base, with(func(e *Entry) { e.Points = append(e.Points[:1], e.Points[2:]...) }), false},
 		{"sweep checksum mismatch", base, with(func(e *Entry) { e.MaxImprovementPct = 48.5 }), false},
 		{"sweep over tolerance", base, with(func(e *Entry) { e.MinSeconds = 7 }), false},
 		{"baseline without a sweep", with(func(e *Entry) { e.Reps = nil }), base, false},
@@ -84,5 +85,18 @@ func TestCompare(t *testing.T) {
 				t.Errorf("%s: no verdict for %s:\n%s", tc.name, l, out.String())
 			}
 		}
+	}
+
+	// A baseline point gone from a measured layer names itself; the layers
+	// a partial run did not measure are skipped, not failed.
+	var out bytes.Buffer
+	compare(&out, base, with(func(e *Entry) { e.Points = append(e.Points[:1], e.Points[2:]...) }), true, 0.15)
+	if !strings.Contains(out.String(), "bench: alloc repair: missing from this run") {
+		t.Errorf("vanished point not reported:\n%s", out.String())
+	}
+	out.Reset()
+	if !compare(&out, base, with(func(e *Entry) { e.Points = e.Points[:2] }), true, 0.15) ||
+		strings.Contains(out.String(), "bench: sig") || strings.Contains(out.String(), "bench: coord") {
+		t.Errorf("partial run failed or judged layers it did not measure:\n%s", out.String())
 	}
 }

@@ -7,7 +7,7 @@
 //
 //	sweep  the Figure 10 sweep: minimum wall time over -reps runs, with its
 //	       avg/max improvement as the determinism checksum
-//	alloc  one allocation decision: dense, sparse, incremental repair (alloc.go)
+//	alloc  one allocation decision: sparse build + partition, incremental repair (alloc.go)
 //	sig    one context-switch capture, one monitor quantum (sig.go)
 //	trace  trace open-to-first-run and full replay, four paths (trace.go)
 //	coord  a 50-worker fleet draining one journaled coordinator (runCoord)

@@ -454,7 +454,7 @@ experiments:
   overheads  §5.4 storage-cost accounting
   quad       8 processes on 4 cores via hierarchical MIN-CUT (§3.3.2 extension)
   fairness   per-mapping slowdowns and Jain fairness index
-  allocscale allocator latency: dense vs sparse vs incremental repair, P up to 4096
+  allocscale allocator latency: sparse decision vs incremental repair, P up to 4096
   pairs      full pairwise degradation matrix (the data behind fig3b)
   list       the synthetic benchmark catalog
   all        everything above

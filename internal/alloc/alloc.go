@@ -152,17 +152,6 @@ func interference(symbiosis int) float64 {
 	return 1 / float64(symbiosis)
 }
 
-// groupsToMapping converts per-core groups of thread indices into a Mapping.
-func groupsToMapping(groups [][]int, n int) Mapping {
-	m := make(Mapping, n)
-	for core, grp := range groups {
-		for _, t := range grp {
-			m[t] = core
-		}
-	}
-	return m
-}
-
 // WeightSort is §3.3.1: sort threads by occupancy weight (descending) and
 // pack consecutive runs of ⌈P/N⌉ onto the same core, so the heaviest cache
 // users time-share a core instead of fighting for the L2.
@@ -237,15 +226,15 @@ type InterferenceGraph struct{}
 // Name returns the paper's name for the algorithm.
 func (InterferenceGraph) Name() string { return "interference-graph" }
 
-// Allocate implements Policy. Beyond sparseThreshold threads the dense n×n
-// matrix and the O(n⁴) recursive bisection are replaced by the top-m sparse
-// graph and the multilevel partitioner; below it the dense path runs
-// unchanged, so small-machine decisions are bit-identical to prior releases.
-func (InterferenceGraph) Allocate(views []kernel.View, cores int) Mapping {
-	if len(views) > sparseThreshold {
-		return partitionOrKeepSparse(buildSparseGraph(views, false, nil), views, cores)
-	}
-	return partitionOrKeep(buildGraph(views, false), views, cores)
+// Allocate implements Policy: AllocateScratch on a fresh Scratch, so the
+// mapping is the caller's.
+func (p InterferenceGraph) Allocate(views []kernel.View, cores int) Mapping {
+	return p.AllocateScratch(views, cores, new(Scratch))
+}
+
+// AllocateScratch implements ScratchPolicy.
+func (InterferenceGraph) AllocateScratch(views []kernel.View, cores int, s *Scratch) Mapping {
+	return s.decide(views, cores, false, nil)
 }
 
 // WeightedInterferenceGraph is §3.3.3: interference terms weighted by
@@ -266,37 +255,15 @@ type WeightedInterferenceGraph struct{}
 // Name returns the paper's name for the algorithm.
 func (WeightedInterferenceGraph) Name() string { return "weighted-interference-graph" }
 
-// Allocate implements Policy. Large thread counts take the sparse multilevel
-// path; see InterferenceGraph.Allocate.
-func (WeightedInterferenceGraph) Allocate(views []kernel.View, cores int) Mapping {
-	if len(views) > sparseThreshold {
-		return partitionOrKeepSparse(buildSparseGraph(views, true, nil), views, cores)
-	}
-	return partitionOrKeep(buildGraph(views, true), views, cores)
+// Allocate implements Policy: AllocateScratch on a fresh Scratch, so the
+// mapping is the caller's.
+func (p WeightedInterferenceGraph) Allocate(views []kernel.View, cores int) Mapping {
+	return p.AllocateScratch(views, cores, new(Scratch))
 }
 
-// AllocateDense forces the dense matrix + recursive-bisection path regardless
-// of thread count — the pre-sparsification baseline, kept callable so the
-// benchmark harness can measure the crossover honestly.
-func (WeightedInterferenceGraph) AllocateDense(views []kernel.View, cores int) Mapping {
-	return partitionOrKeep(buildGraph(views, true), views, cores)
-}
-
-// partitionOrKeep MIN-CUTs the interference graph into balanced per-core
-// groups — unless the graph carries no signal at all (every edge zero), in
-// which case the current placement is kept. A saturated or degenerate
-// signature (the paper's presence-bit vectors, Fig 14) conveys nothing, and
-// the paper observes that such configurations simply stay on "the default
-// schedules with which the processes began execution"; an arbitrary
-// tie-break would instead reshuffle them randomly.
-func partitionOrKeep(g *graph.Graph, views []kernel.View, cores int) Mapping {
-	if g.TotalWeight() == 0 {
-		if cur, ok := currentPlacement(views, cores); ok {
-			return cur
-		}
-		return RoundRobin{}.Allocate(views, cores)
-	}
-	return groupsToMapping(g.PartitionK(cores), len(views))
+// AllocateScratch implements ScratchPolicy.
+func (WeightedInterferenceGraph) AllocateScratch(views []kernel.View, cores int, s *Scratch) Mapping {
+	return s.decide(views, cores, true, nil)
 }
 
 // currentPlacement reconstructs the present thread→core assignment from the
@@ -319,54 +286,17 @@ func currentPlacement(views []kernel.View, cores int) (Mapping, bool) {
 	return m, true
 }
 
-// buildGraph constructs the undirected interference graph of §3.3.2/Fig 7:
-// the directed edge P→Q carries P's interference with Q's core (a process is
-// assumed to interfere equally with every process of another core), and the
-// two directions are summed into the undirected weight. With weighted false
-// the directed term is the paper's reciprocal symbiosis; with weighted true
-// it is the occupancy-weighted footprint overlap (§3.3.3 as implemented by
-// WeightedInterferenceGraph).
-func buildGraph(views []kernel.View, weighted bool) *graph.Graph {
-	g := graph.New(len(views))
-	fillGraph(g, views, weighted)
-	return g
-}
-
-// fillGraph populates an already-sized graph with the interference edges —
-// the shared body of buildGraph and the scratch (allocation-free) path.
-func fillGraph(g *graph.Graph, views []kernel.View, weighted bool) {
-	for i, vi := range views {
-		if !vi.HasSig {
-			continue
-		}
-		for j, vj := range views {
-			if i == j {
-				continue
-			}
-			core := vj.LastCore
-			if core < 0 || core >= len(vi.Symbiosis) {
-				continue
-			}
-			var w float64
-			if weighted {
-				if core < len(vi.Overlap) {
-					w = float64(vi.Overlap[core])
-				}
-			} else {
-				w = interference(int(vi.Symbiosis[core]))
-			}
-			g.AddWeight(i, j, w)
-		}
-	}
-}
-
-// Scratch holds the reusable buffers for ScratchPolicy invocations: the
-// dense interference graph, the bisection working set and the mapping
-// buffer. The zero value is ready to use; one Scratch serves one monitor
-// (calls must not interleave).
+// Scratch holds the reusable state of a graph-policy decision: the top-m
+// builder, the interference graph it rebuilds in place, the partitioner's
+// arena, and the assignment and mapping buffers. The zero value is ready to
+// use; one Scratch serves one caller at a time (calls must not interleave).
+// A monitor that decides every period on one Scratch allocates nothing
+// once warm.
 type Scratch struct {
-	g       graph.Graph
-	bisect  graph.BisectScratch
+	b       graph.Builder
+	g       graph.Sparse
+	part    graph.Partitioner
+	assign  []int32
 	mapping Mapping
 }
 
@@ -379,37 +309,29 @@ type ScratchPolicy interface {
 	AllocateScratch(views []kernel.View, cores int, s *Scratch) Mapping
 }
 
-// AllocateScratch implements ScratchPolicy for the weighted interference
-// graph. The zero-allocation fast path covers the dense two-core decision —
-// the monitor's steady state on the paper's dual-core machines, where this
-// runs every period — reusing s's graph, bisection buffers and mapping.
-// Other shapes (k > 2 hierarchical bisection, the sparse large-P path, and
-// the no-signal placement fallback) defer to Allocate; the decisions are
-// identical on every path because the scratch fast path runs the same
-// fillGraph + BisectInto procedure Allocate does.
-func (p WeightedInterferenceGraph) AllocateScratch(views []kernel.View, cores int, s *Scratch) Mapping {
-	if len(views) > sparseThreshold || cores != 2 {
-		return p.Allocate(views, cores)
-	}
-	s.g.Reset(len(views))
-	fillGraph(&s.g, views, true)
+// decide is every graph policy's decision: build the interference graph of
+// the views into s (see buildSparseGraph) and MIN-CUT it into balanced
+// per-core groups — unless the graph carries no signal at all (every edge
+// zero), in which case the current placement is kept. A saturated or
+// degenerate signature (the paper's presence-bit vectors, Fig 14) conveys
+// nothing, and the paper observes that such configurations simply stay on
+// "the default schedules with which the processes began execution"; an
+// arbitrary tie-break would instead reshuffle them randomly.
+func (s *Scratch) decide(views []kernel.View, cores int, weighted bool, override func(i, j int) (float64, bool)) Mapping {
+	buildSparseGraph(&s.b, &s.g, views, weighted, override)
 	if s.g.TotalWeight() == 0 {
-		// No signal: keep the current placement (see partitionOrKeep).
 		if cur, ok := currentPlacement(views, cores); ok {
 			return cur
 		}
 		return RoundRobin{}.Allocate(views, cores)
 	}
-	a, b := s.g.BisectInto(&s.bisect)
+	s.assign = s.part.PartitionInto(&s.g, cores, s.assign)
 	if cap(s.mapping) < len(views) {
 		s.mapping = make(Mapping, len(views))
 	}
 	m := s.mapping[:len(views)]
-	for _, t := range a {
-		m[t] = 0
-	}
-	for _, t := range b {
-		m[t] = 1
+	for i, c := range s.assign {
+		m[i] = int(c)
 	}
 	return m
 }

@@ -21,61 +21,80 @@ type TwoPhase struct{}
 // Name returns the algorithm's name.
 func (TwoPhase) Name() string { return "two-phase-multithreaded" }
 
-// Allocate implements Policy. Beyond sparseThreshold threads the phase-2
-// graph is built and partitioned sparsely (see sparse.go); below it the
-// dense path runs unchanged.
-func (TwoPhase) Allocate(views []kernel.View, cores int) Mapping {
-	if len(views) > sparseThreshold {
-		return twoPhaseSparse(views, cores)
+// Allocate implements Policy: AllocateScratch on a fresh Scratch, so the
+// mapping is the caller's.
+func (p TwoPhase) Allocate(views []kernel.View, cores int) Mapping {
+	return p.AllocateScratch(views, cores, new(Scratch))
+}
+
+// AllocateScratch implements ScratchPolicy: the weighted interference graph
+// with the phase-2 edge adjustments applied during the build.
+func (TwoPhase) AllocateScratch(views []kernel.View, cores int, s *Scratch) Mapping {
+	// Pin weight: exceed the sum of every directed term so the MIN-CUT can
+	// never profit from splitting a pinned pair. Computed per core label in
+	// O(n·N) rather than enumerating pairs.
+	maxCore := 0
+	for i := range views {
+		if c := views[i].LastCore; c > maxCore {
+			maxCore = c
+		}
 	}
-	g := buildGraph(views, true)
+	onCore := make([]int, maxCore+1)
+	for i := range views {
+		if c := views[i].LastCore; c >= 0 {
+			onCore[c]++
+		}
+	}
+	total := 0.0
+	for i := range views {
+		vi := &views[i]
+		for c, cnt := range onCore {
+			if cnt > 0 {
+				total += float64(cnt) * directedTerm(vi, c, true)
+			}
+		}
+		// The c == LastCore bucket counted vi pairing with itself.
+		if c := vi.LastCore; c >= 0 {
+			total -= directedTerm(vi, c, true)
+		}
+	}
+	pin := 10 * (total + 1)
 
-	// Pin weight: larger than any possible sum of real edges so the MIN-CUT
-	// can never profit from splitting a pinned pair.
-	pin := 10 * (g.TotalWeight() + 1)
-
-	// Phase 1: per-process weight sorting of its threads into `cores`
-	// same-core groups.
-	byProc := map[int][]int{} // proc ID → view indices
+	// Phase 1: per-process occupancy-weight sorting of its threads into
+	// `cores` same-core groups, exactly like WeightSort but scoped to one
+	// process. group[i] is thread i's group within its process, or -1 for
+	// threads of single-threaded processes.
+	group := make([]int, len(views))
+	for i := range group {
+		group[i] = -1
+	}
+	byProc := map[int][]int{}
 	for i, v := range views {
 		byProc[v.ProcID] = append(byProc[v.ProcID], i)
 	}
-	procIDs := make([]int, 0, len(byProc))
-	for id := range byProc {
-		procIDs = append(procIDs, id)
-	}
-	sort.Ints(procIDs)
-
-	for _, id := range procIDs {
-		members := byProc[id]
+	for _, members := range byProc {
 		if len(members) < 2 {
 			continue
 		}
-		// Sort the process's threads by occupancy weight (descending) and
-		// pack consecutive runs together, exactly like WeightSort but
-		// scoped to one process.
 		order := append([]int(nil), members...)
 		sort.SliceStable(order, func(a, b int) bool {
 			return views[order[a]].Occupancy > views[order[b]].Occupancy
 		})
 		groupSize := (len(order) + cores - 1) / cores
-		groupOf := map[int]int{}
 		for rank, idx := range order {
-			groupOf[idx] = rank / groupSize
-		}
-		// Phase 2 edge adjustment (Fig 8b): same group → pin, different
-		// group → zero.
-		for x := 0; x < len(members); x++ {
-			for y := x + 1; y < len(members); y++ {
-				a, b := members[x], members[y]
-				if groupOf[a] == groupOf[b] {
-					g.SetWeight(a, b, pin)
-				} else {
-					g.SetWeight(a, b, 0)
-				}
-			}
+			group[idx] = rank / groupSize
 		}
 	}
 
-	return partitionOrKeep(g, views, cores)
+	// Phase 2 edge adjustment (Fig 8b): same group → pin, different group →
+	// no edge; inter-process edges keep their weighted-graph weights.
+	return s.decide(views, cores, true, func(i, j int) (float64, bool) {
+		if views[i].ProcID != views[j].ProcID || group[i] < 0 {
+			return 0, false
+		}
+		if group[i] == group[j] {
+			return pin, true
+		}
+		return 0, true
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"symbiosched/internal/graph"
 	"symbiosched/internal/kernel"
 )
 
@@ -72,8 +73,8 @@ func checkBalanced(t *testing.T, m Mapping, cores int) {
 	}
 }
 
-// The sparse path (P > sparseThreshold) must produce balanced, deterministic
-// mappings for every graph policy.
+// At scale (256 threads, sparsified and partitioned multilevel) every graph
+// policy must produce balanced, deterministic mappings.
 func TestSparsePathBalancedAndDeterministic(t *testing.T) {
 	views := clusteredViews(256, 16, 16, 7)
 	for _, p := range []Policy{InterferenceGraph{}, WeightedInterferenceGraph{}, TwoPhase{}} {
@@ -84,7 +85,7 @@ func TestSparsePathBalancedAndDeterministic(t *testing.T) {
 		}
 		checkBalanced(t, m1, 16)
 		if !m1.Equal(m2) {
-			t.Fatalf("%s: sparse path not deterministic", p.Name())
+			t.Fatalf("%s: not deterministic at scale", p.Name())
 		}
 	}
 }
@@ -115,25 +116,41 @@ func TestSparsePathCoLocatesClusters(t *testing.T) {
 	}
 }
 
-// Below the threshold the policies must still take the dense path; the two
-// builds agree on the graph they encode, so on strongly clustered inputs
-// they agree on the co-location (up to core labels).
+// The policies keep each thread's sparseTopM heaviest neighbors. On strongly
+// clustered input that sparsification must not lose the structure: at 64
+// threads the decision on the top-m graph and the partition of the dense
+// (unsparsified) graph of the same weights agree on the co-location, and
+// both recover the 4 planted cliques.
 func TestDenseSparseAgreeOnStructure(t *testing.T) {
-	views := clusteredViews(64, 4, 4, 13) // exactly sparseThreshold: dense path
-	md := InterferenceGraph{}.Allocate(views, 4)
-	checkBalanced(t, md, 4)
-	ms := partitionOrKeepSparse(buildSparseGraph(views, false, nil), views, 4)
+	views := clusteredViews(64, 4, 4, 13)
+	ms := InterferenceGraph{}.Allocate(views, 4)
 	checkBalanced(t, ms, 4)
+	b := graph.NewBuilder(len(views), 0)
+	for i := range views {
+		for j := i + 1; j < len(views); j++ {
+			b.Add(i, j, directedTerm(&views[i], views[j].LastCore, false)+directedTerm(&views[j], views[i].LastCore, false))
+		}
+	}
+	md := make(Mapping, len(views))
+	for core, grp := range b.Build().PartitionK(4) {
+		for _, th := range grp {
+			md[th] = core
+		}
+	}
+	checkBalanced(t, md, 4)
 	if !md.Canonical().Equal(ms.Canonical()) {
-		// The two heuristics may legitimately differ on weak structure, but
-		// with 4 planted cliques both must recover them exactly.
-		t.Fatalf("dense and sparse disagree on planted clusters:\ndense  %v\nsparse %v",
+		t.Fatalf("dense and sparse graphs disagree on planted clusters:\ndense  %v\nsparse %v",
 			md.Canonical(), ms.Canonical())
+	}
+	for i := range views {
+		if ms[i] != ms[i%4] {
+			t.Fatalf("thread %d split from its clique: %v", i, ms)
+		}
 	}
 }
 
-// Zero-signal views on the sparse path keep the current placement, exactly
-// like the dense path's partitionOrKeep.
+// Zero-signal views keep the current placement at scale too (96 threads on
+// 8 cores).
 func TestSparsePathKeepsPlacementWithoutSignal(t *testing.T) {
 	views := make([]kernel.View, 96)
 	for i := range views {
@@ -147,14 +164,14 @@ func TestSparsePathKeepsPlacementWithoutSignal(t *testing.T) {
 	}
 }
 
-// TwoPhase on the sparse path must keep each process's phase-1 groups on one
-// core, just like the dense pinning does.
+// At scale TwoPhase must still keep each process's phase-1 groups on one
+// core.
 func TestTwoPhaseSparseKeepsGroupsTogether(t *testing.T) {
 	const cores = 8
 	rng := rand.New(rand.NewSource(17))
 	var views []kernel.View
 	id := 0
-	// 20 processes × 4 threads = 80 threads > sparseThreshold.
+	// 20 processes × 4 threads = 80 threads, past the top-m edge limit.
 	for p := 0; p < 20; p++ {
 		for th := 0; th < 4; th++ {
 			sym := make([]int32, cores)
@@ -284,16 +301,18 @@ func BenchmarkCanonical(b *testing.B) {
 }
 
 // BenchmarkAllocateSparse measures the full policy path at scale — graph
-// build plus partition — the per-quantum allocator cost the monitor pays.
+// build plus partition on a reused Scratch — the per-quantum allocator cost
+// the monitor pays.
 func BenchmarkAllocateSparse(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		views := clusteredViews(n, 64, 32, 3)
 		b.Run(policyBenchName(n), func(b *testing.B) {
 			p := WeightedInterferenceGraph{}
+			var s Scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.Allocate(views, 64)
+				p.AllocateScratch(views, 64, &s)
 			}
 		})
 	}

@@ -14,39 +14,29 @@ import (
 
 // AllocScale is the allocator-latency study behind ROADMAP directions 2 and
 // 4: how long one allocation decision takes as the thread count grows, on
-// the three paths the policies expose — the dense n×n matrix with recursive
-// bisection (the pre-PR 6 baseline, ~n⁴), the top-m sparse graph with
-// multilevel partitioning (what runs beyond 64 threads), and the
-// incremental UpdateWeight + RepairPartition path (the per-quantum cost
-// once a partition exists). One row per P with k = P/16 cores.
+// the two paths the policies expose — a full decision (the top-m sparse
+// graph build plus hierarchical partitioning, what every graph policy runs
+// each period) and the incremental UpdateWeight + RepairPartition path
+// (the per-quantum cost once a partition exists). One row per P with
+// k = P/16 cores.
 //
-// The Quick configuration stops at P=256 with the dense baseline capped at
-// P=64; the Default configuration sweeps to P=4096 with dense capped at
-// P=256 (a dense P=1024 decision costs minutes; results/BENCH_2026-08-06.json
-// holds one). Latencies are medians over the repetitions.
+// The Quick configuration stops at P=256; the Default configuration sweeps
+// to P=4096. Latencies are medians over the repetitions.
 func AllocScale(cfg Config) metrics.Table {
 	ps := []int{64, 256, 1024, 4096}
-	denseMax, reps := 256, 9
+	reps := 9
 	if cfg.MachineDiv >= 64 { // test scale
-		ps = []int{64, 256}
-		denseMax, reps = 64, 3
+		ps, reps = []int{64, 256}, 3
 	}
 
 	t := metrics.Table{
-		Title: "Allocator latency: dense vs sparse vs incremental repair (medians)",
-		Headers: []string{"P", "k", "dense ms", "sparse ms", "repair µs",
-			"dense/sparse", "sparse/repair"},
+		Title:   "Allocator latency: sparse decision vs incremental repair (medians)",
+		Headers: []string{"P", "k", "sparse ms", "repair µs", "sparse/repair"},
 	}
 	for _, p := range ps {
 		k := p / 16
 		views := SynthAllocViews(p, k)
 
-		var denseMS float64
-		if p <= denseMax {
-			denseMS = medianMS(reps, func() {
-				alloc.WeightedInterferenceGraph{}.AllocateDense(views, k)
-			})
-		}
 		sparseMS := medianMS(reps, func() {
 			alloc.SparseInterferenceGraph(views).PartitionK(k)
 		})
@@ -77,13 +67,7 @@ func AllocScale(cfg Config) metrics.Table {
 		sort.Float64s(times)
 		repairMS := times[len(times)/2]
 
-		denseCell, ratioCell := "-", "-"
-		if denseMS > 0 {
-			denseCell = fmt.Sprintf("%.3f", denseMS)
-			ratioCell = fmt.Sprintf("%.1fx", denseMS/sparseMS)
-		}
-		t.AddRow(p, k, denseCell, fmt.Sprintf("%.3f", sparseMS),
-			fmt.Sprintf("%.1f", repairMS*1e3), ratioCell,
+		t.AddRow(p, k, fmt.Sprintf("%.3f", sparseMS), fmt.Sprintf("%.1f", repairMS*1e3),
 			fmt.Sprintf("%.1fx", sparseMS/repairMS))
 	}
 	return t

@@ -11,18 +11,20 @@ func TestAllocScaleQuick(t *testing.T) {
 		t.Fatalf("quick AllocScale: %d rows, want 2 (P=64, P=256)", len(tbl.Rows))
 	}
 	s := tbl.String()
-	for _, want := range []string{"64", "256", "sparse"} {
+	for _, want := range []string{"64", "256", "sparse", "repair"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("table missing %q:\n%s", want, s)
 		}
 	}
-	// Dense is measured at P=64 (a real number) and skipped at P=256 at
-	// quick scale.
-	if tbl.Rows[0][2] == "-" {
-		t.Fatal("P=64 dense baseline not measured")
+	// One decision path: no dense column survives, and every row measures
+	// the sparse decision and the repair.
+	if strings.Contains(s, "dense") {
+		t.Fatalf("table still carries a dense column:\n%s", s)
 	}
-	if tbl.Rows[1][2] != "-" {
-		t.Fatal("P=256 dense baseline should be skipped at quick scale")
+	for _, row := range tbl.Rows {
+		if len(row) != 5 || row[2] == "-" || row[3] == "-" {
+			t.Fatalf("row %v: want P, k, sparse ms, repair µs, sparse/repair", row)
+		}
 	}
 }
 

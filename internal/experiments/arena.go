@@ -35,6 +35,11 @@ type simArena struct {
 	// one slot captures almost all reuse. procs is rewound in place on hit.
 	wlKey string
 	procs []*kernel.Process
+
+	// scratch backs every phase-1 monitor this arena runs, one at a time.
+	// Each allocation decision rebuilds it in place, so only the arena's
+	// first phase-1 run pays its warm-up, as with the cached machines.
+	scratch alloc.Scratch
 }
 
 // engineKey is the comparable projection of engine.Config: every field that
@@ -150,7 +155,7 @@ func (a *simArena) phase1(c Config, profiles []workload.Profile, policy alloc.Po
 	}
 	m := a.machine(ec, procs)
 	m.DistributeRoundRobin()
-	mo := monitor.New(policy)
+	mo := monitor.NewWithScratch(policy, &a.scratch)
 	m.Run(engine.RunOptions{
 		Horizon:       c.Phase1Horizon,
 		MonitorPeriod: c.MonitorPeriod,

@@ -65,7 +65,7 @@ func (s *Sparse) InsertNode(nbrs []int32, w []float64) int {
 	if len(nbrs) != len(w) {
 		panic(fmt.Sprintf("graph: %d neighbors with %d weights", len(nbrs), len(w)))
 	}
-	sort.Sort(&nbrSorter{nbrs, w})
+	sort.Sort(&rowSorter{nbrs, w})
 	for x, u := range nbrs {
 		s.check(int(u))
 		if s.dead[u] {
@@ -215,17 +215,4 @@ func (s *Sparse) Compact() {
 	}
 	s.col, s.wts = col, wts
 	s.drift.DeadSlots = 0
-}
-
-// nbrSorter orders a neighbor list and its weights by node id.
-type nbrSorter struct {
-	col []int32
-	wts []float64
-}
-
-func (r *nbrSorter) Len() int           { return len(r.col) }
-func (r *nbrSorter) Less(a, b int) bool { return r.col[a] < r.col[b] }
-func (r *nbrSorter) Swap(a, b int) {
-	r.col[a], r.col[b] = r.col[b], r.col[a]
-	r.wts[a], r.wts[b] = r.wts[b], r.wts[a]
 }

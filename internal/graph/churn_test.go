@@ -389,7 +389,7 @@ func BenchmarkRebuildP1024(b *testing.B) {
 		nb := NewBuilder(1024, 16)
 		for u := 0; u < 1024; u++ {
 			for v := u + 1; v < 1024; v++ {
-				if w := g.Weight(u, v); w != 0 {
+				if w := g[u][v]; w != 0 {
 					nb.Add(u, v, w)
 				}
 			}

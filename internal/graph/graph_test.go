@@ -8,21 +8,28 @@ import (
 )
 
 func TestNewAndAccessors(t *testing.T) {
-	g := New(4)
-	if g.Len() != 4 {
-		t.Fatalf("Len = %d", g.Len())
+	b := NewBuilder(4, 0)
+	if b.Len() != 4 {
+		t.Fatalf("Builder.Len = %d", b.Len())
 	}
-	g.AddWeight(0, 1, 2.5)
-	g.AddWeight(1, 0, 0.5) // accumulates symmetrically
+	b.Add(0, 1, 2.5)
+	b.Add(1, 0, 3) // a repeated offer keeps the heaviest copy
+	b.Add(2, 3, 7)
+	g := b.Build()
+	if g.Len() != 4 || g.Alive() != 4 || g.Edges() != 2 {
+		t.Fatalf("Len/Alive/Edges = %d/%d/%d", g.Len(), g.Alive(), g.Edges())
+	}
 	if got := g.Weight(0, 1); got != 3.0 {
 		t.Fatalf("Weight(0,1) = %g, want 3", got)
 	}
 	if got := g.Weight(1, 0); got != 3.0 {
 		t.Fatalf("Weight(1,0) = %g, want 3 (symmetric)", got)
 	}
-	g.SetWeight(2, 3, 7)
 	if got := g.Weight(3, 2); got != 7 {
-		t.Fatalf("SetWeight not symmetric: %g", got)
+		t.Fatalf("Weight(3,2) = %g, want 7", got)
+	}
+	if got := g.Degree(0); got != 1 {
+		t.Fatalf("Degree(0) = %d", got)
 	}
 	if got := g.TotalWeight(); got != 10 {
 		t.Fatalf("TotalWeight = %g, want 10", got)
@@ -30,11 +37,12 @@ func TestNewAndAccessors(t *testing.T) {
 }
 
 func TestSelfEdgesIgnored(t *testing.T) {
-	g := New(3)
-	g.AddWeight(1, 1, 5)
-	g.SetWeight(2, 2, 5)
-	if g.TotalWeight() != 0 {
-		t.Fatal("self edges contributed weight")
+	b := NewBuilder(3, 0)
+	b.Add(1, 1, 5)
+	b.Add(0, 2, 0) // zero weights carry no edge either
+	g := b.Build()
+	if g.TotalWeight() != 0 || g.Edges() != 0 {
+		t.Fatal("self or zero edges contributed weight")
 	}
 	if g.Weight(1, 1) != 0 {
 		t.Fatal("self edge has weight")
@@ -42,11 +50,16 @@ func TestSelfEdgesIgnored(t *testing.T) {
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	g := New(2)
+	_, g := randomGraph(2, 1)
+	b := NewBuilder(2, 0)
 	for _, f := range []func(){
-		func() { g.AddWeight(0, 2, 1) },
-		func() { g.Weight(-1, 0) },
-		func() { New(-1) },
+		func() { b.Add(0, 2, 1) },
+		func() { b.Reset(-1, 0) },
+		func() { g.Degree(2) },
+		func() { g.Removed(-1) },
+		func() { g.UpdateWeight(0, 2, 1) },
+		func() { g.CutWeight([]int{0}, []int{2}) },
+		func() { g.CutK([]int32{0}) },
 	} {
 		func() {
 			defer func() {
@@ -60,105 +73,99 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestCutAndIntraWeights(t *testing.T) {
-	g := New(4)
-	g.SetWeight(0, 1, 1)
-	g.SetWeight(2, 3, 2)
-	g.SetWeight(0, 2, 4)
-	g.SetWeight(1, 3, 8)
-	a, b := []int{0, 1}, []int{2, 3}
-	if got := g.CutWeight(a, b); got != 12 {
+	b := NewBuilder(4, 0)
+	b.Add(0, 1, 1)
+	b.Add(2, 3, 2)
+	b.Add(0, 2, 4)
+	b.Add(1, 3, 8)
+	g := b.Build()
+	a, c := []int{0, 1}, []int{2, 3}
+	if got := g.CutWeight(a, c); got != 12 {
 		t.Fatalf("CutWeight = %g, want 12", got)
 	}
 	if got := g.IntraWeight(a); got != 1 {
 		t.Fatalf("IntraWeight(a) = %g, want 1", got)
 	}
-	if got := g.IntraWeight(b); got != 2 {
-		t.Fatalf("IntraWeight(b) = %g, want 2", got)
+	if got := g.IntraWeight(c); got != 2 {
+		t.Fatalf("IntraWeight(c) = %g, want 2", got)
+	}
+	if got := g.CutK([]int32{0, 0, 1, 1}); got != 12 {
+		t.Fatalf("CutK = %g, want 12", got)
 	}
 }
 
 // The paper's Figure 7 scenario: four processes, the pair with the heaviest
 // mutual interference must land in the same group so they never co-run.
 func TestBisectGroupsHeavyInterferersTogether(t *testing.T) {
-	g := New(4)
 	// P0 and P1 interfere heavily; P2 and P3 interfere heavily; cross edges
 	// are light. MIN-CUT must cut the light edges.
-	g.SetWeight(0, 1, 10)
-	g.SetWeight(2, 3, 9)
-	g.SetWeight(0, 2, 1)
-	g.SetWeight(1, 3, 1)
-	a, b := g.Bisect()
-	if !sameSet(a, []int{0, 1}) || !sameSet(b, []int{2, 3}) {
-		t.Fatalf("Bisect = %v | %v, want {0,1} | {2,3}", a, b)
+	b := NewBuilder(4, 0)
+	b.Add(0, 1, 10)
+	b.Add(2, 3, 9)
+	b.Add(0, 2, 1)
+	b.Add(1, 3, 1)
+	g := b.Build()
+	groups := g.PartitionK(2)
+	if !sameInts(groups[0], []int{0, 1}) || !sameInts(groups[1], []int{2, 3}) {
+		t.Fatalf("PartitionK(2) = %v, want [[0 1] [2 3]]", groups)
 	}
-	if cut := g.CutWeight(a, b); cut != 2 {
+	if cut := g.CutWeight(groups[0], groups[1]); cut != 2 {
 		t.Fatalf("cut = %g, want 2", cut)
 	}
 }
 
 func TestBisectTinyGraphs(t *testing.T) {
-	a, b := New(0).Bisect()
-	if len(a) != 0 || len(b) != 0 {
-		t.Fatal("empty graph bisected wrong")
-	}
-	a, b = New(1).Bisect()
-	if len(a) != 1 || len(b) != 0 {
-		t.Fatal("single node bisected wrong")
-	}
-	a, b = New(2).Bisect()
-	if len(a) != 1 || len(b) != 1 {
-		t.Fatalf("two nodes: %v | %v", a, b)
-	}
-	// Odd count: balanced as 2|1.
-	a, b = New(3).Bisect()
-	if len(a) != 2 || len(b) != 1 {
-		t.Fatalf("three nodes: %v | %v", a, b)
+	for n, want := range [][2]int{{0, 0}, {1, 0}, {1, 1}, {2, 1}} {
+		groups := NewBuilder(n, 0).Build().PartitionK(2)
+		if len(groups[0]) != want[0] || len(groups[1]) != want[1] {
+			t.Fatalf("%d nodes bisected %v, want sizes %v", n, groups, want)
+		}
 	}
 }
 
 func TestBisectBalanced(t *testing.T) {
-	for n := 2; n <= 12; n++ {
-		g := randomGraph(n, 42)
-		a, b := g.Bisect()
-		if len(a)+len(b) != n {
-			t.Fatalf("n=%d: groups cover %d nodes", n, len(a)+len(b))
-		}
-		if len(a)-len(b) > 1 || len(b) > len(a) {
+	for n := 2; n <= 24; n++ {
+		_, g := randomGraph(n, 42)
+		groups := g.PartitionK(2)
+		a, b := groups[0], groups[1]
+		if len(a) != (n+1)/2 || len(b) != n/2 {
 			t.Fatalf("n=%d: unbalanced %d|%d", n, len(a), len(b))
 		}
-		seen := map[int]bool{}
-		for _, x := range append(append([]int{}, a...), b...) {
-			if seen[x] {
-				t.Fatalf("node %d in both groups", x)
-			}
-			seen[x] = true
-		}
+		checkKWay(t, groups, n, 2)
 	}
 }
 
 // The exact bisector must never be beaten by any other balanced bipartition.
 func TestBisectExactOptimal(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(8, int64(trial))
-		a, b := g.Bisect()
-		best := g.CutWeight(a, b)
-		// brute force all balanced splits
-		for mask := uint32(0); mask < 1<<8; mask++ {
-			if popcount(mask) != 4 {
+		w, g := randomGraph(8, int64(trial))
+		groups := g.PartitionK(2)
+		best := matrixCut(w, groups[0], groups[1])
+		for mask := 0; mask < 1<<8; mask++ {
+			var a, b []int
+			for v := 0; v < 8; v++ {
+				if mask>>v&1 == 1 {
+					a = append(a, v)
+				} else {
+					b = append(b, v)
+				}
+			}
+			if len(a) != 4 {
 				continue
 			}
-			ga, gb := maskGroupsInto(&BisectScratch{}, mask, 8)
-			if cut := g.CutWeight(ga, gb); cut < best-1e-9 {
+			if cut := matrixCut(w, a, b); cut < best-1e-9 {
 				t.Fatalf("trial %d: found cut %g < reported optimum %g", trial, cut, best)
 			}
 		}
 	}
 }
 
+// TestBisectKLLargeGraph: 24 nodes is past exactLimit, so the bisection
+// runs the large-graph heuristic (once Kernighan–Lin, now multilevel),
+// which must still recover a planted partition: strong edges inside two
+// 12-node halves, weak across.
 func TestBisectKLLargeGraph(t *testing.T) {
-	// 24 nodes: exceeds the exact limit, exercises the KL path. Construct a
-	// planted partition: strong edges inside two 12-node halves, weak across.
-	g := New(24)
+	b := NewBuilder(24, 0)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 24; i++ {
 		for j := i + 1; j < 24; j++ {
@@ -166,51 +173,53 @@ func TestBisectKLLargeGraph(t *testing.T) {
 			if (i < 12) == (j < 12) {
 				w += 5
 			}
-			g.SetWeight(i, j, w)
+			b.Add(i, j, w)
 		}
 	}
-	a, b := g.Bisect()
-	if len(a) != 12 || len(b) != 12 {
-		t.Fatalf("unbalanced: %d|%d", len(a), len(b))
+	groups := b.Build().PartitionK(2)
+	a, c := groups[0], groups[1]
+	if len(a) != 12 || len(c) != 12 {
+		t.Fatalf("unbalanced: %d|%d", len(a), len(c))
 	}
-	// KL must recover the planted structure: every node of a on one side.
 	side := a[0] < 12
 	for _, x := range a {
 		if (x < 12) != side {
-			t.Fatalf("KL failed to recover planted partition: %v | %v", a, b)
+			t.Fatalf("failed to recover planted partition: %v | %v", a, c)
 		}
 	}
 }
 
 func TestPartitionKValidation(t *testing.T) {
-	g := randomGraph(8, 1)
+	_, g := randomGraph(8, 1)
+	p := NewPartitioner()
 	for _, k := range []int{0, 3, -2, 6} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("PartitionK(%d) did not panic", k)
-				}
+		for _, f := range []func(){func() { g.PartitionK(k) }, func() { p.PartitionInto(g, k, nil) }} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("partitioning into k=%d did not panic", k)
+					}
+				}()
+				f()
 			}()
-			g.PartitionK(k)
-		}()
+		}
 	}
 }
 
 func TestPartitionKHierarchical(t *testing.T) {
 	// 8 nodes in 4 strongly-bound pairs; 4-way partition must isolate pairs.
-	g := New(8)
-	for p := 0; p < 4; p++ {
-		g.SetWeight(2*p, 2*p+1, 100)
-	}
+	b := NewBuilder(8, 0)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
-			if g.Weight(i, j) == 0 {
-				g.SetWeight(i, j, rng.Float64())
+			if j == i+1 && i%2 == 0 {
+				b.Add(i, j, 100)
+			} else {
+				b.Add(i, j, rng.Float64())
 			}
 		}
 	}
-	groups := g.PartitionK(4)
+	groups := b.Build().PartitionK(4)
 	if len(groups) != 4 {
 		t.Fatalf("got %d groups", len(groups))
 	}
@@ -225,24 +234,25 @@ func TestPartitionKHierarchical(t *testing.T) {
 }
 
 func TestPartitionK1And2(t *testing.T) {
-	g := randomGraph(6, 3)
+	w, g := randomGraph(6, 3)
 	one := g.PartitionK(1)
-	if len(one) != 1 || len(one[0]) != 6 {
+	if len(one) != 1 || !sameInts(one[0], []int{0, 1, 2, 3, 4, 5}) {
 		t.Fatalf("PartitionK(1) = %v", one)
 	}
 	two := g.PartitionK(2)
-	a, b := g.Bisect()
-	if !sameSet(two[0], a) || !sameSet(two[1], b) {
-		t.Fatalf("PartitionK(2) = %v, Bisect = %v|%v", two, a, b)
+	a, b, _ := bisectOracle(w)
+	if !sameInts(two[0], a) || !sameInts(two[1], b) {
+		t.Fatalf("PartitionK(2) = %v, oracle %v|%v", two, a, b)
 	}
 }
 
 // Property: cut(a,b) + intra(a) + intra(b) = total weight.
 func TestWeightConservationQuick(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
-		n := int(n8%10) + 2
-		g := randomGraph(n, seed)
-		a, b := g.Bisect()
+		n := int(n8%30) + 2
+		_, g := randomGraph(n, seed)
+		groups := g.PartitionK(2)
+		a, b := groups[0], groups[1]
 		lhs := g.CutWeight(a, b) + g.IntraWeight(a) + g.IntraWeight(b)
 		return math.Abs(lhs-g.TotalWeight()) < 1e-6
 	}
@@ -254,11 +264,10 @@ func TestWeightConservationQuick(t *testing.T) {
 // Property: hierarchical groups partition the node set exactly.
 func TestPartitionCoverageQuick(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
-		n := int(n8%12) + 4
-		g := randomGraph(n, seed)
-		groups := g.PartitionK(4)
+		n := int(n8%40) + 4
+		_, g := randomGraph(n, seed)
 		seen := map[int]int{}
-		for _, grp := range groups {
+		for _, grp := range g.PartitionK(4) {
 			for _, x := range grp {
 				seen[x]++
 			}
@@ -278,152 +287,66 @@ func TestPartitionCoverageQuick(t *testing.T) {
 	}
 }
 
-func randomGraph(n int, seed int64) *Graph {
-	g := New(n)
+// randomGraph returns a complete graph with weights in [0, 10) as a
+// matrix and as the unsparsified Sparse of the same edges.
+func randomGraph(n int, seed int64) ([][]float64, *Sparse) {
 	rng := rand.New(rand.NewSource(seed))
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.SetWeight(i, j, rng.Float64()*10)
+			x := rng.Float64() * 10
+			w[i][j], w[j][i] = x, x
 		}
 	}
-	return g
+	return w, sparseOf(w)
 }
 
-func sameSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	m := map[int]bool{}
-	for _, x := range a {
-		m[x] = true
-	}
-	for _, x := range b {
-		if !m[x] {
-			return false
+// TestPartitionIntoZeroAllocs pins the monitor's decision loop at zero
+// allocations once warm: rebuild the graph in place through a reused
+// Builder and Sparse, then partition into a reused assignment buffer, at
+// the paper's dual-core shape and a hierarchical four-core one.
+func TestPartitionIntoZeroAllocs(t *testing.T) {
+	for _, tc := range []struct{ n, k int }{{4, 2}, {16, 4}} {
+		w, _ := randomGraph(tc.n, int64(tc.n))
+		var (
+			b      Builder
+			g      Sparse
+			p      Partitioner
+			assign []int32
+		)
+		decide := func() {
+			b.Reset(tc.n, 16)
+			for i := 0; i < tc.n; i++ {
+				for j := i + 1; j < tc.n; j++ {
+					b.Add(i, j, w[i][j])
+				}
+			}
+			b.BuildInto(&g)
+			assign = p.PartitionInto(&g, tc.k, assign)
+		}
+		decide()
+		want := append([]int32(nil), assign...)
+		if allocs := testing.AllocsPerRun(50, decide); allocs != 0 {
+			t.Errorf("n=%d k=%d: steady-state decision allocates %.1f objects, want 0", tc.n, tc.k, allocs)
+		}
+		for v := range want {
+			if assign[v] != want[v] {
+				t.Fatalf("n=%d k=%d: reused scratch changed the decision: %v vs %v", tc.n, tc.k, assign, want)
+			}
 		}
 	}
-	return true
-}
-
-func popcount(x uint32) int {
-	c := 0
-	for ; x != 0; x &= x - 1 {
-		c++
-	}
-	return c
 }
 
 func BenchmarkBisectExact16(b *testing.B) {
-	g := randomGraph(16, 7)
+	_, g := randomGraph(16, 7)
+	p := NewPartitioner()
+	var assign []int32
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Bisect()
-	}
-}
-
-func BenchmarkBisectKL32(b *testing.B) {
-	g := randomGraph(32, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Bisect()
-	}
-}
-
-// KL must come close to the exact optimum on mid-size graphs: compare on
-// 18-node random graphs (still within the exact enumerator's range) by
-// invoking the heuristic directly.
-func TestKLQualityVsExact(t *testing.T) {
-	worstRatio := 1.0
-	for trial := 0; trial < 10; trial++ {
-		g := randomGraph(18, int64(100+trial))
-		ea, eb := g.bisectExact(&BisectScratch{})
-		exact := g.CutWeight(ea, eb)
-		ka, kb := g.bisectKL(&BisectScratch{})
-		kl := g.CutWeight(ka, kb)
-		if kl < exact-1e-9 {
-			t.Fatalf("trial %d: KL cut %.3f beat the exact optimum %.3f", trial, kl, exact)
-		}
-		if len(ka) != 9 || len(kb) != 9 {
-			t.Fatalf("trial %d: KL unbalanced %d|%d", trial, len(ka), len(kb))
-		}
-		if ratio := kl / exact; ratio > worstRatio {
-			worstRatio = ratio
-		}
-	}
-	// Random dense graphs are easy for KL; it should land within 25% of
-	// optimal on every trial.
-	if worstRatio > 1.25 {
-		t.Fatalf("KL worst-case ratio %.3f too far from optimal", worstRatio)
-	}
-}
-
-func TestSubgraphExtraction(t *testing.T) {
-	g := New(5)
-	g.SetWeight(1, 3, 7)
-	g.SetWeight(3, 4, 2)
-	sub := g.subgraph([]int{1, 3, 4})
-	if sub.Len() != 3 {
-		t.Fatalf("subgraph size %d", sub.Len())
-	}
-	if sub.Weight(0, 1) != 7 { // local indices of nodes 1,3
-		t.Fatalf("subgraph weight(1,3) = %g", sub.Weight(0, 1))
-	}
-	if sub.Weight(1, 2) != 2 {
-		t.Fatalf("subgraph weight(3,4) = %g", sub.Weight(1, 2))
-	}
-}
-
-// TestBisectIntoMatchesBisect pins the scratch path to the allocating one:
-// identical halves on random graphs across both the exact (n<=20) and KL
-// regimes, with the scratch reused across trials of different sizes.
-func TestBisectIntoMatchesBisect(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var s BisectScratch
-	for trial := 0; trial < 80; trial++ {
-		n := rng.Intn(41) // 0..40: empty, singleton, exact and KL paths
-		g := New(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Intn(3) == 0 {
-					g.AddWeight(i, j, float64(1+rng.Intn(50)))
-				}
-			}
-		}
-		a1, b1 := g.Bisect()
-		a2, b2 := g.BisectInto(&s)
-		if len(a1) != len(a2) || len(b1) != len(b2) {
-			t.Fatalf("trial %d (n=%d): sizes (%d,%d) vs (%d,%d)",
-				trial, n, len(a1), len(b1), len(a2), len(b2))
-		}
-		for i := range a1 {
-			if a1[i] != a2[i] {
-				t.Fatalf("trial %d (n=%d): A halves differ: %v vs %v", trial, n, a1, a2)
-			}
-		}
-		for i := range b1 {
-			if b1[i] != b2[i] {
-				t.Fatalf("trial %d (n=%d): B halves differ: %v vs %v", trial, n, b1, b2)
-			}
-		}
-	}
-}
-
-// TestResetReusesBacking: Reset within capacity must keep the weight matrix
-// allocation and produce a zeroed graph.
-func TestResetReusesBacking(t *testing.T) {
-	g := New(16)
-	g.AddWeight(0, 5, 3)
-	g.Reset(12)
-	if g.Len() != 12 {
-		t.Fatalf("Len = %d after Reset(12)", g.Len())
-	}
-	if g.TotalWeight() != 0 {
-		t.Fatal("Reset left weights behind")
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		g.Reset(12)
-	})
-	if allocs != 0 {
-		t.Fatalf("Reset within capacity allocated %.1f times", allocs)
+		assign = p.PartitionInto(g, 2, assign)
 	}
 }

@@ -1,19 +1,26 @@
-// METIS-style multilevel partitioning for sparse interference graphs:
-// heavy-edge-matching coarsening, a deterministic balanced seed split on the
-// coarse graph, and greedy boundary refinement on the way back up. The k-way
-// entry point applies hierarchical bisection exactly like the dense
-// PartitionK (§3.3.2), but works on index ranges reordered in place instead
-// of full induced-subgraph copies, and keeps every intermediate array in a
-// reusable Partitioner scratch arena (the experiments/arena.go discipline:
-// bit-identical to a fresh run, allocation-free in steady state).
+// The partitioner: hierarchical bisection (§3.3.2) where each bisection is
+// solved exactly when its node set is small enough and by METIS-style
+// multilevel partitioning otherwise — heavy-edge-matching coarsening, a
+// deterministic balanced seed split on the coarse graph, and greedy boundary
+// refinement on the way back up. The recursion works on index ranges
+// reordered in place instead of induced-subgraph copies, and keeps every
+// intermediate array in a reusable Partitioner scratch arena (the
+// experiments/arena.go discipline: bit-identical to a fresh run,
+// allocation-free in steady state).
 package graph
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sync"
 )
 
 const (
+	// exactLimit is the largest node set a bisection enumerates exactly
+	// (C(19,9) ≈ 92k balanced splits at 20 nodes). It covers every
+	// configuration the paper measures, so those decisions are optimal.
+	exactLimit = 20
 	// mlCoarseLimit is the node count at which coarsening stops and the
 	// seed bisection runs directly.
 	mlCoarseLimit = 32
@@ -69,7 +76,7 @@ func growF64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// Partitioner is the reusable scratch arena for multilevel partitioning and
+// Partitioner is the reusable scratch arena for partitioning and
 // incremental repair. A Partitioner is not safe for concurrent use; the
 // package-level Sparse.PartitionK / RepairPartition helpers draw from a
 // sync.Pool so concurrent callers each get their own.
@@ -77,8 +84,8 @@ type Partitioner struct {
 	localIdx []int32 // global node → local index, -1 when unset
 	tmp      []int32 // stable-partition spill buffer
 	nodes    []int32 // working permutation of the node set
-	out      []int   // backing array the result groups are carved from
 	levels   []*mlLevel
+	edges    []cutEdge // the exact solver's edge list
 
 	acc      []float64 // coarse-edge aggregation, indexed by coarse id
 	accSeen  []bool
@@ -98,78 +105,98 @@ func NewPartitioner() *Partitioner { return &Partitioner{} }
 
 var partitionerPool = sync.Pool{New: func() any { return NewPartitioner() }}
 
+// validateK guards every partitioner entry point: k must be a positive
+// power of two.
+func validateK(k int) {
+	if k <= 0 || k&(k-1) != 0 {
+		panic(fmt.Sprintf("graph: k=%d must be a positive power of two", k))
+	}
+}
+
 // PartitionK partitions the graph into k balanced groups by hierarchical
-// multilevel bisection — the sparse counterpart of Graph.PartitionK, with
-// the identical contract: k must be a positive power of two, groups come
-// back sorted, sizes are balanced to ±1, and k > Len() yields empty trailing
-// groups. Scratch comes from an internal pool; use a dedicated Partitioner
-// for single-threaded allocation-free steady state.
+// bisection: k must be a positive power of two, groups come back sorted,
+// sizes are balanced to ±1, and k > Len() leaves some groups empty.
+// Scratch comes from an internal pool; the result is freshly allocated.
+// Partitioner.PartitionInto is the allocation-free form.
 func (s *Sparse) PartitionK(k int) [][]int {
 	p := partitionerPool.Get().(*Partitioner)
 	defer partitionerPool.Put(p)
 	return p.PartitionK(s, k)
 }
 
-// PartitionK is Sparse.PartitionK running on this arena's scratch. Under
-// churn only the live nodes are partitioned — tombstoned slots appear in no
-// group, and balance is ±1 over Alive(), matching what Repair maintains
-// incrementally.
+// PartitionK is Sparse.PartitionK running on this arena's scratch, with
+// the groups read off PartitionInto's assignment.
 func (p *Partitioner) PartitionK(g *Sparse, k int) [][]int {
+	return groupsOf(p.PartitionInto(g, k, nil), k)
+}
+
+// PartitionInto partitions g into k balanced groups and writes the result
+// as a node→group assignment into assign, grown to g.Len() only when its
+// capacity is short, and returns it. Groups are numbered depth first, the
+// A half of every bisection before its B half. Under churn only the live
+// nodes are partitioned: tombstoned slots are assigned -1, and balance is
+// ±1 over Alive(), matching what Repair maintains incrementally. With a
+// reused assign buffer and arena the call allocates nothing once warm.
+func (p *Partitioner) PartitionInto(g *Sparse, k int, assign []int32) []int32 {
 	validateK(k)
 	n := g.n
-	if k == 1 {
-		if g.alive == n {
-			return [][]int{allNodes(n)}
-		}
-		grp := make([]int, 0, g.alive)
-		for i := 0; i < n; i++ {
-			if !g.dead[i] {
-				grp = append(grp, i)
-			}
-		}
-		return [][]int{grp}
-	}
-	p.localIdx = growI32(p.localIdx, g.n)
-	for i := range p.localIdx {
-		p.localIdx[i] = -1
-	}
+	assign = growI32(assign, n)
+	p.localIdx = growI32(p.localIdx, n)
 	p.nodes = growI32(p.nodes, n)[:0]
 	for i := 0; i < n; i++ {
+		p.localIdx[i] = -1
+		assign[i] = -1
 		if !g.dead[i] {
 			p.nodes = append(p.nodes, int32(i))
 		}
 	}
-	na := len(p.nodes)
-	if cap(p.out) < na {
-		p.out = make([]int, na)
-	}
-	groups := make([][]int, 0, k)
-	backing := make([]int, na)
-	off := 0
-	p.recurse(g, p.nodes, k, &groups, backing, &off)
-	return groups
+	p.recurse(g, p.nodes, k, 0, assign)
+	return assign
 }
 
-// recurse hierarchically bisects the (ascending) node set in place, carving
-// leaf groups out of the shared backing array.
-func (p *Partitioner) recurse(g *Sparse, nodes []int32, k int, groups *[][]int, backing []int, off *int) {
+// recurse hierarchically bisects the (ascending) node set in place into k
+// leaf groups numbered from group upward, A halves first.
+func (p *Partitioner) recurse(g *Sparse, nodes []int32, k int, group int32, assign []int32) {
 	if k == 1 {
-		grp := backing[*off : *off+len(nodes) : *off+len(nodes)]
-		for i, v := range nodes {
-			grp[i] = int(v)
+		for _, v := range nodes {
+			assign[v] = group
 		}
-		*off += len(nodes)
-		*groups = append(*groups, grp)
 		return
 	}
 	split := p.bisectNodes(g, nodes)
-	p.recurse(g, nodes[:split], k/2, groups, backing, off)
-	p.recurse(g, nodes[split:], k/2, groups, backing, off)
+	p.recurse(g, nodes[:split], k/2, group, assign)
+	p.recurse(g, nodes[split:], k/2, group+int32(k/2), assign)
+}
+
+// groupsOf materializes a node→group assignment as k ascending groups
+// carved from one backing array; nodes assigned -1 appear in none.
+func groupsOf(assign []int32, k int) [][]int {
+	start := make([]int, k+1)
+	for _, a := range assign {
+		if a >= 0 {
+			start[a+1]++
+		}
+	}
+	for gi := 0; gi < k; gi++ {
+		start[gi+1] += start[gi]
+	}
+	backing := make([]int, start[k])
+	groups := make([][]int, k)
+	for gi := range groups {
+		groups[gi] = backing[start[gi]:start[gi]:start[gi+1]]
+	}
+	for v, a := range assign {
+		if a >= 0 {
+			groups[a] = append(groups[a], v)
+		}
+	}
+	return groups
 }
 
 // bisectNodes splits the node set into a ⌈n/2⌉ prefix and ⌊n/2⌋ suffix
 // minimizing the induced cut, reordering nodes in place (each half stays
-// ascending) and returning the split point.
+// ascending) and returning the split point. A set of at most exactLimit
+// nodes is solved exactly; a larger one runs the multilevel heuristic.
 func (p *Partitioner) bisectNodes(g *Sparse, nodes []int32) int {
 	n := len(nodes)
 	if n <= 1 {
@@ -198,6 +225,86 @@ func (p *Partitioner) bisectNodes(g *Sparse, nodes []int32) int {
 		p.localIdx[v] = -1
 	}
 
+	if n <= exactLimit {
+		p.bisectExact(lv0)
+	} else {
+		p.bisectMultilevel(n)
+	}
+
+	// Stable-partition nodes by side: A first, both halves stay ascending.
+	side := lv0.side
+	p.tmp = p.tmp[:0]
+	w := 0
+	for i, v := range nodes {
+		if side[i] == 0 {
+			nodes[w] = v
+			w++
+		} else {
+			p.tmp = append(p.tmp, v)
+		}
+	}
+	copy(nodes[w:], p.tmp)
+	return w
+}
+
+// cutEdge is one edge {i, j}, i < j, of an exactly bisected node set.
+type cutEdge struct {
+	i, j uint32
+	w    float64
+}
+
+// bisectExact enumerates every balanced split of lv (at most exactLimit
+// nodes) with local node 0 on side A and |A| = ⌈n/2⌉, in ascending order of
+// the A-side bitmask, and keeps the first strictly smallest cut. Each cut
+// is summed over edges {i, j}, i < j, in row order, so the comparison, and
+// with it the tie between equal cuts, is reproducible bit for bit.
+func (p *Partitioner) bisectExact(lv *mlLevel) {
+	n := lv.n
+	p.edges = p.edges[:0]
+	nonneg := true
+	for i := 0; i < n; i++ {
+		for t := lv.rowPtr[i]; t < lv.rowPtr[i+1]; t++ {
+			if j := lv.col[t]; int(j) > i {
+				p.edges = append(p.edges, cutEdge{uint32(i), uint32(j), lv.w[t]})
+				nonneg = nonneg && lv.w[t] >= 0
+			}
+		}
+	}
+	// Gosper's hack walks the masks over nodes 1..n-1 with ⌈n/2⌉-1 bits in
+	// ascending order; node 0 (bit 0) is always on side A.
+	r := (n+1)/2 - 1
+	best, bestCut := uint32(1), math.Inf(1)
+	for m := uint32(1)<<r - 1; m < 1<<(n-1); {
+		mask := m<<1 | 1
+		var cut float64
+		for _, e := range p.edges {
+			if (mask>>e.i^mask>>e.j)&1 != 0 {
+				// With no negative weight the partial sum only grows, so a
+				// split that already reaches bestCut cannot win: stop early.
+				if cut += e.w; nonneg && cut >= bestCut {
+					break
+				}
+			}
+		}
+		if cut < bestCut {
+			best, bestCut = mask, cut
+		}
+		if m == 0 {
+			break // r == 0: the single split {0} | rest
+		}
+		c := m & -m
+		next := m + c
+		m = (next^m)>>2/c | next
+	}
+	for v := 0; v < n; v++ {
+		lv.side[v] = uint8(^best >> v & 1)
+	}
+}
+
+// bisectMultilevel bisects the level-0 graph of n nodes into sides of
+// ⌈n/2⌉ and ⌊n/2⌋: coarsen, seed-split the coarsest level, then refine
+// and rebalance each level on the way back up.
+func (p *Partitioner) bisectMultilevel(n int) {
 	// Coarsen until the graph is small or matching stops shrinking it.
 	d := 0
 	for p.level(d).n > mlCoarseLimit && d < mlMaxLevels {
@@ -226,21 +333,6 @@ func (p *Partitioner) bisectNodes(g *Sparse, nodes []int32) int {
 		d--
 	}
 	p.enforceBalance(p.level(0), targetA, 0)
-
-	// Stable-partition nodes by side: A first, both halves stay ascending.
-	side := p.level(0).side
-	p.tmp = p.tmp[:0]
-	w := 0
-	for i, v := range nodes {
-		if side[i] == 0 {
-			nodes[w] = v
-			w++
-		} else {
-			p.tmp = append(p.tmp, v)
-		}
-	}
-	copy(nodes[w:], p.tmp)
-	return w
 }
 
 func (p *Partitioner) level(d int) *mlLevel {
@@ -439,7 +531,7 @@ func sideWeight(lv *mlLevel) int32 {
 
 // enforceBalance moves least-damaging nodes from the heavy side until the
 // A-side weight is within tol of targetA (tol 0 at the finest level, where
-// node weights are 1, gives the exact ⌈n/2⌉ split the dense path pins).
+// node weights are 1, gives the exact ⌈n/2⌉ split the exact solver makes).
 func (p *Partitioner) enforceBalance(lv *mlLevel, targetA, tol int32) {
 	wa := sideWeight(lv)
 	for iter := 0; iter <= lv.n; iter++ {

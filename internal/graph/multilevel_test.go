@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// checkKWay asserts the structural contract shared by both partitioners:
-// every node in exactly one group, group sizes balanced to ±1, groups
-// sorted ascending.
+// checkKWay asserts the partitioner's structural contract: every node in
+// exactly one group, group sizes balanced to ±1, groups sorted ascending.
 func checkKWay(t *testing.T, groups [][]int, n, k int) {
 	t.Helper()
 	if len(groups) != k {
@@ -113,13 +112,13 @@ func TestSparsePartitionDeterministic(t *testing.T) {
 	}
 }
 
-// The multilevel partitioner must come close to the exact optimum where the
-// exact enumerator is available.
+// The multilevel partitioner must come close to the exact optimum. At 22
+// nodes the bisection runs multilevel, past exactLimit, so it is measured
+// against the exhaustive oracle.
 func TestSparseBisectQualityVsExact(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
-		g, s := randomSparse(16, 6, int64(300+trial))
-		ea, eb := g.Bisect()
-		exact := g.CutWeight(ea, eb)
+		w, s := randomSparse(22, 6, int64(300+trial))
+		_, _, exact := bisectOracle(w)
 		groups := s.PartitionK(2)
 		got := s.CutWeight(groups[0], groups[1])
 		if got < exact-1e-9 {
@@ -131,19 +130,10 @@ func TestSparseBisectQualityVsExact(t *testing.T) {
 	}
 }
 
-// Degenerate inputs must behave identically on the dense and sparse paths.
+// Degenerate inputs: k > n, k = n, an all-zero graph, one overwhelming
+// edge, and invalid k, on both the exact (≤ exactLimit) and multilevel
+// bisections.
 func TestPartitionKDegenerateConsistency(t *testing.T) {
-	// k > n: trailing groups are empty on both paths.
-	g, s := randomSparse(5, 4, 31)
-	dg, sg := g.PartitionK(8), s.PartitionK(8)
-	if len(dg) != 8 || len(sg) != 8 {
-		t.Fatalf("k>n group counts: dense %d sparse %d", len(dg), len(sg))
-	}
-	for gi := range dg {
-		if len(dg[gi]) > 1 || len(sg[gi]) > 1 {
-			t.Fatalf("k>n produced oversized group")
-		}
-	}
 	countNonEmpty := func(gs [][]int) int {
 		c := 0
 		for _, g := range gs {
@@ -153,52 +143,53 @@ func TestPartitionKDegenerateConsistency(t *testing.T) {
 		}
 		return c
 	}
-	if countNonEmpty(dg) != 5 || countNonEmpty(sg) != 5 {
-		t.Fatalf("k>n non-empty groups: dense %d sparse %d", countNonEmpty(dg), countNonEmpty(sg))
-	}
+	for _, n := range []int{5, 40} {
+		// k > n: trailing groups are empty, every node a singleton.
+		_, s := randomSparse(n, 4, int64(31+n))
+		k := 8
+		for k <= n {
+			k *= 2
+		}
+		groups := s.PartitionK(k)
+		checkKWay(t, groups, n, k)
+		if countNonEmpty(groups) != n {
+			t.Fatalf("n=%d k=%d: %d non-empty groups", n, k, countNonEmpty(groups))
+		}
 
-	// k = n: singleton groups.
-	g, s = randomSparse(8, 4, 32)
-	checkKWay(t, g.PartitionK(8), 8, 8)
-	checkKWay(t, s.PartitionK(8), 8, 8)
+		// k = n (rounded down to a power of two): singleton or pair groups.
+		checkKWay(t, s.PartitionK(k/2), n, k/2)
 
-	// All-zero graph: both paths still produce a balanced partition and are
-	// deterministic (same groups on repeated calls).
-	zb := NewBuilder(12, 0)
-	zs := zb.Build()
-	z1, z2 := zs.PartitionK(4), zs.PartitionK(4)
-	checkKWay(t, z1, 12, 4)
-	for gi := range z1 {
-		for i := range z1[gi] {
-			if z1[gi][i] != z2[gi][i] {
-				t.Fatal("all-zero sparse partition not deterministic")
+		// All-zero graph: a balanced partition, deterministic across calls.
+		zs := NewBuilder(n+7, 0).Build()
+		z1, z2 := zs.PartitionK(4), zs.PartitionK(4)
+		checkKWay(t, z1, n+7, 4)
+		for gi := range z1 {
+			if !sameInts(z1[gi], z2[gi]) {
+				t.Fatal("all-zero partition not deterministic")
 			}
 		}
-	}
-	checkKWay(t, New(12).PartitionK(4), 12, 4)
 
-	// Heavily unbalanced weights: one giant edge must not break balance.
-	ub := NewBuilder(9, 0)
-	ub.Add(0, 1, 1e12)
-	for i := 0; i < 9; i++ {
-		for j := i + 1; j < 9; j++ {
-			if !(i == 0 && j == 1) {
-				ub.Add(i, j, 1e-6)
+		// Heavily unbalanced weights: one giant edge must not break balance.
+		ub := NewBuilder(n+4, 0)
+		ub.Add(0, 1, 1e12)
+		for i := 0; i < n+4; i++ {
+			for j := i + 1; j < n+4; j++ {
+				if !(i == 0 && j == 1) {
+					ub.Add(i, j, 1e-6)
+				}
 			}
 		}
-	}
-	checkKWay(t, ub.Build().PartitionK(4), 9, 4)
+		checkKWay(t, ub.Build().PartitionK(4), n+4, 4)
 
-	// Invalid k panics identically on both paths.
-	for _, k := range []int{0, -2, 3, 6, 12} {
-		for _, f := range []func(){func() { g.PartitionK(k) }, func() { s.PartitionK(k) }} {
+		// Invalid k panics.
+		for _, k := range []int{0, -2, 3, 6, 12} {
 			func() {
 				defer func() {
 					if recover() == nil {
 						t.Fatalf("PartitionK(%d) did not panic", k)
 					}
 				}()
-				f()
+				s.PartitionK(k)
 			}()
 		}
 	}

@@ -89,22 +89,7 @@ func (pt *Partition) Group(v int) int { return int(pt.assign[v]) }
 func (pt *Partition) Assign() []int32 { return pt.assign }
 
 // Groups materializes the partition as sorted groups, the PartitionK shape.
-func (pt *Partition) Groups() [][]int {
-	groups := make([][]int, pt.k)
-	backing := make([]int, len(pt.assign))
-	off := 0
-	for gi := int32(0); gi < int32(pt.k); gi++ {
-		grp := backing[off:off]
-		for v, a := range pt.assign {
-			if a == gi {
-				grp = append(grp, v)
-			}
-		}
-		off += len(grp)
-		groups[gi] = grp
-	}
-	return groups
-}
+func (pt *Partition) Groups() [][]int { return groupsOf(pt.assign, pt.k) }
 
 // UpdateWeight overwrites the weight of existing edge {i,j} through
 // Sparse.UpdateWeight and keeps the partition's cut bookkeeping in sync.

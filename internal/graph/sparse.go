@@ -1,12 +1,19 @@
-// Sparse interference graphs. The dense Graph of graph.go is exactly right
-// at the paper's scale (4 processes, 16 threads) but its n×n matrix and the
-// full-copy recursive bisection behind PartitionK are O(P²) memory and worse
-// in time — the first wall on the road to thousands of processes re-scheduled
-// every quantum (ROADMAP directions 2 and 4). Sparse is the scaled
-// counterpart: a CSR adjacency with top-m neighbor sparsification, built
-// through Builder without ever materializing the dense matrix, partitioned by
-// the multilevel code in multilevel.go and repaired incrementally by
-// repair.go.
+// Package graph provides the weighted undirected interference graphs and the
+// balanced MIN-CUT partitioning used by the paper's interference-graph
+// allocation algorithms (§3.3.2, §3.3.3).
+//
+// A graph is a CSR adjacency (Sparse) built through Builder, which keeps
+// each node's top-m heaviest neighbors: O(P·m) memory at any scale, and the
+// complete graph whenever P ≤ m+1. One partitioner (multilevel.go) makes
+// every decision. The paper uses an SDP solver for MIN-CUT; at the paper's
+// problem sizes (4 processes, or 16 threads) exact enumeration is cheap and
+// strictly better, so a node set of at most 20 nodes is bisected exactly.
+// Larger sets are coarsened by heavy-edge matching, split, and refined on
+// the way back up. PartitionK applies hierarchical bisection for more than
+// two cores, exactly as §3.3.2 prescribes ("first divide into two groups
+// using MIN-CUT and then apply MIN-CUT to each group"). Partitions are then
+// repaired incrementally under weight changes and thread churn (repair.go,
+// churn.go).
 package graph
 
 import (
@@ -137,8 +144,7 @@ func (s *Sparse) TotalWeight() float64 {
 }
 
 // CutWeight returns the total weight of edges crossing between group a and
-// group b — the same MIN-CUT objective as the dense Graph.CutWeight, but
-// computed in O(Σdeg(a)) with a membership scan instead of O(|a|·|b|).
+// group b (the MIN-CUT objective), in O(Σdeg(a)) with a membership scan.
 func (s *Sparse) CutWeight(a, b []int) float64 {
 	inB := make([]bool, s.n)
 	for _, j := range b {
@@ -224,9 +230,10 @@ type builderEdge struct {
 // copies at both endpoints agree and Build's per-row dedup keeps the
 // maximum deterministically.
 type Builder struct {
-	n    int
-	topM int
-	rows [][]builderEdge // per-node bounded min-heap on (w, -id)
+	n      int
+	topM   int
+	rows   [][]builderEdge // per-node bounded min-heap on (w, -id)
+	sorter rowSorter       // reused by BuildInto's per-row sort
 }
 
 // NewBuilder returns a builder for n nodes keeping the top topM neighbors
@@ -321,21 +328,31 @@ func (b *Builder) push(i int, e builderEdge) {
 // Build assembles the CSR graph: the union of every node's retained
 // candidates, each edge symmetric with its offered weight. The builder
 // remains usable (Reset) afterwards.
-func (s *Builder) Build() *Sparse {
-	n := s.n
+func (b *Builder) Build() *Sparse {
+	s := new(Sparse)
+	b.BuildInto(s)
+	return s
+}
+
+// BuildInto is Build assembling the graph in dst, reusing dst's storage
+// where its capacity allows: a caller that rebuilds a graph of stable size
+// every period (the monitor's allocation scratch) allocates nothing once
+// warm. Whatever dst held before, churn state included, is discarded.
+func (b *Builder) BuildInto(dst *Sparse) {
+	n := b.n
 	// Mark survivors: an edge {i,j} survives if either endpoint kept it.
 	// Sort each row by id so union-merging and CSR emission are one pass,
 	// and dedup repeated offers of one pair down to the heaviest copy.
-	for i := range s.rows {
-		row := s.rows[i]
-		slices.SortFunc(row, func(a, b builderEdge) int {
-			if a.to != b.to {
-				return int(a.to - b.to)
+	for i := range b.rows {
+		row := b.rows[i]
+		slices.SortFunc(row, func(x, y builderEdge) int {
+			if x.to != y.to {
+				return int(x.to - y.to)
 			}
 			switch {
-			case a.w > b.w:
+			case x.w > y.w:
 				return -1
-			case a.w < b.w:
+			case x.w < y.w:
 				return 1
 			}
 			return 0
@@ -348,70 +365,73 @@ func (s *Builder) Build() *Sparse {
 			row[w] = row[r]
 			w++
 		}
-		s.rows[i] = row[:w]
+		b.rows[i] = row[:w]
 	}
-	deg := make([]int32, n+1)
-	for i, row := range s.rows {
+	// Row i's degree lands in rowPtr[i+1], then a prefix sum turns degrees
+	// into row starts. The count visits each surviving directed slot once:
+	// (i→j) from i's row, and (j→i) either from j's own row or, when j
+	// evicted the edge, as the union term — the kept() guard keeps an edge
+	// both endpoints retained from being counted twice.
+	rowPtr := growI32(dst.off[:cap(dst.off)], n+1)
+	clear(rowPtr)
+	for i, row := range b.rows {
 		for _, e := range row {
-			j := int(e.to)
-			deg[i+1]++
-			if !s.kept(j, int32(i)) {
-				deg[j+1]++ // i kept it, j evicted it: j's row gains it back
+			rowPtr[i+1]++
+			if !b.kept(int(e.to), int32(i)) {
+				rowPtr[e.to+1]++
 			}
 		}
 	}
-	// The loop above counts each surviving directed slot once: (i→j) from
-	// i's row, and (j→i) either from j's own row or from the union term.
-	// But when BOTH kept the edge, (j→i) is counted by j's own iteration —
-	// and the union term must not double it, hence the kept() guard.
-	rowPtr := make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		rowPtr[i+1] = rowPtr[i] + deg[i+1]
+		rowPtr[i+1] += rowPtr[i]
 	}
-	col := make([]int32, rowPtr[n])
-	wts := make([]float64, rowPtr[n])
-	next := make([]int32, n)
-	copy(next, rowPtr[:n])
+	slots := int(rowPtr[n])
+	col, wts := growI32(dst.col, slots), growF64(dst.wts, slots)
+	// end[i] is row i's emission cursor; once every edge is emitted it sits
+	// at the row's end, which is also its storage limit: a fresh build is
+	// fully packed, so the first structural insert into a row relocates it
+	// to tail storage with slack (see churn.go).
+	end := growI32(dst.end, n)
+	copy(end, rowPtr[:n])
 	emit := func(i int, j int32, w float64) {
-		col[next[i]] = j
-		wts[next[i]] = w
-		next[i]++
+		col[end[i]] = j
+		wts[end[i]] = w
+		end[i]++
 	}
-	for i, row := range s.rows {
+	for i, row := range b.rows {
 		for _, e := range row {
 			emit(i, e.to, e.w)
-			if !s.kept(int(e.to), int32(i)) {
+			if !b.kept(int(e.to), int32(i)) {
 				emit(int(e.to), int32(i), e.w)
 			}
 		}
 	}
-	// A fresh build is fully packed: every row's storage limit coincides
-	// with its live end, so the first structural insert into a row
-	// relocates it to tail storage with slack (see churn.go).
-	sp := &Sparse{
-		n: n, alive: n, slots: len(col),
-		off: rowPtr[:n:n], end: make([]int32, n), lim: make([]int32, n),
-		col: col, wts: wts, dead: make([]bool, n),
-	}
-	copy(sp.end, rowPtr[1:])
-	copy(sp.lim, rowPtr[1:])
 	// Rows built from union terms are appended out of order; normalize.
 	for i := 0; i < n; i++ {
 		lo, hi := rowPtr[i], rowPtr[i+1]
-		c, w := col[lo:hi], wts[lo:hi]
-		sort.Sort(&rowSorter{c, w})
+		b.sorter.col, b.sorter.wts = col[lo:hi], wts[lo:hi]
+		sort.Sort(&b.sorter)
 	}
-	return sp
+	lim := growI32(dst.lim, n)
+	copy(lim, end)
+	dead := growBool(dst.dead, n)
+	clear(dead)
+	*dst = Sparse{
+		n: n, alive: n, slots: slots,
+		off: rowPtr[:n], end: end, lim: lim,
+		col: col, wts: wts, dead: dead, free: dst.free[:0],
+	}
 }
 
 // kept reports whether node i's retained row contains neighbor j (rows are
-// sorted by Build before use).
-func (s *Builder) kept(i int, j int32) bool {
-	row := s.rows[i]
+// sorted by BuildInto before use).
+func (b *Builder) kept(i int, j int32) bool {
+	row := b.rows[i]
 	k := sort.Search(len(row), func(x int) bool { return row[x].to >= j })
 	return k < len(row) && row[k].to == j
 }
 
+// rowSorter orders a neighbor list and its weights by node id.
 type rowSorter struct {
 	col []int32
 	wts []float64
@@ -422,20 +442,4 @@ func (r *rowSorter) Less(a, b int) bool { return r.col[a] < r.col[b] }
 func (r *rowSorter) Swap(a, b int) {
 	r.col[a], r.col[b] = r.col[b], r.col[a]
 	r.wts[a], r.wts[b] = r.wts[b], r.wts[a]
-}
-
-// DenseToSparse converts a dense graph to CSR form with optional top-m
-// sparsification — the bridge for benchmarking both partitioners on one
-// logical graph and for callers holding a small dense graph that want the
-// incremental repair API.
-func DenseToSparse(g *Graph, topM int) *Sparse {
-	b := NewBuilder(g.Len(), topM)
-	for i := 0; i < g.Len(); i++ {
-		for j := i + 1; j < g.Len(); j++ {
-			if w := g.Weight(i, j); w != 0 {
-				b.Add(i, j, w)
-			}
-		}
-	}
-	return b.Build()
 }

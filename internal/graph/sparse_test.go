@@ -6,45 +6,54 @@ import (
 )
 
 // randomSparse builds a random graph with roughly avgDeg neighbors per node,
-// returned in both dense and sparse (unsparsified) forms so tests can
-// compare the two representations on one logical graph.
-func randomSparse(n, avgDeg int, seed int64) (*Graph, *Sparse) {
+// returned both as a dense weight matrix and as the unsparsified Sparse of
+// the same edges, so tests can check one against the other.
+func randomSparse(n, avgDeg int, seed int64) ([][]float64, *Sparse) {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+	}
 	b := NewBuilder(n, 0)
 	edges := n * avgDeg / 2
 	for e := 0; e < edges; e++ {
 		i, j := rng.Intn(n), rng.Intn(n)
-		if i == j || g.Weight(i, j) != 0 {
+		if i == j || w[i][j] != 0 {
 			continue
 		}
-		w := rng.Float64()*10 + 0.01
-		g.SetWeight(i, j, w)
-		b.Add(i, j, w)
+		x := rng.Float64()*10 + 0.01
+		w[i][j], w[j][i] = x, x
+		b.Add(i, j, x)
 	}
-	return g, b.Build()
+	return w, b.Build()
 }
 
+// TestSparseMatchesDense checks the CSR graph against the dense matrix of
+// the same edges: every weight, the total, and the cut and intra sums.
 func TestSparseMatchesDense(t *testing.T) {
-	g, s := randomSparse(60, 8, 1)
+	w, s := randomSparse(60, 8, 1)
 	if s.Len() != 60 {
 		t.Fatalf("Len = %d", s.Len())
 	}
+	var total float64
 	for i := 0; i < 60; i++ {
 		for j := 0; j < 60; j++ {
-			if dw, sw := g.Weight(i, j), s.Weight(i, j); dw != sw {
+			if dw, sw := w[i][j], s.Weight(i, j); dw != sw {
 				t.Fatalf("weight(%d,%d): dense %g sparse %g", i, j, dw, sw)
+			}
+			if j > i {
+				total += w[i][j]
 			}
 		}
 	}
-	if dt, st := g.TotalWeight(), s.TotalWeight(); !approxEq(dt, st) {
-		t.Fatalf("TotalWeight: dense %g sparse %g", dt, st)
+	if st := s.TotalWeight(); !approxEq(total, st) {
+		t.Fatalf("TotalWeight: dense %g sparse %g", total, st)
 	}
 	a, b := []int{0, 5, 10, 15, 20, 25}, []int{1, 6, 11, 16, 21, 26}
-	if dc, sc := g.CutWeight(a, b), s.CutWeight(a, b); !approxEq(dc, sc) {
+	if dc, sc := matrixCut(w, a, b), s.CutWeight(a, b); !approxEq(dc, sc) {
 		t.Fatalf("CutWeight: dense %g sparse %g", dc, sc)
 	}
-	if di, si := g.IntraWeight(a), s.IntraWeight(a); !approxEq(di, si) {
+	if di, si := matrixCut(w, a, a)/2, s.IntraWeight(a); !approxEq(di, si) {
 		t.Fatalf("IntraWeight: dense %g sparse %g", di, si)
 	}
 }
@@ -203,17 +212,40 @@ func TestSparseOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestDenseToSparse(t *testing.T) {
-	g := randomGraph(12, 8)
-	s := DenseToSparse(g, 0)
-	if s.Edges() != 12*11/2 {
-		t.Fatalf("Edges = %d", s.Edges())
-	}
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 12; j++ {
-			if g.Weight(i, j) != s.Weight(i, j) {
-				t.Fatalf("weight(%d,%d) differs", i, j)
+// TestBuildIntoMatchesBuild: rebuilding in place into a graph that already
+// holds other contents, larger, smaller, or edited by churn, must give
+// exactly what a fresh Build gives.
+func TestBuildIntoMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var dst Sparse
+	b := NewBuilder(0, 0)
+	for trial := 0; trial < 40; trial++ {
+		n, topM := rng.Intn(40), rng.Intn(6)
+		b.Reset(n, topM)
+		for e := 0; e < n*4; e++ {
+			b.Add(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9)))
+		}
+		want := b.Build()
+		b.BuildInto(&dst)
+		if dst.Len() != want.Len() || dst.Alive() != want.Alive() || dst.Edges() != want.Edges() || dst.Drift() != (Drift{}) {
+			t.Fatalf("trial %d: shape %d/%d/%d drift %+v, want %d/%d/%d",
+				trial, dst.Len(), dst.Alive(), dst.Edges(), dst.Drift(), want.Len(), want.Alive(), want.Edges())
+		}
+		for i := 0; i < n; i++ {
+			gc, gw := dst.Row(i)
+			wc, ww := want.Row(i)
+			if len(gc) != len(wc) {
+				t.Fatalf("trial %d: row %d has %d neighbors, want %d", trial, i, len(gc), len(wc))
 			}
+			for x := range gc {
+				if gc[x] != wc[x] || gw[x] != ww[x] {
+					t.Fatalf("trial %d: row %d differs: %v %v, want %v %v", trial, i, gc, gw, wc, ww)
+				}
+			}
+		}
+		if n > 2 && trial%3 == 0 { // leave churn state behind for the next rebuild
+			dst.RemoveNode(0)
+			dst.InsertNode([]int32{1}, []float64{2})
 		}
 	}
 }

@@ -2,23 +2,15 @@ package graph
 
 import (
 	"fmt"
-	"os"
 	"testing"
 )
 
 // benchSparse builds the allocator-shaped benchmark graph: P nodes, top-m
-// sparsified (m=16), weights drawn deterministically. The same edge set
-// backs the dense mirror so the two partitioners race on one logical graph.
+// sparsified (m=16), weights drawn deterministically.
 func benchSparse(p int) *Sparse {
 	b := NewBuilder(p, 16)
 	fillBenchEdges(p, func(i, j int, w float64) { b.Add(i, j, w) })
 	return b.Build()
-}
-
-func benchDense(p int) *Graph {
-	g := New(p)
-	fillBenchEdges(p, func(i, j int, w float64) { g.SetWeight(i, j, w) })
-	return g
 }
 
 // fillBenchEdges emits ~24 candidate edges per node from a cheap
@@ -46,41 +38,19 @@ func fillBenchEdges(p int, add func(i, j int, w float64)) {
 }
 
 // BenchmarkPartitionK is the allocator-scaling headline: multilevel
-// partitioning on the sparse path across the P-sweep the ISSUE names,
-// k = P/16 cores (64 cores at P=1024).
+// partitioning across the allocator P-sweep, k = P/16 cores (64 cores at
+// P=1024), into a reused assignment buffer.
 func BenchmarkPartitionK(b *testing.B) {
 	for _, p := range []int{64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			s := benchSparse(p)
 			k := p / 16
 			part := NewPartitioner()
+			var assign []int32
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				part.PartitionK(s, k)
-			}
-		})
-	}
-}
-
-// BenchmarkPartitionKDense is the seed baseline: the dense recursive
-// full-copy bisection on the same logical graphs. P=1024 takes minutes per
-// invocation, so it only runs when ALLOCBENCH_DENSE_FULL is set (the ledger
-// in results/BENCH_2026-08-06.json holds one measured invocation; cmd/bench's
-// alloc layer stops its dense path at P=256).
-func BenchmarkPartitionKDense(b *testing.B) {
-	ps := []int{64, 256}
-	if os.Getenv("ALLOCBENCH_DENSE_FULL") != "" {
-		ps = append(ps, 1024)
-	}
-	for _, p := range ps {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			g := benchDense(p)
-			k := p / 16
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.PartitionK(k)
+				assign = part.PartitionInto(s, k, assign)
 			}
 		})
 	}

@@ -51,7 +51,7 @@ type Monitor struct {
 	// the steady-state invocation (snapshot + smooth + allocate + record)
 	// allocation-free; see TestMonitorSteadyStateAllocs.
 	snap        kernel.Snapshotter
-	scratch     alloc.Scratch
+	scratch     *alloc.Scratch
 	lastMapping alloc.Mapping
 	lastKey     string
 }
@@ -64,12 +64,21 @@ type smoothState struct {
 
 // New returns a monitor running the given policy that applies its decisions.
 func New(p alloc.Policy) *Monitor {
+	return NewWithScratch(p, new(alloc.Scratch))
+}
+
+// NewWithScratch is New with the policy's scratch supplied by the caller, so
+// a caller that runs many short-lived monitors one after another (a sweep
+// worker's phase-1 runs) warms one scratch instead of one per monitor. The
+// scratch must not serve two monitors at once.
+func NewWithScratch(p alloc.Policy, s *alloc.Scratch) *Monitor {
 	return &Monitor{
 		Policy:    p,
 		Apply:     true,
 		Smoothing: 0.5,
 		votes:     map[string]int{},
 		sample:    map[string]alloc.Mapping{},
+		scratch:   s,
 	}
 }
 
@@ -95,7 +104,7 @@ func (mo *Monitor) Observe(procs []*kernel.Process, cores int) alloc.Mapping {
 	views = mo.smooth(views)
 	var mapping alloc.Mapping
 	if sp, ok := mo.Policy.(alloc.ScratchPolicy); ok {
-		mapping = sp.AllocateScratch(views, cores, &mo.scratch)
+		mapping = sp.AllocateScratch(views, cores, mo.scratch)
 	} else {
 		mapping = mo.Policy.Allocate(views, cores)
 	}
