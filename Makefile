@@ -49,11 +49,13 @@ gate = @names=$$($(GO) test -list . $(1) | grep -E '^(Test|Fuzz|Example)') || { 
 
 # The sharding contract, run explicitly (and uncached) as its own CI gate:
 # a 3-way sharded sweep must merge byte-identically to the single-process
-# run, results must not depend on the worker count, and the distributed
-# coordinator — stragglers re-dispatched, duplicates discarded — must
-# produce the same bytes end to end over HTTP.
+# run, results must not depend on the worker count, the range-indexed
+# streaming merger must decide and report exactly as a linear-scan
+# reference merger on random shard sets, and the distributed coordinator —
+# stragglers re-dispatched, duplicates discarded — must produce the same
+# bytes end to end over HTTP.
 shardcheck:
-	$(call gate,./internal/experiments,TestShardMergeEquivalence|TestWorkersInvariance)
+	$(call gate,./internal/experiments,TestShardMergeEquivalence|TestWorkersInvariance|TestShardMergerMatchesLinearScan)
 	$(call gate,./internal/coordctl,TestCoordinatorEndToEnd)
 
 # The trace-replay contract, uncached: the codec round-trips (v1 and both v2
@@ -97,10 +99,13 @@ sigcheck:
 # with no accepted shard re-leased), bearer-token auth on both planes, TLS
 # trust configuration, the multi-campaign REST API with cancellation
 # persisting across restarts, the worker's failure budget resetting on any
-# successful exchange, and the 50-worker load smoke reconciling client
-# counts, server counters, and journal records three ways.
+# successful exchange, the 50-worker load smoke reconciling client
+# counts, server counters, and journal records three ways, the counted
+# lease table agreeing step for step with a linear-scan reference table,
+# /metrics shard counts equal to a scan, and oversized request bodies
+# refused with 413 and no state change.
 servicecheck:
-	$(call gate,./internal/coordctl,TestJournal|TestServiceRestartResume|TestCoordinatorAuth|TestCoordinatorTLS|TestCampaignAPI|TestCancelPersistsAcrossRestart|TestWorkerFailureBudgetResetsOnContact|TestCoordinatorLoadSmoke)
+	$(call gate,./internal/coordctl,TestJournal|TestServiceRestartResume|TestCoordinatorAuth|TestCoordinatorTLS|TestCampaignAPI|TestCancelPersistsAcrossRestart|TestWorkerFailureBudgetResetsOnContact|TestCoordinatorLoadSmoke|TestLeaseTableMatchesScan|TestMetricsShardCountsMatchScan|TestOversizedBodiesRefused)
 
 # The churn contract, uncached: incremental insert/remove/age on the sparse
 # graph stays parity-exact with a fresh Builder build (fuzz seed corpus +

@@ -64,7 +64,7 @@ func TestBackoffDefaults(t *testing.T) {
 // expiry requeues while attempts remain, then fails permanently.
 func TestLeaseTableExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tab := newLeaseTable(2, time.Minute, 2)
+	tab := newLeaseTable("c1", 2, time.Minute, 2)
 
 	e := tab.lease("w1", now)
 	if e == nil || e.index != 0 || e.attempts != 1 {
@@ -108,7 +108,7 @@ func TestLeaseTableExpiry(t *testing.T) {
 // pending with the reason recorded, failed once the budget is gone.
 func TestLeaseTableReject(t *testing.T) {
 	now := time.Unix(0, 0)
-	tab := newLeaseTable(1, time.Minute, 2)
+	tab := newLeaseTable("c1", 1, time.Minute, 2)
 	e := tab.lease("w", now)
 	tab.reject(e, "bad pool hash")
 	if e.state != statePending || e.lastErr != "bad pool hash" {

@@ -116,7 +116,7 @@ func (c *Client) Lease(ctx context.Context) (*WorkUnit, error) {
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var wu WorkUnit
-		if err := json.NewDecoder(resp.Body).Decode(&wu); err != nil {
+		if err := readJSON(resp.Body, resp.ContentLength, maxControlBody, &wu); err != nil {
 			return nil, fmt.Errorf("coordctl: bad lease response: %w", err)
 		}
 		return &wu, nil
@@ -154,11 +154,15 @@ func (c *Client) Submit(ctx context.Context, wu *WorkUnit, sh experiments.Shard)
 		return SubmitResult{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusUnauthorized {
+	switch resp.StatusCode {
+	case http.StatusUnauthorized:
 		return SubmitResult{}, ErrUnauthorized
+	case http.StatusRequestEntityTooLarge:
+		// The same bytes would be refused again.
+		return SubmitResult{}, fmt.Errorf("%w: %s", ErrRejected, readError(resp))
 	}
 	var res SubmitResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+	if err := readJSON(resp.Body, resp.ContentLength, maxControlBody, &res); err != nil {
 		return SubmitResult{}, fmt.Errorf("coordctl: bad submit response (HTTP %d): %w", resp.StatusCode, err)
 	}
 	if resp.StatusCode == http.StatusUnprocessableEntity {

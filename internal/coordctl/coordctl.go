@@ -31,7 +31,10 @@
 package coordctl
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"symbiosched/internal/experiments"
 	"symbiosched/internal/workload"
@@ -215,6 +218,52 @@ type SubmitResult struct {
 	// fleet can stand down.
 	Done  bool   `json:"done,omitempty"`
 	Error string `json:"error,omitempty"`
+}
+
+// Message body limits, enforced by the server on requests and by the
+// client on the lease and submit responses. Everything but a shard is a
+// few hundred bytes; a whole-space Fig 10 shard is 495 outcomes, well
+// under 1 MiB.
+const (
+	maxControlBody = 1 << 20  // lease and campaign requests, lease and submit responses
+	maxShardBody   = 64 << 20 // a submitted shard
+)
+
+// errBodyTooLarge marks a message body over its limit; the server answers
+// it with 413 Request Entity Too Large.
+var errBodyTooLarge = errors.New("coordctl: body too large")
+
+// readJSON reads a whole message body of at most limit bytes and
+// unmarshals it into v. The buffer is sized from the declared length when
+// there is one (plus a spare byte, so reaching EOF needs no growth). Data
+// after the JSON value is an error.
+func readJSON(body io.Reader, declared, limit int64, v any) error {
+	if declared > limit {
+		return fmt.Errorf("%w: %d bytes, limit %d", errBodyTooLarge, declared, limit)
+	}
+	size := int64(512)
+	if declared >= 0 {
+		size = declared + 1
+	}
+	buf := make([]byte, 0, size)
+	r := io.LimitReader(body, limit+1)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+	if int64(len(buf)) > limit {
+		return fmt.Errorf("%w: over %d bytes", errBodyTooLarge, limit)
+	}
+	return json.Unmarshal(buf, v)
 }
 
 // CampaignRequest is the POST /campaigns body: the user-facing knobs of a

@@ -2,6 +2,7 @@ package coordctl
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -20,7 +21,12 @@ const (
 	stateLeased
 	stateDone
 	stateFailed
+	numStates
 )
+
+// statesByName lists the states in the order of their names, the order
+// /metrics prints them in.
+var statesByName = [numStates]shardState{stateDone, stateFailed, stateLeased, statePending}
 
 func (s shardState) String() string {
 	switch s {
@@ -51,69 +57,124 @@ type shardEntry struct {
 	lastErr string
 }
 
-// leaseTable owns the shard entries. It is not locked — the server
-// serializes access under its own mutex.
+// leaseTable owns the shard entries and is the only writer of their state.
+// It is not locked — the server serializes access under its own mutex.
+//
+// Besides the entries it keeps three summaries, so that a lease or submit
+// costs the same whatever the shard count: a count per state, a cursor
+// below which no entry is pending, and a lower bound on the earliest
+// leased deadline. expire scans the entries only once that bound has
+// passed, and then tightens it to the exact earliest deadline.
 type leaseTable struct {
 	entries     []shardEntry
+	campaign    string // lease ids are <campaign>-lease-<seq>
 	timeout     time.Duration
 	maxAttempts int
 	seq         int
+
+	counts   [numStates]int // entries per state
+	next     int            // no entry below next is pending
+	earliest time.Time      // no leased deadline is before earliest
 }
 
-func newLeaseTable(shards int, timeout time.Duration, maxAttempts int) *leaseTable {
+func newLeaseTable(campaign string, shards int, timeout time.Duration, maxAttempts int) *leaseTable {
 	t := &leaseTable{
 		entries:     make([]shardEntry, shards),
+		campaign:    campaign,
 		timeout:     timeout,
 		maxAttempts: maxAttempts,
 	}
 	for i := range t.entries {
 		t.entries[i].index = i
 	}
+	t.counts[statePending] = shards
 	return t
 }
+
+// setState moves an entry to state s, keeping the counts and the cursor.
+func (t *leaseTable) setState(e *shardEntry, s shardState) {
+	t.counts[e.state]--
+	t.counts[s]++
+	e.state = s
+	if s == statePending && e.index < t.next {
+		t.next = e.index
+	}
+}
+
+// count returns how many entries are in state s.
+func (t *leaseTable) count(s shardState) int { return t.counts[s] }
 
 // expire requeues every leased shard whose deadline has passed — the
 // straggler re-dispatch path — failing those that already burned their
 // attempt budget. It returns the indices it moved so the server can log,
 // and the lease ids it invalidated so the server can forget them.
 func (t *leaseTable) expire(now time.Time) (requeued, failed []int, released []string) {
+	if t.counts[stateLeased] == 0 || now.Before(t.earliest) {
+		return nil, nil, nil
+	}
+	var earliest time.Time
+	kept := false
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.state != stateLeased || now.Before(e.deadline) {
+		if e.state != stateLeased {
+			continue
+		}
+		if now.Before(e.deadline) {
+			if !kept || e.deadline.Before(earliest) {
+				earliest, kept = e.deadline, true
+			}
 			continue
 		}
 		e.lastErr = fmt.Sprintf("lease %s to %s expired after %v (attempt %d)", e.leaseID, e.worker, t.timeout, e.attempts)
 		released = append(released, e.leaseID)
 		e.leaseID = ""
 		if e.attempts >= t.maxAttempts {
-			e.state = stateFailed
+			t.setState(e, stateFailed)
 			failed = append(failed, i)
 		} else {
-			e.state = statePending
+			t.setState(e, statePending)
 			requeued = append(requeued, i)
 		}
 	}
+	t.earliest = earliest
 	return requeued, failed, released
 }
 
 // lease grants the lowest-indexed pending shard to the worker, or returns
 // nil when nothing is leasable right now.
 func (t *leaseTable) lease(worker string, now time.Time) *shardEntry {
-	for i := range t.entries {
+	if t.counts[statePending] == 0 {
+		return nil
+	}
+	for i := t.next; i < len(t.entries); i++ {
 		e := &t.entries[i]
 		if e.state != statePending {
 			continue
 		}
+		t.next = i + 1
 		t.seq++
-		e.state = stateLeased
-		e.leaseID = fmt.Sprintf("lease-%d", t.seq)
+		e.leaseID = t.campaign + "-lease-" + strconv.Itoa(t.seq)
 		e.worker = worker
 		e.attempts++
 		e.leasedAt = now
 		e.deadline = now.Add(t.timeout)
+		if t.counts[stateLeased] == 0 || e.deadline.Before(t.earliest) {
+			t.earliest = e.deadline
+		}
+		t.setState(e, stateLeased)
 		return e
 	}
 	return nil
+}
+
+// accept moves a shard whose result was validated and merged to done; its
+// lease is spent.
+func (t *leaseTable) accept(e *shardEntry, worker string, elapsed float64) {
+	t.setState(e, stateDone)
+	e.leaseID = ""
+	e.worker = worker
+	e.elapsed = elapsed
+	e.lastErr = ""
 }
 
 // markDone moves a shard straight to done — the journal-replay path, where
@@ -124,14 +185,10 @@ func (t *leaseTable) markDone(index int, worker string, attempt int, elapsed flo
 	if e == nil {
 		return
 	}
-	e.state = stateDone
-	e.leaseID = ""
-	e.worker = worker
 	if attempt > e.attempts {
 		e.attempts = attempt
 	}
-	e.elapsed = elapsed
-	e.lastErr = ""
+	t.accept(e, worker, elapsed)
 }
 
 // byIndex returns the entry for a shard index, or nil when out of range.
@@ -149,24 +206,37 @@ func (t *leaseTable) reject(e *shardEntry, reason string) {
 	e.lastErr = reason
 	e.leaseID = ""
 	if e.attempts >= t.maxAttempts {
-		e.state = stateFailed
+		t.setState(e, stateFailed)
 	} else {
-		e.state = statePending
+		t.setState(e, statePending)
 	}
+}
+
+// cancel returns every leased shard to pending — a cancelled campaign
+// releases its leases — and reports how many it released.
+func (t *leaseTable) cancel() (released int) {
+	if t.counts[stateLeased] == 0 {
+		return 0
+	}
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.state == stateLeased {
+			t.setState(e, statePending)
+			e.leaseID = ""
+			released++
+		}
+	}
+	return released
 }
 
 // allDone reports whether every shard has an accepted result.
-func (t *leaseTable) allDone() bool {
-	for i := range t.entries {
-		if t.entries[i].state != stateDone {
-			return false
-		}
-	}
-	return true
-}
+func (t *leaseTable) allDone() bool { return t.counts[stateDone] == len(t.entries) }
 
-// firstFailed returns the first failed entry, or nil.
+// firstFailed returns the lowest-indexed failed entry, or nil.
 func (t *leaseTable) firstFailed() *shardEntry {
+	if t.counts[stateFailed] == 0 {
+		return nil
+	}
 	for i := range t.entries {
 		if t.entries[i].state == stateFailed {
 			return &t.entries[i]

@@ -3,7 +3,6 @@ package coordctl
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -69,22 +68,16 @@ func (s *Server) writeMetrics(w io.Writer, now time.Time) {
 		fmt.Fprintf(w, "# HELP coordinator_journal_records Records in the write-ahead journal.\n# TYPE coordinator_journal_records gauge\ncoordinator_journal_records %d\n", s.journal.Records())
 	}
 
-	// Per-campaign progress: shard-state gauge vectors plus combo coverage,
-	// in stable campaign order so successive scrapes diff cleanly.
+	// Per-campaign progress: shard-state gauge vectors (states with no
+	// shards omitted) plus combo coverage, in stable campaign and state
+	// order so successive scrapes diff cleanly.
 	fmt.Fprintf(w, "# HELP coordinator_campaign_shards Shards per campaign by lease state.\n# TYPE coordinator_campaign_shards gauge\n")
 	for _, id := range s.order {
 		cs := s.campaigns[id]
-		counts := map[string]int{}
-		for i := range cs.table.entries {
-			counts[cs.table.entries[i].state.String()]++
-		}
-		states := make([]string, 0, len(counts))
-		for st := range counts {
-			states = append(states, st)
-		}
-		sort.Strings(states)
-		for _, st := range states {
-			fmt.Fprintf(w, "coordinator_campaign_shards{campaign=%q,figure=%q,state=%q} %d\n", id, cs.c.Figure, st, counts[st])
+		for _, st := range statesByName {
+			if n := cs.table.count(st); n > 0 {
+				fmt.Fprintf(w, "coordinator_campaign_shards{campaign=%q,figure=%q,state=%q} %d\n", id, cs.c.Figure, st, n)
+			}
 		}
 	}
 	fmt.Fprintf(w, "# HELP coordinator_campaign_combos_covered Combos merged so far per campaign.\n# TYPE coordinator_campaign_combos_covered gauge\n")

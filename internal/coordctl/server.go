@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -57,7 +59,8 @@ type ServerOptions struct {
 	Clock func() time.Time
 	// Logger receives one structured line per protocol event (lease,
 	// submit, re-dispatch, reject, merge, cancel) with campaign and worker
-	// provenance. Default: discard.
+	// provenance. Default: discard, with every level disabled, so no record
+	// is built.
 	Logger *slog.Logger
 }
 
@@ -112,7 +115,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		opts.Clock = time.Now
 	}
 	if opts.Logger == nil {
-		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	s := &Server{
 		opts:      opts,
@@ -234,7 +237,7 @@ func (s *Server) registerCampaign(id string, c Campaign, combos int) (*campaignS
 		id:     id,
 		c:      c,
 		combos: combos,
-		table:  newLeaseTable(c.ShardTotal, s.opts.LeaseTimeout, s.opts.MaxAttempts),
+		table:  newLeaseTable(id, c.ShardTotal, s.opts.LeaseTimeout, s.opts.MaxAttempts),
 		merger: experiments.NewShardMerger(),
 		start:  s.opts.Clock(),
 		state:  "running",
@@ -265,13 +268,20 @@ func (s *Server) registerCampaign(id string, c Campaign, combos int) (*campaignS
 // in-memory registration back so the daemon never serves leases it would
 // forget on restart.
 func (s *Server) SubmitCampaign(c Campaign) (string, error) {
+	id, _, err := s.submitCampaign(c)
+	return id, err
+}
+
+// submitCampaign is SubmitCampaign, also returning the size of the
+// campaign's combination space as registration resolved it.
+func (s *Server) submitCampaign(c Campaign) (id string, combos int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := fmt.Sprintf("c%d", s.seq+1)
+	id = fmt.Sprintf("c%d", s.seq+1)
 	preCorpora := len(s.corpora)
 	cs, err := s.registerCampaign(id, c, 0)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	if s.journal != nil {
 		if err := s.journal.Append(JournalRecord{Kind: recordCampaign, Campaign: id, Spec: &c, Combos: cs.combos}); err != nil {
@@ -281,7 +291,7 @@ func (s *Server) SubmitCampaign(c Campaign) (string, error) {
 				s.corpora = s.corpora[:preCorpora]
 				delete(s.corpusDir, c.TraceDir)
 			}
-			return "", err
+			return "", 0, err
 		}
 	}
 	s.seq++
@@ -289,7 +299,7 @@ func (s *Server) SubmitCampaign(c Campaign) (string, error) {
 	s.opts.Logger.Info("campaign accepted",
 		"campaign", id, "figure", c.Figure, "shards", c.ShardTotal,
 		"combos", cs.combos, "pool_hash", c.PoolHash)
-	return id, nil
+	return id, cs.combos, nil
 }
 
 // AdoptOrSubmit is the restart-resume path of the single-campaign CLI: if
@@ -342,15 +352,7 @@ func (s *Server) cancelLocked(cs *campaignState) {
 	if !cs.running() {
 		return
 	}
-	released := 0
-	for i := range cs.table.entries {
-		e := &cs.table.entries[i]
-		if e.state == stateLeased {
-			e.state = statePending
-			e.leaseID = ""
-			released++
-		}
-	}
+	released := cs.table.cancel()
 	cs.state = "cancelled"
 	cs.failure = ErrCampaignCancelled
 	s.pruneLeasesLocked(cs.id)
@@ -466,18 +468,12 @@ func (s *Server) Campaigns() []CampaignSummary {
 }
 
 func (s *Server) summaryLocked(cs *campaignState, now time.Time) CampaignSummary {
-	done := 0
-	for i := range cs.table.entries {
-		if cs.table.entries[i].state == stateDone {
-			done++
-		}
-	}
 	sum := CampaignSummary{
 		ID:             cs.id,
 		Figure:         cs.c.Figure,
 		State:          cs.state,
 		ShardTotal:     cs.c.ShardTotal,
-		ShardsDone:     done,
+		ShardsDone:     cs.table.count(stateDone),
 		TotalCombos:    cs.combos,
 		CombosCovered:  cs.merger.Covered(),
 		ElapsedSeconds: now.Sub(cs.start).Seconds(),
@@ -564,6 +560,8 @@ func tokenEqual(a, b string) bool {
 // sweepExpiryLocked advances every campaign's lease state machine to now.
 // Called under the lock by every handler, so stragglers are detected as soon
 // as any worker or status probe talks to us — no background timer needed.
+// A table scans its entries only once its earliest lease deadline has
+// passed, so a request with no lease due costs O(campaigns), not O(shards).
 func (s *Server) sweepExpiryLocked(now time.Time) {
 	for _, id := range s.order {
 		cs := s.campaigns[id]
@@ -635,8 +633,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		Worker   string `json:"worker"`
 		Campaign string `json:"campaign,omitempty"` // optional scope
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
-		http.Error(w, "lease request must be JSON with a worker name", http.StatusBadRequest)
+	if err := readJSON(r.Body, r.ContentLength, maxControlBody, &req); err != nil || req.Worker == "" {
+		badBody(w, err, "lease request must be JSON with a worker name")
 		return
 	}
 	s.mu.Lock()
@@ -672,7 +670,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		if e == nil {
 			continue
 		}
-		e.leaseID = fmt.Sprintf("%s-%s", id, e.leaseID)
 		s.leases[e.leaseID] = id
 		s.ctr.LeasesGranted++
 		s.opts.Logger.Info("shard leased",
@@ -697,8 +694,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 // query parameter (what current workers send, and the only thing that works
 // across a coordinator restart), by the lease id, or — for compatibility
 // with single-campaign clients — the only campaign there is.
-func (s *Server) resolveSubmitCampaign(r *http.Request, leaseID string) *campaignState {
-	if id := r.URL.Query().Get("campaign"); id != "" {
+func (s *Server) resolveSubmitCampaign(q url.Values, leaseID string) *campaignState {
+	if id := q.Get("campaign"); id != "" {
 		return s.campaigns[id]
 	}
 	if id, ok := s.leases[leaseID]; ok {
@@ -711,10 +708,11 @@ func (s *Server) resolveSubmitCampaign(r *http.Request, leaseID string) *campaig
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	leaseID := r.URL.Query().Get("lease")
+	q := r.URL.Query()
+	leaseID := q.Get("lease")
 	var sh experiments.Shard
-	if err := json.NewDecoder(r.Body).Decode(&sh); err != nil {
-		http.Error(w, "submit body must be a shard JSON document", http.StatusBadRequest)
+	if err := readJSON(r.Body, r.ContentLength, maxShardBody, &sh); err != nil {
+		badBody(w, err, "submit body must be a shard JSON document")
 		return
 	}
 	s.mu.Lock()
@@ -722,7 +720,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	now := s.opts.Clock()
 	s.sweepExpiryLocked(now)
 
-	cs := s.resolveSubmitCampaign(r, leaseID)
+	cs := s.resolveSubmitCampaign(q, leaseID)
 	if cs == nil {
 		writeJSONStatus(w, http.StatusUnprocessableEntity, SubmitResult{
 			Error: "submission names no campaign this coordinator serves (send ?campaign=<id>)"})
@@ -791,10 +789,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	delete(s.leases, leaseID)
-	e.state = stateDone
-	e.worker = sh.Worker
-	e.elapsed = sh.ElapsedSeconds
-	e.lastErr = ""
+	cs.table.accept(e, sh.Worker, sh.ElapsedSeconds)
 	s.ctr.SubmitsAccepted++
 	s.checkTerminal(cs)
 	s.opts.Logger.Info("shard accepted and merged",
@@ -976,8 +971,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	var req CampaignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "campaign request must be JSON: "+err.Error(), http.StatusBadRequest)
+	if err := readJSON(r.Body, r.ContentLength, maxControlBody, &req); err != nil {
+		badBody(w, err, "campaign request must be JSON: "+err.Error())
 		return
 	}
 	c, err := NewCampaign(req.Figure, req.Quick, req.Seed, req.Pool, req.TraceDir, req.Shards)
@@ -985,12 +980,11 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	id, err := s.SubmitCampaign(c)
+	id, combos, err := s.submitCampaign(c)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	combos, _ := c.Combos()
 	writeJSONStatus(w, http.StatusCreated, CampaignCreated{ID: id, Campaign: c, Combos: combos})
 }
 
@@ -1013,6 +1007,16 @@ func (s *Server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]string{"id": id, "state": "cancelled"})
+}
+
+// badBody answers a request whose body readJSON refused: 413 for an
+// oversized body, 400 with msg for anything else.
+func badBody(w http.ResponseWriter, err error, msg string) {
+	if errors.Is(err, errBodyTooLarge) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, msg, http.StatusBadRequest)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

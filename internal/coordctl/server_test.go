@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -386,4 +389,274 @@ func TestWorkerGivesUpWhenCoordinatorGone(t *testing.T) {
 	if !strings.Contains(err.Error(), "after 3 consecutive failures") {
 		t.Fatalf("Loop error %q does not name the failure budget", err)
 	}
+}
+
+// roundFixture is BenchmarkLeaseSubmitRound's workload: fig10 campaigns
+// over the whole 12-benchmark pool, one shard per combination (495), with
+// every shard body marshalled once up front.
+type roundFixture struct {
+	campaigns []Campaign
+	bodies    map[string][][]byte // campaign id → shard index → body
+}
+
+func newRoundFixture(b *testing.B, campaigns int) *roundFixture {
+	b.Helper()
+	fx := &roundFixture{bodies: map[string][][]byte{}}
+	for i := 0; i < campaigns; i++ {
+		c, err := NewCampaign("fig10", true, uint64(i)+1, nil, "", 495)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies := make([][]byte, c.ShardTotal)
+		for idx := range bodies {
+			sh, err := fabricateShard(c, idx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bodies[idx], err = json.Marshal(sh); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fx.campaigns = append(fx.campaigns, c)
+		// Campaign ids are assigned in submission order: c1, c2, ...
+		fx.bodies[fmt.Sprintf("c%d", i+1)] = bodies
+	}
+	return fx
+}
+
+// start returns a fresh in-memory daemon serving every campaign.
+func (fx *roundFixture) start(b *testing.B) http.Handler {
+	b.Helper()
+	srv, err := NewServer(ServerOptions{LeaseTimeout: time.Minute})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range fx.campaigns {
+		if _, err := srv.SubmitCampaign(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return srv.Handler()
+}
+
+// round makes one lease and submits the leased shard, straight into the
+// handler. It reports false once the daemon has nothing left to lease.
+func (fx *roundFixture) round(b *testing.B, h http.Handler) bool {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/lease", strings.NewReader(`{"worker":"bench"}`)))
+	if rec.Code == http.StatusGone {
+		return false
+	}
+	var wu struct {
+		CampaignID string `json:"campaign_id"`
+		ShardIndex int    `json:"shard_index"`
+		LeaseID    string `json:"lease_id"`
+	}
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &wu) != nil {
+		b.Fatalf("lease: HTTP %d %s", rec.Code, rec.Body)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/submit?lease="+wu.LeaseID+"&campaign="+wu.CampaignID,
+		bytes.NewReader(fx.bodies[wu.CampaignID][wu.ShardIndex])))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("submit: HTTP %d %s", rec.Code, rec.Body)
+	}
+	return true
+}
+
+// BenchmarkLeaseSubmitRound times one lease plus one submit through the
+// daemon's HTTP handler, with 1 and with 16 campaigns of 495 shards
+// registered. A drained daemon is replaced off the clock.
+func BenchmarkLeaseSubmitRound(b *testing.B) {
+	for _, campaigns := range []int{1, 16} {
+		b.Run(fmt.Sprintf("campaigns=%d", campaigns), func(b *testing.B) {
+			fx := newRoundFixture(b, campaigns)
+			h := fx.start(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !fx.round(b, h) {
+					b.StopTimer()
+					h = fx.start(b)
+					b.StartTimer()
+					fx.round(b, h)
+				}
+			}
+		})
+	}
+}
+
+// TestOversizedBodiesRefused: a lease, campaign or shard body over its
+// endpoint's limit is answered 413 and changes nothing — no lease granted,
+// no campaign registered, nothing merged — and the daemon keeps serving.
+func TestOversizedBodiesRefused(t *testing.T) {
+	campaign := quickCampaign(t, 5)
+	srv, hs, id := newTestServer(t, campaign, time.Minute, 3)
+	h := srv.Handler()
+	serve := func(method, target string, body string, declared int64) int {
+		t.Helper()
+		req := httptest.NewRequest(method, target, strings.NewReader(body))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+
+	// A lease body one byte over the limit, streamed with no declared
+	// length, and the same body declared up front.
+	lease := `{"worker":"` + strings.Repeat("w", maxControlBody-12) + `"}`
+	if len(lease) != maxControlBody+1 {
+		t.Fatalf("lease body is %d bytes, want %d", len(lease), maxControlBody+1)
+	}
+	for _, declared := range []int64{-1, int64(len(lease))} {
+		if code := serve(http.MethodPost, "/lease", lease, declared); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized lease (declared %d): HTTP %d, want 413", declared, code)
+		}
+	}
+	// A campaign request over the same limit.
+	spec := `{"figure":"fig10","quick":true,"shards":1,"trace_dir":"` + strings.Repeat("d", maxControlBody) + `"}`
+	if code := serve(http.MethodPost, "/campaigns", spec, -1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized campaign request: HTTP %d, want 413", code)
+	}
+	// A valid shard whose declared length is over the shard limit is
+	// refused before its body is read.
+	body, err := json.Marshal(stubShard(t, campaign, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := serve(http.MethodPost, "/submit?campaign="+id, string(body), maxShardBody+1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized shard: HTTP %d, want 413", code)
+	}
+
+	ctr := srv.CountersSnapshot()
+	if ctr.LeasesGranted != 0 || ctr.SubmitsAccepted != 0 || ctr.SubmitsRejected != 0 || ctr.CampaignsSubmitted != 1 {
+		t.Fatalf("refused bodies changed the counters: %+v", ctr)
+	}
+	if st := mustStatus(t, srv, id); st.CombosCovered != 0 || st.Partial != nil {
+		t.Fatalf("refused shard was merged: %+v", st)
+	}
+
+	// The daemon keeps serving: the same shard, leased and submitted
+	// normally, is accepted.
+	ctx := context.Background()
+	cl := Client{BaseURL: hs.URL, Worker: "after-413"}
+	wu, err := cl.Lease(ctx)
+	if err != nil || wu == nil || wu.ShardIndex != 0 {
+		t.Fatalf("lease after 413s: %+v %v", wu, err)
+	}
+	if res, err := cl.Submit(ctx, wu, stubShard(t, campaign, 0)); err != nil || !res.Accepted {
+		t.Fatalf("submit after 413s: %+v %v", res, err)
+	}
+	// A body of exactly the limit is served.
+	atLimit := `{"worker":"` + strings.Repeat("w", maxControlBody-13) + `"}`
+	if code := serve(http.MethodPost, "/lease", atLimit, -1); code != http.StatusOK {
+		t.Fatalf("lease body at the limit: HTTP %d, want 200", code)
+	}
+}
+
+// TestMetricsShardCountsMatchScan drives two campaigns through an expiry,
+// a rejected and an accepted submission, and a cancellation. After each
+// step the coordinator_campaign_shards lines of /metrics, which read the
+// lease tables' state counts, must equal the lines a scan of every entry
+// gives: zero-count states omitted, states in name order.
+func TestMetricsShardCountsMatchScan(t *testing.T) {
+	now := time.Unix(5000, 0)
+	var clock sync.Mutex
+	srv, err := NewServer(ServerOptions{LeaseTimeout: time.Minute, MaxAttempts: 3, Logger: testLogger(t),
+		Clock: func() time.Time { clock.Lock(); defer clock.Unlock(); return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaign := quickCampaign(t, 5)
+	var ids []string
+	for range 2 {
+		id, err := srv.SubmitCampaign(campaign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	ctx := context.Background()
+	cl := Client{BaseURL: hs.URL, Worker: "metrics"}
+
+	check := func(step string) {
+		t.Helper()
+		resp, err := hs.Client().Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		var got []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "coordinator_campaign_shards{") {
+				got = append(got, line)
+			}
+		}
+		var want []string
+		srv.mu.Lock()
+		for _, id := range srv.order {
+			cs := srv.campaigns[id]
+			counts := map[string]int{}
+			for i := range cs.table.entries {
+				counts[cs.table.entries[i].state.String()]++
+			}
+			states := make([]string, 0, len(counts))
+			for st := range counts {
+				states = append(states, st)
+			}
+			sort.Strings(states)
+			for _, st := range states {
+				want = append(want, fmt.Sprintf("coordinator_campaign_shards{campaign=%q,figure=%q,state=%q} %d", id, cs.c.Figure, st, counts[st]))
+			}
+		}
+		srv.mu.Unlock()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: /metrics shard lines\n%s\nscan\n%s", step, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	lease := func() *WorkUnit {
+		t.Helper()
+		wu, err := cl.Lease(ctx)
+		if err != nil || wu == nil {
+			t.Fatalf("lease: %+v %v", wu, err)
+		}
+		return wu
+	}
+
+	check("fresh")
+	for range 3 {
+		lease()
+	}
+	check("three leased")
+
+	// Every lease expires; the scrape's own sweep requeues them.
+	clock.Lock()
+	now = now.Add(2 * time.Minute)
+	clock.Unlock()
+	check("expired")
+
+	// A shard with the wrong pool hash is rejected back to pending.
+	wu := lease()
+	bad := stubShard(t, campaign, wu.ShardIndex)
+	bad.PoolHash = "0000000000000000"
+	if _, err := cl.Submit(ctx, wu, bad); !errors.Is(err, ErrRejected) {
+		t.Fatalf("bad shard: %v, want ErrRejected", err)
+	}
+	check("rejected")
+
+	wu = lease()
+	if res, err := cl.Submit(ctx, wu, stubShard(t, campaign, wu.ShardIndex)); err != nil || !res.Accepted {
+		t.Fatalf("submit: %+v %v", res, err)
+	}
+	lease()
+	check("accepted")
+
+	if err := srv.CancelCampaign(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	check("cancelled")
 }

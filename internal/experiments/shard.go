@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -214,10 +215,27 @@ func ReadShard(path string) (Shard, error) {
 // and once Complete() the Report() is — by construction — the same
 // reduction a single-process Sweep performs. Not safe for concurrent use;
 // callers serialize Adds.
+//
+// It keeps the campaign header once and, per accepted shard, only its
+// range and outcomes, sorted by range, so an Add costs a binary search and
+// a report reads the outcomes in combo order without sorting.
 type ShardMerger struct {
-	ref      Shard // campaign header of the first accepted shard
-	accepted []Shard
-	covered  int
+	ref     Shard       // campaign header of the first accepted shard, outcomes dropped
+	spans   []shardSpan // accepted ranges, sorted by (lo, hi)
+	covered int
+}
+
+// shardSpan is one accepted shard: its combo range [lo, hi) and outcomes.
+//
+// Accepted non-empty ranges are disjoint, and an empty range never lies
+// strictly inside a non-empty one (Add rejects both as overlaps), so in
+// (lo, hi) order the hi bounds are sorted too. The spans that could overlap
+// a range [lo, hi) therefore start at the first span whose hi exceeds lo;
+// when that one starts at or after hi, nothing overlaps, and that index is
+// where [lo, hi) goes.
+type shardSpan struct {
+	lo, hi   int
+	outcomes []MixOutcome
 }
 
 // NewShardMerger returns an empty merger; the first Add binds it to that
@@ -232,7 +250,7 @@ func (m *ShardMerger) Add(s Shard) error {
 	if s.Format != ShardFormat {
 		return fmt.Errorf("experiments: shard format %d, want %d: %w", s.Format, ShardFormat, ErrShardFormat)
 	}
-	if len(m.accepted) > 0 {
+	if len(m.spans) > 0 {
 		ref := m.ref
 		switch {
 		case s.PoolHash != ref.PoolHash:
@@ -247,31 +265,32 @@ func (m *ShardMerger) Add(s Shard) error {
 	if s.ComboHi < s.ComboLo || s.ComboLo < 0 || s.ComboHi > s.TotalCombos {
 		return fmt.Errorf("experiments: shard range [%d,%d) out of bounds of %d combos: %w", s.ComboLo, s.ComboHi, s.TotalCombos, ErrShardTiling)
 	}
-	for _, a := range m.accepted {
-		if s.ComboLo < a.ComboHi && a.ComboLo < s.ComboHi {
-			return fmt.Errorf("experiments: shard range [%d,%d) overlaps accepted [%d,%d): %w", s.ComboLo, s.ComboHi, a.ComboLo, a.ComboHi, ErrShardTiling)
-		}
+	i := sort.Search(len(m.spans), func(i int) bool { return m.spans[i].hi > s.ComboLo })
+	if i < len(m.spans) && m.spans[i].lo < s.ComboHi {
+		a := m.spans[i]
+		return fmt.Errorf("experiments: shard range [%d,%d) overlaps accepted [%d,%d): %w", s.ComboLo, s.ComboHi, a.lo, a.hi, ErrShardTiling)
 	}
 	if len(s.Outcomes) != s.Combos() {
 		return fmt.Errorf("experiments: shard [%d,%d) has %d outcomes, want %d: %w", s.ComboLo, s.ComboHi, len(s.Outcomes), s.Combos(), ErrShardTruncated)
 	}
-	if len(m.accepted) == 0 {
+	if len(m.spans) == 0 {
 		m.ref = s
+		m.ref.Outcomes = nil
 	}
-	m.accepted = append(m.accepted, s)
+	m.spans = slices.Insert(m.spans, i, shardSpan{lo: s.ComboLo, hi: s.ComboHi, outcomes: s.Outcomes})
 	m.covered += s.Combos()
 	return nil
 }
 
 // Accepted returns how many shards have been folded in.
-func (m *ShardMerger) Accepted() int { return len(m.accepted) }
+func (m *ShardMerger) Accepted() int { return len(m.spans) }
 
 // Covered returns how many combos the accepted shards span.
 func (m *ShardMerger) Covered() int { return m.covered }
 
 // Total returns the campaign's combo-space size (0 before the first Add).
 func (m *ShardMerger) Total() int {
-	if len(m.accepted) == 0 {
+	if len(m.spans) == 0 {
 		return 0
 	}
 	return m.ref.TotalCombos
@@ -280,7 +299,7 @@ func (m *ShardMerger) Total() int {
 // Complete reports whether the accepted shards tile the whole combo space.
 // Overlaps are rejected at Add, so covered == total implies an exact tiling.
 func (m *ShardMerger) Complete() bool {
-	return len(m.accepted) > 0 && m.covered == m.ref.TotalCombos
+	return len(m.spans) > 0 && m.covered == m.ref.TotalCombos
 }
 
 // Partial reduces whatever has been accepted so far into an improvement
@@ -288,14 +307,12 @@ func (m *ShardMerger) Complete() bool {
 // a campaign is in flight. Mixes reflects the covered count, so a partial
 // report is visibly partial. Once Complete, Partial is the final report.
 func (m *ShardMerger) Partial() ImprovementReport {
-	if len(m.accepted) == 0 {
+	if len(m.spans) == 0 {
 		return ImprovementReport{}
 	}
-	sorted := append([]Shard(nil), m.accepted...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ComboLo < sorted[j].ComboLo })
 	outcomes := make([]MixOutcome, 0, m.covered)
-	for _, s := range sorted {
-		outcomes = append(outcomes, s.Outcomes...)
+	for _, sp := range m.spans {
+		outcomes = append(outcomes, sp.outcomes...)
 	}
 	return reduceOutcomes(m.ref.Pool, m.ref.Policy, m.ref.Virtual, m.ref.MixSize, m.covered, outcomes)
 }
@@ -303,18 +320,16 @@ func (m *ShardMerger) Partial() ImprovementReport {
 // Report returns the campaign's final report, or an ErrShardTiling-wrapped
 // error naming the first missing combo while shards are still outstanding.
 func (m *ShardMerger) Report() (ImprovementReport, error) {
-	if len(m.accepted) == 0 {
+	if len(m.spans) == 0 {
 		return ImprovementReport{}, fmt.Errorf("experiments: no shards to merge")
 	}
 	if !m.Complete() {
-		sorted := append([]Shard(nil), m.accepted...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].ComboLo < sorted[j].ComboLo })
 		next := 0
-		for _, s := range sorted {
-			if s.ComboLo != next {
+		for _, sp := range m.spans {
+			if sp.lo != next {
 				break
 			}
-			next = s.ComboHi
+			next = sp.hi
 		}
 		return ImprovementReport{}, fmt.Errorf("experiments: shards cover %d of %d combos (combo %d missing): %w",
 			m.covered, m.ref.TotalCombos, next, ErrShardTiling)
