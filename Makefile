@@ -51,11 +51,13 @@ gate = @names=$$($(GO) test -list . $(1) | grep -E '^(Test|Fuzz|Example)') || { 
 # a 3-way sharded sweep must merge byte-identically to the single-process
 # run, results must not depend on the worker count, the range-indexed
 # streaming merger must decide and report exactly as a linear-scan
-# reference merger on random shard sets, and the distributed coordinator —
-# stragglers re-dispatched, duplicates discarded — must produce the same
-# bytes end to end over HTTP.
+# reference merger on random shard sets, outcomes the report reduction
+# cannot fold (a benchmark outside the pool, a chosen index outside the
+# candidates, short user-cycle lists) are refused with ErrShardOutcome, and
+# the distributed coordinator — stragglers re-dispatched, duplicates
+# discarded — must produce the same bytes end to end over HTTP.
 shardcheck:
-	$(call gate,./internal/experiments,TestShardMergeEquivalence|TestWorkersInvariance|TestShardMergerMatchesLinearScan)
+	$(call gate,./internal/experiments,TestShardMergeEquivalence|TestWorkersInvariance|TestShardMergerMatchesLinearScan|TestMalformedOutcomesRejected)
 	$(call gate,./internal/coordctl,TestCoordinatorEndToEnd)
 
 # The trace-replay contract, uncached: the codec round-trips (v1 and both v2
@@ -102,22 +104,28 @@ sigcheck:
 # successful exchange, the 50-worker load smoke reconciling client
 # counts, server counters, and journal records three ways, the counted
 # lease table agreeing step for step with a linear-scan reference table,
-# /metrics shard counts equal to a scan, and oversized request bodies
-# refused with 413 and no state change.
+# /metrics shard counts equal to a scan, oversized request bodies refused
+# with 413 and no state change, and a shard with a malformed outcome
+# refused with 422 before it reaches the journal.
 servicecheck:
-	$(call gate,./internal/coordctl,TestJournal|TestServiceRestartResume|TestCoordinatorAuth|TestCoordinatorTLS|TestCampaignAPI|TestCancelPersistsAcrossRestart|TestWorkerFailureBudgetResetsOnContact|TestCoordinatorLoadSmoke|TestLeaseTableMatchesScan|TestMetricsShardCountsMatchScan|TestOversizedBodiesRefused)
+	$(call gate,./internal/coordctl,TestJournal|TestServiceRestartResume|TestCoordinatorAuth|TestCoordinatorTLS|TestCampaignAPI|TestCancelPersistsAcrossRestart|TestWorkerFailureBudgetResetsOnContact|TestCoordinatorLoadSmoke|TestLeaseTableMatchesScan|TestMetricsShardCountsMatchScan|TestOversizedBodiesRefused|TestMalformedShardRefusedBeforeJournal)
 
 # The churn contract, uncached: incremental insert/remove/age on the sparse
 # graph stays parity-exact with a fresh Builder build (fuzz seed corpus +
-# shadow-map unit tests), repaired partitions keep the ±1 balance envelope
-# and exact cut bookkeeping over the live population, the monitor's
-# per-thread state shrinks and regrows with the thread population (reused
-# IDs inherit nothing), the Snapshotter releases a burst's backing after the
+# shadow-map unit tests), Compact repacks in place without allocating or
+# changing a row, repair breaks equal-gain moves toward the smaller group
+# id, repaired partitions keep the ±1 balance envelope and exact cut
+# bookkeeping over the live population, the monitor's per-thread
+# state shrinks and regrows with the thread population (reused IDs inherit
+# nothing), the Snapshotter releases a burst's backing after the
 # population stays small, lazy aging matches eager decay, and a seeded
 # arrival/departure campaign — both Poisson and trace modes, including the
-# drift-triggered rebuild fallback — replays byte-identically.
+# drift-triggered rebuild fallback — replays byte-identically. The
+# experiments line's TestChurn alternative also matches TestChurnGolden
+# (recorded campaign checksums) and TestChurnTopPartnersMatchesSelection
+# (the partner window against a selection-sort oracle).
 churncheck:
-	$(call gate,./internal/graph,TestInsertNode|TestRemoveNode|TestDriftCountersAndCompact|TestInsertAndRepair|TestRemoveAndRepairRestoresEnvelope|TestChurnInterleaved|FuzzPartition)
+	$(call gate,./internal/graph,TestInsertNode|TestRemoveNode|TestDriftCountersAndCompact|TestCompactInPlace|TestRepairTiesToSmallerGroup|TestInsertAndRepair|TestRemoveAndRepairRestoresEnvelope|TestChurnInterleaved|FuzzPartition)
 	$(call gate,./internal/monitor,TestSmoothShrinkThenGrow|TestForget|TestAger)
 	$(call gate,./internal/kernel,TestSnapshotterShrinksAfterBurst|TestSnapshotterSteadyStateAllocs)
 	$(call gate,./internal/experiments,TestChurn)

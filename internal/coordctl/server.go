@@ -799,10 +799,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, SubmitResult{Accepted: true, CampaignDone: !cs.running(), Done: s.idleLocked()})
 }
 
-// validate checks a submission against its campaign before it reaches the
-// merger: fingerprints first (a misconfigured worker must be rejected even
-// on the very first submission, when the merger has no reference shard),
-// then the exact range geometry the lease implied.
+// validate checks a submission against its campaign before it is
+// journaled and reaches the merger: fingerprints first (a misconfigured
+// worker must be rejected even on the very first submission, when the
+// merger has no reference shard), then the exact range geometry the lease
+// implied, then the outcomes the merger's report reduction will fold.
 func (s *Server) validate(cs *campaignState, sh experiments.Shard) error {
 	if sh.Format != experiments.ShardFormat {
 		return fmt.Errorf("shard format %d, want %d: %w", sh.Format, experiments.ShardFormat, experiments.ErrShardFormat)
@@ -821,7 +822,7 @@ func (s *Server) validate(cs *campaignState, sh experiments.Shard) error {
 		return fmt.Errorf("shard %d range [%d,%d), lease implies [%d,%d): %w",
 			sh.Index, sh.ComboLo, sh.ComboHi, lo, hi, experiments.ErrShardTiling)
 	}
-	return nil
+	return cs.merger.CheckOutcomes(sh)
 }
 
 // statusCampaign resolves the campaign a /status or /report request means:

@@ -274,6 +274,77 @@ func TestRejectedCampaignNotJournaled(t *testing.T) {
 	}
 }
 
+// TestMalformedShardRefusedBeforeJournal: a shard whose outcome names a
+// benchmark outside the campaign's pool is refused with 422 before it is
+// journaled, so /status and /report keep answering, and a valid
+// resubmission of the same shard is then accepted.
+func TestMalformedShardRefusedBeforeJournal(t *testing.T) {
+	dir := t.TempDir()
+	campaign := quickCampaign(t, 2)
+	srv, err := NewServer(ServerOptions{StateDir: dir, Logger: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.SubmitCampaign(campaign); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	cl := Client{BaseURL: hs.URL, Worker: "w"}
+	ctx := context.Background()
+	get := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	wu, err := cl.Lease(ctx)
+	if err != nil || wu == nil {
+		t.Fatalf("lease: %+v %v", wu, err)
+	}
+	bad := stubShard(t, campaign, wu.ShardIndex)
+	bad.Outcomes[0].Names = []string{"not-in-pool"}
+	if _, err := cl.Submit(ctx, wu, bad); !errors.Is(err, ErrRejected) {
+		t.Fatalf("malformed shard: %v, want ErrRejected", err)
+	}
+	recs, err := ReadJournal(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Kind == recordShard {
+			t.Fatalf("refused shard was journaled: %+v", rec)
+		}
+	}
+	if code := get("/status"); code != http.StatusOK {
+		t.Fatalf("/status after the refusal: %d", code)
+	}
+
+	refused := wu.ShardIndex
+	for i := range campaign.ShardTotal {
+		wu, err := cl.Lease(ctx)
+		if err != nil || wu == nil {
+			t.Fatalf("lease: %+v %v", wu, err)
+		}
+		if i == 0 && wu.ShardIndex != refused {
+			t.Fatalf("leased shard %d first, want the refused shard %d back", wu.ShardIndex, refused)
+		}
+		if res, err := cl.Submit(ctx, wu, stubShard(t, campaign, wu.ShardIndex)); err != nil || !res.Accepted {
+			t.Fatalf("valid shard %d: %+v %v", wu.ShardIndex, res, err)
+		}
+	}
+	for _, path := range []string{"/status", "/report"} {
+		if code := get(path); code != http.StatusOK {
+			t.Fatalf("%s after the campaign completed: %d", path, code)
+		}
+	}
+}
+
 // TestReplaySurvivesMissingTraceDir pins the journaled-combos contract: a
 // trace campaign must resume from its journal even when the trace directory
 // is gone at restart — the journal, not the live filesystem, sizes the

@@ -130,12 +130,15 @@ type churnCampaign struct {
 		nbrs []int32
 		wts  []float64
 	}
+	// spare holds departed threads' Symbiosis and Overlap vectors, which
+	// newView reuses so an arrival allocates no view storage.
+	spare [][]int32
 }
 
 // RunChurn executes one arrival/departure campaign and returns its report.
 func RunChurn(c ChurnConfig) ChurnReport {
 	cfg := c.defaults()
-	if cfg.Cores < 1 || cfg.P0 < 0 || cfg.Quanta < 0 {
+	if cfg.Cores < 1 || cfg.P0 < 0 || cfg.Quanta < 0 || cfg.TopM < 0 {
 		panic(fmt.Sprintf("experiments: bad churn config %+v", cfg))
 	}
 	cc := &churnCampaign{
@@ -177,9 +180,7 @@ func (cc *churnCampaign) seed() {
 // plants (threads of one class interfere through one shared cache).
 func (cc *churnCampaign) newView(id int) kernel.View {
 	class := cc.seq % cc.cfg.Cores
-	cores := cc.cfg.Cores
-	sym := make([]int32, cores)
-	ov := make([]int32, cores)
+	sym, ov := cc.vector(), cc.vector()
 	for c := range sym {
 		sym[c] = int32(800 + cc.rng.Intn(200))
 		ov[c] = int32(cc.rng.Intn(4))
@@ -192,10 +193,22 @@ func (cc *churnCampaign) newView(id int) kernel.View {
 	}
 }
 
+// vector returns a Cores-long vector for newView, a departed thread's when
+// one is spare. newView overwrites every element.
+func (cc *churnCampaign) vector() []int32 {
+	if k := len(cc.spare); k > 0 {
+		v := cc.spare[k-1]
+		cc.spare = cc.spare[:k-1]
+		return v
+	}
+	return make([]int32, cc.cfg.Cores)
+}
+
 // rebuild is the fallback path: a fresh top-m build over the current
 // population (dead slots carry signatureless views and so produce no
 // edges), a fresh multilevel partition, fresh staleness clocks.
 func (cc *churnCampaign) rebuild() {
+	cc.g, cc.pt, cc.ag = nil, nil, nil // collectable while the new graph builds
 	g := alloc.SparseInterferenceGraph(cc.views)
 	for i := range cc.views {
 		if cc.born == nil || i >= len(cc.born) || cc.born[i] >= 0 {
@@ -268,6 +281,7 @@ func (cc *churnCampaign) arrive(q int) {
 func (cc *churnCampaign) depart(q, v int) {
 	start := cc.tick()
 	migrations := graph.RemoveAndRepair(cc.g, cc.pt, v)
+	cc.spare = append(cc.spare, cc.views[v].Symbiosis, cc.views[v].Overlap)
 	cc.views[v] = kernel.View{ThreadID: v}
 	cc.born[v] = -1
 	cc.rep.Departures++
@@ -289,37 +303,38 @@ func (cc *churnCampaign) oldest() int {
 }
 
 // topPartners selects the TopM heaviest interference partners of view among
-// the live population — the arrival-time equivalent of the builder's top-m
-// sparsification, O(P) score + O(P log P) worst-case selection.
+// the live population, heaviest first and ties to the smaller id — the
+// arrival-time equivalent of the builder's top-m sparsification — in one
+// O(P) pass. The window holds the best partners seen so far in that order;
+// ids arrive ascending, so a candidate no heavier than the window's last
+// entry loses to it and is rejected with one comparison.
 func (cc *churnCampaign) topPartners(view *kernel.View) ([]int32, []float64) {
+	m := cc.cfg.TopM
 	nbrs, wts := cc.scratch.nbrs[:0], cc.scratch.wts[:0]
 	for u := range cc.views {
 		if cc.born[u] < 0 {
 			continue
 		}
-		if w := alloc.PairWeight(view, &cc.views[u]); w > 0 {
-			nbrs = append(nbrs, int32(u))
-			wts = append(wts, w)
+		w := alloc.PairWeight(view, &cc.views[u])
+		if w <= 0 {
+			continue
 		}
-	}
-	// Partial selection: repeatedly move the heaviest remaining partner to
-	// the front. TopM is small, so O(TopM·P) beats sorting the whole list.
-	m := cc.cfg.TopM
-	if m > len(nbrs) {
-		m = len(nbrs)
-	}
-	for i := 0; i < m; i++ {
-		best := i
-		for j := i + 1; j < len(nbrs); j++ {
-			if wts[j] > wts[best] || (wts[j] == wts[best] && nbrs[j] < nbrs[best]) {
-				best = j
+		k := len(nbrs)
+		if k == m {
+			if w <= wts[k-1] {
+				continue
 			}
+			k-- // evict the last entry
+		} else {
+			nbrs, wts = append(nbrs, 0), append(wts, 0)
 		}
-		nbrs[i], nbrs[best] = nbrs[best], nbrs[i]
-		wts[i], wts[best] = wts[best], wts[i]
+		for ; k > 0 && wts[k-1] < w; k-- {
+			nbrs[k], wts[k] = nbrs[k-1], wts[k-1]
+		}
+		nbrs[k], wts[k] = int32(u), w
 	}
 	cc.scratch.nbrs, cc.scratch.wts = nbrs, wts
-	return nbrs[:m], wts[:m]
+	return nbrs, wts
 }
 
 // refresh re-profiles a RefreshFrac slice of the live population through the

@@ -59,6 +59,11 @@ var (
 	// ErrShardTruncated marks a shard whose outcome list does not match
 	// its declared combo range.
 	ErrShardTruncated = errors.New("shard outcomes truncated")
+	// ErrShardOutcome marks a shard carrying an outcome the report
+	// reduction cannot fold: a benchmark outside the campaign's pool, a
+	// chosen index outside the candidate list, or a candidate with fewer
+	// user-cycle counts than the mix has benchmarks.
+	ErrShardOutcome = errors.New("shard outcome malformed")
 )
 
 // Shard is one machine's slice of a sweep: the combos in [ComboLo, ComboHi)
@@ -242,10 +247,42 @@ type shardSpan struct {
 // shard's campaign.
 func NewShardMerger() *ShardMerger { return &ShardMerger{} }
 
+// CheckOutcomes rejects, wrapping ErrShardOutcome, a shard whose outcomes
+// the report reduction could not fold. Names must come from the merger's
+// pool: the first accepted shard's, or s's own before any is accepted.
+// ChosenIdx must index a non-empty candidate list, and every candidate
+// must carry a user-cycle count per name. A zero-valued outcome passes.
+// Add runs this check; the coordinator also runs it before journaling.
+func (m *ShardMerger) CheckOutcomes(s Shard) error {
+	pool := s.Pool
+	if len(m.spans) > 0 {
+		pool = m.ref.Pool
+	}
+	for k, o := range s.Outcomes {
+		combo := s.ComboLo + k
+		for _, name := range o.Names {
+			if !slices.Contains(pool, name) {
+				return fmt.Errorf("experiments: combo %d names %q, not in the pool: %w", combo, name, ErrShardOutcome)
+			}
+		}
+		if len(o.Candidates) > 0 && (o.ChosenIdx < 0 || o.ChosenIdx >= len(o.Candidates)) {
+			return fmt.Errorf("experiments: combo %d chose candidate %d of %d: %w", combo, o.ChosenIdx, len(o.Candidates), ErrShardOutcome)
+		}
+		for c, cand := range o.Candidates {
+			if len(cand.UserCycles) < len(o.Names) {
+				return fmt.Errorf("experiments: combo %d candidate %d has %d user-cycle counts for %d benchmarks: %w",
+					combo, c, len(cand.UserCycles), len(o.Names), ErrShardOutcome)
+			}
+		}
+	}
+	return nil
+}
+
 // Add validates the shard against the campaign and the ranges already
 // folded, then accepts it. Rejections wrap ErrShardFormat,
-// ErrShardCampaign, ErrShardTiling or ErrShardTruncated and leave the
-// merger unchanged — a bad shard can always be retried or replaced.
+// ErrShardCampaign, ErrShardTiling, ErrShardTruncated or ErrShardOutcome
+// and leave the merger unchanged — a bad shard can always be retried or
+// replaced.
 func (m *ShardMerger) Add(s Shard) error {
 	if s.Format != ShardFormat {
 		return fmt.Errorf("experiments: shard format %d, want %d: %w", s.Format, ShardFormat, ErrShardFormat)
@@ -272,6 +309,9 @@ func (m *ShardMerger) Add(s Shard) error {
 	}
 	if len(s.Outcomes) != s.Combos() {
 		return fmt.Errorf("experiments: shard [%d,%d) has %d outcomes, want %d: %w", s.ComboLo, s.ComboHi, len(s.Outcomes), s.Combos(), ErrShardTruncated)
+	}
+	if err := m.CheckOutcomes(s); err != nil {
+		return err
 	}
 	if len(m.spans) == 0 {
 		m.ref = s

@@ -112,6 +112,63 @@ func TestMergeShardsErrorClasses(t *testing.T) {
 	}
 }
 
+// TestMalformedOutcomesRejected: a shard carrying an outcome the report
+// reduction cannot fold is refused with ErrShardOutcome — by Add, whether
+// it arrives first or after an accepted shard, leaving the merger
+// unchanged, and by MergeShards. Well-formed and zero-valued outcomes
+// still merge.
+func TestMalformedOutcomesRejected(t *testing.T) {
+	good := func(s Shard) Shard {
+		for k := range s.Outcomes {
+			s.Outcomes[k] = MixOutcome{Names: []string{"a", "b"}, ChosenIdx: 1, Candidates: []MixResult{
+				{UserCycles: []uint64{10, 20}}, {UserCycles: []uint64{15, 5}}}}
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Shard, o *MixOutcome)
+	}{
+		{"name outside the pool", func(_ *Shard, o *MixOutcome) { o.Names[1] = "not-in-pool" }},
+		{"name outside the pool, no candidates", func(_ *Shard, o *MixOutcome) { *o = MixOutcome{Names: []string{"z"}} }},
+		{"name in the shard's pool only", func(s *Shard, o *MixOutcome) {
+			s.Pool = []string{"a", "b", "z"}
+			o.Names[0] = "z"
+		}},
+		{"chosen index past the candidates", func(_ *Shard, o *MixOutcome) { o.ChosenIdx = 2 }},
+		{"negative chosen index", func(_ *Shard, o *MixOutcome) { o.ChosenIdx = -1 }},
+		{"short user cycles", func(_ *Shard, o *MixOutcome) { o.Candidates[1].UserCycles = o.Candidates[1].UserCycles[:1] }},
+		{"no user cycles", func(_ *Shard, o *MixOutcome) { o.Candidates[0].UserCycles = nil }},
+	} {
+		first, bad := good(errShard(0, 4)), good(errShard(4, 10))
+		tc.mutate(&bad, &bad.Outcomes[3])
+
+		m := NewShardMerger()
+		if err := m.Add(first); err != nil {
+			t.Fatalf("%s: good shard: %v", tc.name, err)
+		}
+		if err := m.Add(bad); !errors.Is(err, ErrShardOutcome) {
+			t.Errorf("%s: Add after a good shard: %v, want ErrShardOutcome", tc.name, err)
+		}
+		if m.Accepted() != 1 || m.Covered() != 4 {
+			t.Errorf("%s: rejected Add changed the merger: %d shards, %d combos", tc.name, m.Accepted(), m.Covered())
+		}
+		m.Partial()
+		if _, err := MergeShards([]Shard{first, bad}); !errors.Is(err, ErrShardOutcome) {
+			t.Errorf("%s: MergeShards: %v, want ErrShardOutcome", tc.name, err)
+		}
+		if tc.name == "name in the shard's pool only" {
+			continue // first in, its own pool is the merger's
+		}
+		if err := NewShardMerger().Add(bad); !errors.Is(err, ErrShardOutcome) {
+			t.Errorf("%s: Add as the first shard: %v, want ErrShardOutcome", tc.name, err)
+		}
+	}
+	if _, err := MergeShards([]Shard{good(errShard(0, 4)), errShard(4, 10)}); err != nil {
+		t.Errorf("well-formed and zero-valued outcomes rejected: %v", err)
+	}
+}
+
 // TestShardMergerStreaming pins the incremental fold the coordinator uses:
 // shards arriving out of order, partial visibility along the way, and a
 // final report identical to the batch MergeShards of the same shards.

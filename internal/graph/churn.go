@@ -10,7 +10,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -65,7 +67,9 @@ func (s *Sparse) InsertNode(nbrs []int32, w []float64) int {
 	if len(nbrs) != len(w) {
 		panic(fmt.Sprintf("graph: %d neighbors with %d weights", len(nbrs), len(w)))
 	}
-	sort.Sort(&rowSorter{nbrs, w})
+	s.sorter = rowSorter{nbrs, w}
+	sort.Sort(&s.sorter)
+	s.sorter = rowSorter{}
 	for x, u := range nbrs {
 		s.check(int(u))
 		if s.dead[u] {
@@ -139,12 +143,14 @@ func (s *Sparse) newSlot() int {
 }
 
 // grow extends the shared edge storage by need slots and returns the first
-// new index.
+// new index. Growth is amortized over the storage's capacity, which
+// Compact keeps.
 func (s *Sparse) grow(need int) int {
 	lo := len(s.col)
-	for i := 0; i < need; i++ {
-		s.col = append(s.col, -1)
-		s.wts = append(s.wts, 0)
+	s.col = slices.Grow(s.col, need)[:lo+need]
+	s.wts = slices.Grow(s.wts, need)[:lo+need]
+	for i := lo; i < lo+need; i++ {
+		s.col[i], s.wts[i] = -1, 0
 	}
 	return lo
 }
@@ -198,21 +204,33 @@ func (s *Sparse) removeHalf(u int, j int32) {
 	s.slots--
 }
 
-// Compact repacks the edge storage, dropping every abandoned slot while
-// preserving node ids (tombstoned slots stay reusable). O(edges) — the lazy
-// counterpart to the per-edit costs above: run it when Frag crosses a
-// threshold but Misses do not yet justify a full re-sparsifying rebuild.
+// Compact repacks the edge storage in place, dropping every abandoned slot
+// while preserving node ids (tombstoned slots stay reusable) and the
+// storage's capacity, so a compaction allocates nothing once warm.
+// O(edges + n log n) — the lazy counterpart to the per-edit costs above:
+// run it when Frag crosses a threshold but Misses do not yet justify a full
+// re-sparsifying rebuild.
+//
+// Live rows move down in storage-offset order. Rows never share storage,
+// so the rows before a row in that order lie below its start, and the
+// write cursor never passes the start of a row it has not yet moved.
 func (s *Sparse) Compact() {
-	col := make([]int32, 0, s.slots)
-	wts := make([]float64, 0, s.slots)
+	order := s.order[:0]
 	for i := 0; i < s.n; i++ {
-		lo, hi := s.off[i], s.end[i]
-		s.off[i] = int32(len(col))
-		col = append(col, s.col[lo:hi]...)
-		wts = append(wts, s.wts[lo:hi]...)
-		s.end[i] = int32(len(col))
-		s.lim[i] = s.end[i]
+		if !s.dead[i] {
+			order = append(order, int32(i))
+		}
 	}
-	s.col, s.wts = col, wts
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(s.off[a], s.off[b]) })
+	at := int32(0)
+	for _, i := range order {
+		lo, hi := s.off[i], s.end[i]
+		copy(s.col[at:], s.col[lo:hi])
+		copy(s.wts[at:], s.wts[lo:hi])
+		s.off[i] = at
+		at += hi - lo
+		s.end[i], s.lim[i] = at, at
+	}
+	s.col, s.wts, s.order = s.col[:at], s.wts[:at], order
 	s.drift.DeadSlots = 0
 }

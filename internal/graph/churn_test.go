@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -211,6 +212,88 @@ func TestDriftCountersAndCompact(t *testing.T) {
 	// Edits keep working on compacted storage.
 	s.InsertNode([]int32{7, 9}, []float64{1, 1})
 	checkSparseInvariants(t, s)
+}
+
+// TestCompactInPlace: Compact repacks storage in place after seeded churn
+// that relocates and removes rows. Every row reads as before, Frag drops to
+// 0, Edges and the other drift counters hold, the storage keeps its
+// capacity, and neither a compaction nor an InsertNode that fits the
+// capacity allocates.
+func TestCompactInPlace(t *testing.T) {
+	type row struct {
+		cols []int32
+		wts  []float64
+	}
+	for seed := int64(1); seed <= 25; seed++ {
+		_, s := randomSparse(40, 5, seed)
+		rng := rand.New(rand.NewSource(seed))
+		for op := 0; op < 120; op++ {
+			switch {
+			case op%50 == 49:
+				s.Compact() // later compactions start from a compacted layout
+			case rng.Intn(3) == 0 && s.Alive() > 10:
+				v := rng.Intn(s.Len())
+				for s.Removed(v) {
+					v = (v + 1) % s.Len()
+				}
+				s.RemoveNode(v)
+			default:
+				var nbrs []int32
+				var w []float64
+				for _, u := range rng.Perm(s.Len())[:1+rng.Intn(6)] {
+					if !s.Removed(u) {
+						nbrs = append(nbrs, int32(u))
+						w = append(w, float64(1+rng.Intn(9)))
+					}
+				}
+				s.InsertNode(nbrs, w)
+			}
+		}
+		if s.Frag() == 0 {
+			t.Fatalf("seed %d: churn left no abandoned storage", seed)
+		}
+		rows := make([]row, s.Len())
+		for i := range rows {
+			cols, wts := s.Row(i)
+			rows[i] = row{slices.Clone(cols), slices.Clone(wts)}
+		}
+		edges, drift := s.Edges(), s.Drift()
+		capCol, capWts := cap(s.col), cap(s.wts)
+		s.Compact()
+		for i, r := range rows {
+			if cols, wts := s.Row(i); !slices.Equal(cols, r.cols) || !slices.Equal(wts, r.wts) {
+				t.Fatalf("seed %d: row %d reads %v %v after Compact, was %v %v", seed, i, cols, wts, r.cols, r.wts)
+			}
+		}
+		drift.DeadSlots = 0
+		if s.Frag() != 0 || s.Edges() != edges || s.Drift() != drift {
+			t.Fatalf("seed %d: after Compact Frag %g, Edges %d (was %d), drift %+v (want %+v)",
+				seed, s.Frag(), s.Edges(), edges, s.Drift(), drift)
+		}
+		if cap(s.col) < capCol || cap(s.wts) < capWts {
+			t.Fatalf("seed %d: capacity shrank: col %d -> %d, wts %d -> %d", seed, capCol, cap(s.col), capWts, cap(s.wts))
+		}
+		checkSparseInvariants(t, s)
+
+		if a := testing.AllocsPerRun(10, s.Compact); a != 0 {
+			t.Fatalf("seed %d: Compact allocates %v times", seed, a)
+		}
+		// An arrival into a reused id whose rows fit the kept capacity.
+		nbrs, w := []int32{}, []float64{}
+		for u := 0; u < s.Len() && len(nbrs) < 6; u++ {
+			if !s.Removed(u) {
+				nbrs, w = append(nbrs, int32(u)), append(w, float64(len(nbrs)+1))
+			}
+		}
+		capCol = cap(s.col)
+		if a := testing.AllocsPerRun(10, func() { s.RemoveNode(s.InsertNode(nbrs, w)) }); a != 0 {
+			t.Fatalf("seed %d: InsertNode allocates %v times", seed, a)
+		}
+		if cap(s.col) != capCol {
+			t.Fatalf("seed %d: InsertNode outgrew the kept capacity %d", seed, capCol)
+		}
+		checkSparseInvariants(t, s)
+	}
 }
 
 // checkChurnPartition asserts the partition invariants that hold under

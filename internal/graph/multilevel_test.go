@@ -304,6 +304,28 @@ func TestRepairPreservesBalanceUnderPressure(t *testing.T) {
 	_ = target
 }
 
+// TestRepairTiesToSmallerGroup: when two groups offer a node the same
+// gain, repair moves it to the smaller group id, even when its row meets
+// the larger one first. Node 0 is tied to group 2 through node 3 and to
+// group 1 through node 5 with equal weights, and the sizes 3/2/2/2 leave
+// room to move it into either.
+func TestRepairTiesToSmallerGroup(t *testing.T) {
+	b := NewBuilder(9, 0)
+	b.Add(0, 3, 5)
+	b.Add(0, 5, 5)
+	for _, e := range [][2]int{{1, 2}, {3, 4}, {5, 6}, {7, 8}} {
+		b.Add(e[0], e[1], 10)
+	}
+	s := b.Build()
+	pt := PartitionFromGroups(s, [][]int{{0, 1, 2}, {5, 6}, {3, 4}, {7, 8}})
+	if moves := RepairPartition(s, pt, []int{0}); moves != 1 || pt.Group(0) != 1 {
+		t.Fatalf("%d moves, node 0 in group %d; want 1 move into group 1", moves, pt.Group(0))
+	}
+	if got, want := pt.Cut(), s.CutK(pt.Assign()); !approxEq(got, want) {
+		t.Fatalf("cut bookkeeping: %g != %g", got, want)
+	}
+}
+
 func TestPartitionFromGroupsValidation(t *testing.T) {
 	_, s := randomSparse(4, 3, 71)
 	for _, groups := range [][][]int{

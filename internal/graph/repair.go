@@ -68,8 +68,11 @@ func (pt *Partition) syncLen(g *Sparse) {
 }
 
 // NewPartition partitions g into k groups and wraps the result for repair.
+// It runs on a fresh Partitioner, so the multilevel scratch, which is sized
+// by the whole graph, dies with the call instead of staying in the pool
+// that serves the repairs to come.
 func (s *Sparse) NewPartition(k int) *Partition {
-	return PartitionFromGroups(s, s.PartitionK(k))
+	return PartitionFromGroups(s, NewPartitioner().PartitionK(s, k))
 }
 
 // K returns the group count.
@@ -304,14 +307,14 @@ func (p *Partitioner) finishRepair(g *Sparse, pt *Partition) int {
 				}
 				p.conn[d] += wts[t]
 			}
-			slices.Sort(p.connTouch)
-			// Best single move: max gain, ties to the smallest group id.
+			// Best single move: max gain, ties to the smallest group id,
+			// broken explicitly because connTouch is in first-seen order.
 			best, bestGain := int32(-1), 1e-12
 			for _, d := range p.connTouch {
 				if d == c {
 					continue
 				}
-				if gain := p.conn[d] - p.conn[c]; gain > bestGain {
+				if gain := p.conn[d] - p.conn[c]; gain > bestGain || gain == bestGain && best >= 0 && d < best {
 					best, bestGain = d, gain
 				}
 			}

@@ -42,6 +42,9 @@ type Sparse struct {
 	free  []int32 // tombstoned slots available for id reuse (LIFO)
 	slots int     // live directed edge slots; Edges() == slots/2
 	drift Drift
+
+	sorter rowSorter // InsertNode's neighbor sort, kept so it does not allocate
+	order  []int32   // Compact's scratch: live rows in storage order
 }
 
 // Len returns the node-id space size, including tombstoned slots — the
@@ -419,7 +422,7 @@ func (b *Builder) BuildInto(dst *Sparse) {
 	*dst = Sparse{
 		n: n, alive: n, slots: slots,
 		off: rowPtr[:n], end: end, lim: lim,
-		col: col, wts: wts, dead: dead, free: dst.free[:0],
+		col: col, wts: wts, dead: dead, free: dst.free[:0], order: dst.order[:0],
 	}
 }
 
