@@ -122,8 +122,10 @@ servicecheck:
 # arrival/departure campaign — both Poisson and trace modes, including the
 # drift-triggered rebuild fallback — replays byte-identically. The
 # experiments line's TestChurn alternative also matches TestChurnGolden
-# (recorded campaign checksums) and TestChurnTopPartnersMatchesSelection
-# (the partner window against a selection-sort oracle).
+# (recorded campaign checksums), TestChurnTopPartnersMatchesSelection (the
+# partner window against a selection-sort oracle over alloc.PairWeight),
+# TestChurnScoreIndexMirrorsViews (the per-core score index equals the
+# views after every campaign event) and TestChurnTopPartnersZeroAllocs.
 churncheck:
 	$(call gate,./internal/graph,TestInsertNode|TestRemoveNode|TestDriftCountersAndCompact|TestCompactInPlace|TestRepairTiesToSmallerGroup|TestInsertAndRepair|TestRemoveAndRepairRestoresEnvelope|TestChurnInterleaved|FuzzPartition)
 	$(call gate,./internal/monitor,TestSmoothShrinkThenGrow|TestForget|TestAger)
@@ -186,10 +188,11 @@ benchgate:
 	$(GO) run ./cmd/bench -layers sweep,alloc,sig,trace,churn -reps 5 -check results/BENCH_2026-08-06.json -tolerance 0.15
 
 # Real measurement: every layer, with the sweep repeated at GOMAXPROCS=1
-# (-mp1), appended to results/BENCH_<date>.json; see README "Performance".
-# An entry recorded this way is a complete baseline for benchgate.
+# (-mp1), appended to results/BENCH_2026-08-06.json, the ledger benchgate
+# reads; see README "Performance". An entry recorded this way is a complete
+# baseline for benchgate. Without -out, cmd/bench only prints the entry.
 bench:
-	$(GO) run ./cmd/bench -layers sweep,alloc,sig,trace,coord,churn -reps 5 -mp1 -label $$(git rev-parse --short HEAD)
+	$(GO) run ./cmd/bench -layers sweep,alloc,sig,trace,coord,churn -reps 5 -mp1 -label $$(git rev-parse --short HEAD) -out results/BENCH_2026-08-06.json
 
 clean:
 	$(GO) clean ./...

@@ -19,14 +19,15 @@
 //	go run ./cmd/bench -mp1 -label after -out results/BENCH_2026-08-06.json
 //	go run ./cmd/bench -layers sweep,alloc,sig,trace,churn -reps 5 -check results/BENCH_2026-08-06.json
 //
-// The entry is appended to -out (default results/BENCH_<date>.json when the
-// sweep runs without -check), keeping earlier entries byte for byte. -check
-// compares it against the ledger's newest entry (compare) and exits non-zero
-// on a regression, a checksum mismatch or a measurement the baseline lacks;
-// it writes nothing unless -out is given.
+// The entry is appended to the -out ledger, keeping earlier entries byte for
+// byte; without -out nothing is written and the entry is printed as JSON.
+// -check compares it against the ledger's newest entry (compare) and exits
+// non-zero on a regression, a checksum mismatch or a measurement the
+// baseline lacks.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -63,7 +64,7 @@ func main() {
 	layerList := flag.String("layers", "sweep", "comma-separated layers to measure: sweep, alloc, sig, trace, coord, churn")
 	reps := flag.Int("reps", 3, "timed samples per point (sweep: repetitions; the minimum wall time is the headline)")
 	label := flag.String("label", "HEAD", "entry label, e.g. a commit id")
-	out := flag.String("out", "", "ledger to append the entry to (default results/BENCH_<date>.json when the sweep runs without -check)")
+	out := flag.String("out", "", "ledger to append the entry to (without it nothing is written and the entry is printed)")
 	note := flag.String("note", "", "free-form provenance note stored with the entry")
 	baseline := flag.String("check", "", "baseline ledger: compare against its newest entry and exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional p50 slowdown vs the baseline in -check mode")
@@ -106,16 +107,15 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	path := *out
-	if path == "" && sweep && *baseline == "" {
-		path = "results/BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
-	}
-	if path == "" {
+	if *out == "" {
+		buf, err := json.MarshalIndent(e, "", "  ")
+		check(err)
+		fmt.Printf("%s\n", buf)
 		return
 	}
-	rpt, err := appendEntry(path, e)
+	rpt, err := appendEntry(*out, e)
 	check(err)
-	fmt.Printf("%s: appended %q with %d points\n", path, e.Label, len(e.Points))
+	fmt.Printf("%s: appended %q with %d points\n", *out, e.Label, len(e.Points))
 	if first, err := rpt.entry(0); sweep && err == nil && len(rpt.Entries) > 1 {
 		fmt.Printf("sweep min %.3fs, speedup vs %s: %.2fx (same determinism checksums: %v)\n",
 			e.MinSeconds, first.Label, first.MinSeconds/e.MinSeconds, first.AvgImprovementPct == e.AvgImprovementPct)

@@ -3,10 +3,11 @@
 // every structural change meant rebuilding the top-m interference graph and
 // re-partitioning from scratch, O(P²) per event. This driver exercises the
 // incremental alternative end to end: an arriving thread is scored against
-// the live population with alloc.PairWeight, spliced into the graph with
-// graph.InsertAndRepair, and registered with the monitor's lazy Ager; a
-// departing thread leaves through graph.RemoveAndRepair; stale signature
-// contributions decay through Ager.Refresh; and the accumulated drift
+// the live population (alloc.PairWeight's weight, read from a per-core score
+// index), spliced into the graph with graph.InsertAndRepair, and registered
+// with the monitor's lazy Ager; a departing thread leaves through
+// graph.RemoveAndRepair; stale signature contributions decay through
+// Ager.Refresh; and the accumulated drift
 // (sparsification misses + storage fragmentation) triggers the automatic
 // fallback — Compact when only storage drifted, full rebuild when the
 // topology did. Everything is seeded and deterministic: the same config
@@ -109,8 +110,8 @@ func (c *ChurnConfig) defaults() ChurnConfig {
 
 // churnCampaign owns the live state of one run: the kernel-view table
 // indexed by graph node id (slots are reused exactly as the graph reuses
-// tombstoned ids), the mutable sparse graph, its partition, and the
-// monitor-side staleness clocks.
+// tombstoned ids), the score index beside it, the mutable sparse graph, its
+// partition, and the monitor-side staleness clocks.
 type churnCampaign struct {
 	cfg   ChurnConfig
 	rng   *rand.Rand
@@ -121,22 +122,42 @@ type churnCampaign struct {
 	born  []int // arrival sequence number per id, -1 when dead; trace-mode FIFO victim order
 	seq   int
 
+	// The score index is views in struct-of-arrays form, written only by
+	// store: lastCore[u] is views[u].LastCore and cols[c][u] is
+	// views[u].Overlap[c]. A live view's pair weight against u,
+	// alloc.PairWeight(view, &views[u]), is then
+	// view.Overlap[lastCore[u]] + cols[view.LastCore][u], read from two
+	// dense arrays. A dead id holds lastCore 0 and deadScore in every
+	// column, so its score is negative and never enters a partner window.
+	lastCore []int32
+	cols     [][]int32
+
 	rep      ChurnReport
 	sum      hash64
 	cursor   int // round-robin refresh position
 	missBase int // misses accumulated before the last rebuild reset drift
 	touch    [1]int
-	scratch  struct {
-		nbrs []int32
-		wts  []float64
-	}
+	window   partnerWindow
 	// spare holds departed threads' Symbiosis and Overlap vectors, which
 	// newView reuses so an arrival allocates no view storage.
 	spare [][]int32
 }
 
+// deadScore is a dead id's entry in every score-index column: added to any
+// int32 overlap it stays negative.
+const deadScore = math.MinInt32
+
 // RunChurn executes one arrival/departure campaign and returns its report.
 func RunChurn(c ChurnConfig) ChurnReport {
+	cc := newChurnCampaign(c)
+	for q := 0; q < cc.cfg.Quanta; q++ {
+		cc.quantum(q)
+	}
+	return cc.report()
+}
+
+// newChurnCampaign validates c and seeds its initial population.
+func newChurnCampaign(c ChurnConfig) *churnCampaign {
 	cfg := c.defaults()
 	if cfg.Cores < 1 || cfg.P0 < 0 || cfg.Quanta < 0 || cfg.TopM < 0 {
 		panic(fmt.Sprintf("experiments: bad churn config %+v", cfg))
@@ -149,9 +170,12 @@ func RunChurn(c ChurnConfig) ChurnReport {
 	cc.rep = ChurnReport{Mode: cfg.Mode, Seed: cfg.Seed, P0: cfg.P0,
 		Cores: cfg.Cores, Quanta: cfg.Quanta}
 	cc.seed()
-	for q := 0; q < cfg.Quanta; q++ {
-		cc.quantum(q)
-	}
+	return cc
+}
+
+// report finishes the campaign's report: final population, cut and the
+// checksum over the event log and final assignment.
+func (cc *churnCampaign) report() ChurnReport {
 	cc.rep.FinalAlive = cc.g.Alive()
 	cc.rep.FinalCut = cc.pt.Cut()
 	for v, a := range cc.pt.Assign() {
@@ -165,14 +189,52 @@ func RunChurn(c ChurnConfig) ChurnReport {
 // seed builds the initial population the way a rebuild does: full
 // interference graph over the id space, multilevel partition, fresh clocks.
 func (cc *churnCampaign) seed() {
-	cc.views = make([]kernel.View, cc.cfg.P0)
-	cc.born = make([]int, cc.cfg.P0)
-	for i := range cc.views {
-		cc.views[i] = cc.newView(i)
-		cc.born[i] = cc.seq
+	// A quarter of headroom holds the ids a population fluctuating around
+	// P0 reaches, so the table and the index are allocated once.
+	cc.reserve(cc.cfg.P0 + cc.cfg.P0/4)
+	for i := 0; i < cc.cfg.P0; i++ {
+		cc.store(i, cc.newView(i), cc.seq)
 		cc.seq++
 	}
 	cc.rebuild()
+}
+
+// reserve allocates the view table and the score index empty, with room
+// for n ids; store grows them past n.
+func (cc *churnCampaign) reserve(n int) {
+	cc.views, cc.born = make([]kernel.View, 0, n), make([]int, 0, n)
+	cc.lastCore, cc.cols = make([]int32, 0, n), make([][]int32, cc.cfg.Cores)
+	for c := range cc.cols {
+		cc.cols[c] = make([]int32, 0, n)
+	}
+}
+
+// store makes id u hold view with arrival sequence number born (-1: dead),
+// growing the view table and the score index to cover u, and writes u's
+// score-index entries. A live view must carry a signature, a Cores-long
+// Overlap and a LastCore below Cores, as newView's do; on such views the
+// index scores exactly what alloc.PairWeight does.
+func (cc *churnCampaign) store(u int, view kernel.View, born int) {
+	for u >= len(cc.views) {
+		cc.views = append(cc.views, kernel.View{})
+		cc.born = append(cc.born, -1)
+		cc.lastCore = append(cc.lastCore, 0)
+		for c := range cc.cols {
+			cc.cols[c] = append(cc.cols[c], deadScore)
+		}
+	}
+	cc.views[u], cc.born[u] = view, born
+	if born < 0 {
+		cc.lastCore[u] = 0
+		for _, col := range cc.cols {
+			col[u] = deadScore
+		}
+		return
+	}
+	cc.lastCore[u] = int32(view.LastCore)
+	for c, col := range cc.cols {
+		col[u] = view.Overlap[c]
+	}
 }
 
 // newView synthesizes an arriving thread's monitor view: baseline noise
@@ -264,12 +326,7 @@ func (cc *churnCampaign) arrive(q int) {
 	nbrs, wts := cc.topPartners(&view)
 	v, migrations := graph.InsertAndRepair(cc.g, cc.pt, nbrs, wts)
 	view.ThreadID, view.ProcID = v, v
-	for v >= len(cc.views) {
-		cc.views = append(cc.views, kernel.View{})
-		cc.born = append(cc.born, -1)
-	}
-	cc.views[v] = view
-	cc.born[v] = cc.seq - 1
+	cc.store(v, view, cc.seq-1)
 	cc.ag.NodeInserted(v)
 	cc.rep.Arrivals++
 	cc.rep.Migrations += migrations
@@ -282,8 +339,7 @@ func (cc *churnCampaign) depart(q, v int) {
 	start := cc.tick()
 	migrations := graph.RemoveAndRepair(cc.g, cc.pt, v)
 	cc.spare = append(cc.spare, cc.views[v].Symbiosis, cc.views[v].Overlap)
-	cc.views[v] = kernel.View{ThreadID: v}
-	cc.born[v] = -1
+	cc.store(v, kernel.View{ThreadID: v}, -1)
 	cc.rep.Departures++
 	cc.rep.Migrations += migrations
 	cc.sum.ints(2, q, v, migrations)
@@ -302,39 +358,56 @@ func (cc *churnCampaign) oldest() int {
 	return best
 }
 
-// topPartners selects the TopM heaviest interference partners of view among
-// the live population, heaviest first and ties to the smaller id — the
-// arrival-time equivalent of the builder's top-m sparsification — in one
-// O(P) pass. The window holds the best partners seen so far in that order;
-// ids arrive ascending, so a candidate no heavier than the window's last
-// entry loses to it and is rejected with one comparison.
+// topPartners selects the TopM heaviest interference partners of view (a
+// live view in store's shape) among the live population, heaviest first and
+// ties to the smaller id — the arrival-time equivalent of the builder's
+// top-m sparsification — in one O(P) pass over the score index. Both terms
+// of a pair weight are int32 overlaps, so their integer sum converts to
+// exactly the float64 alloc.PairWeight returns. Ids arrive ascending, so a
+// candidate that does not beat the window's floor loses to every partner
+// in it and costs one comparison.
 func (cc *churnCampaign) topPartners(view *kernel.View) ([]int32, []float64) {
-	m := cc.cfg.TopM
-	nbrs, wts := cc.scratch.nbrs[:0], cc.scratch.wts[:0]
-	for u := range cc.views {
-		if cc.born[u] < 0 {
-			continue
+	w := &cc.window
+	w.m, w.nbrs, w.wts = cc.cfg.TopM, w.nbrs[:0], w.wts[:0]
+	row, last := view.Overlap, cc.lastCore
+	col := cc.cols[view.LastCore][:len(last)]
+	var floor int64
+	for u, c := range last {
+		if s := int64(row[c]) + int64(col[u]); s > floor {
+			floor = w.admit(int32(u), s)
 		}
-		w := alloc.PairWeight(view, &cc.views[u])
-		if w <= 0 {
-			continue
-		}
-		k := len(nbrs)
-		if k == m {
-			if w <= wts[k-1] {
-				continue
-			}
-			k-- // evict the last entry
-		} else {
-			nbrs, wts = append(nbrs, 0), append(wts, 0)
-		}
-		for ; k > 0 && wts[k-1] < w; k-- {
-			nbrs[k], wts[k] = nbrs[k-1], wts[k-1]
-		}
-		nbrs[k], wts[k] = int32(u), w
 	}
-	cc.scratch.nbrs, cc.scratch.wts = nbrs, wts
-	return nbrs, wts
+	return w.nbrs, w.wts
+}
+
+// partnerWindow holds the best <= m partners seen so far, heaviest first
+// and ties to the one seen first. Its slices are reused across selections.
+type partnerWindow struct {
+	m    int
+	nbrs []int32
+	wts  []float64
+}
+
+// admit places partner u of score s > 0, evicting the last partner when
+// the window is full, and returns the window's floor: the score a later
+// candidate must beat to enter, 0 until the window is full. Admissions are
+// rare next to rejections; as a call of its own (too large to inline), it
+// leaves topPartners' scan loop few enough values to keep in registers.
+func (w *partnerWindow) admit(u int32, s int64) int64 {
+	wt, k := float64(s), len(w.nbrs)
+	if k == w.m {
+		k-- // evict the last entry
+	} else {
+		w.nbrs, w.wts = append(w.nbrs, 0), append(w.wts, 0)
+	}
+	for ; k > 0 && w.wts[k-1] < wt; k-- {
+		w.nbrs[k], w.wts[k] = w.nbrs[k-1], w.wts[k-1]
+	}
+	w.nbrs[k], w.wts[k] = u, wt
+	if len(w.nbrs) < w.m {
+		return 0
+	}
+	return int64(w.wts[w.m-1])
 }
 
 // refresh re-profiles a RefreshFrac slice of the live population through the

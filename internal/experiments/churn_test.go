@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -255,28 +256,31 @@ func tieView(rng *rand.Rand, id, cores int, zero bool) kernel.View {
 }
 
 // TestChurnTopPartnersMatchesSelection: the window must return exactly the
-// selection sort's (nbrs, wts) sequence — the order reaches
-// Partition.UpdateWeight through probe — over seeded populations with dead
-// slots (some still carrying a signature) and heavy weight ties, TopM from 1
-// to 24, including fewer live partners than TopM and all-zero weights.
+// selection sort's (nbrs, wts) sequence over alloc.PairWeight — the order
+// reaches Partition.UpdateWeight through probe — over seeded populations
+// written through store, with dead slots (some still carrying a signature)
+// and heavy weight ties, TopM from 1 to 24, including fewer live partners
+// than TopM and all-zero weights.
 func TestChurnTopPartnersMatchesSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	short, empty := 0, 0
+	short, empty, signedDead := 0, 0, 0
 	for trial := 0; trial < 2000; trial++ {
 		cores := 1 + rng.Intn(6)
 		zero := trial%16 == 0
 		cc := &churnCampaign{cfg: ChurnConfig{TopM: 1 + trial%24, Cores: cores}}
 		p := rng.Intn(80)
-		cc.views = make([]kernel.View, p)
-		cc.born = make([]int, p)
-		for u := range cc.views {
-			cc.views[u] = tieView(rng, u, cores, zero)
+		cc.reserve(p / 2) // the rest of the population takes the growth path
+		for u := 0; u < p; u++ {
+			view, born := tieView(rng, u, cores, zero), u
 			if rng.Intn(4) == 0 {
-				cc.born[u] = -1
+				born = -1
 				if rng.Intn(2) == 0 {
-					cc.views[u] = kernel.View{ThreadID: u}
+					view = kernel.View{ThreadID: u}
+				} else {
+					signedDead++
 				}
 			}
+			cc.store(u, view, born)
 		}
 		// An arrival's fresh view, or a live member's own as probe passes.
 		view := tieView(rng, -1, cores, zero)
@@ -296,7 +300,126 @@ func TestChurnTopPartnersMatchesSelection(t *testing.T) {
 			empty++
 		}
 	}
-	if short < 100 || empty < 50 {
-		t.Fatalf("too few degenerate cases: %d short of TopM, %d empty", short, empty)
+	if short < 100 || empty < 50 || signedDead < 100 {
+		t.Fatalf("too few degenerate cases: %d short of TopM, %d empty, %d dead with a signature", short, empty, signedDead)
+	}
+}
+
+// checkScoreIndex fails t unless every id's score-index entries mirror its
+// view: LastCore and Overlap for a live id, lastCore 0 and deadScore in
+// every column for a dead one, over columns exactly as long as the view
+// table.
+func checkScoreIndex(t *testing.T, cc *churnCampaign, when string) {
+	t.Helper()
+	n := len(cc.views)
+	if len(cc.born) != n || len(cc.lastCore) != n || len(cc.cols) != cc.cfg.Cores {
+		t.Fatalf("%s: %d views, %d born, %d lastCore, %d columns for %d cores",
+			when, n, len(cc.born), len(cc.lastCore), len(cc.cols), cc.cfg.Cores)
+	}
+	for c, col := range cc.cols {
+		if len(col) != n {
+			t.Fatalf("%s: column %d holds %d ids, want %d", when, c, len(col), n)
+		}
+	}
+	for u := range cc.views {
+		wantLast, live := int32(0), cc.born[u] >= 0
+		if live {
+			wantLast = int32(cc.views[u].LastCore)
+		}
+		if cc.lastCore[u] != wantLast {
+			t.Fatalf("%s: id %d (live %v) has lastCore %d, want %d", when, u, live, cc.lastCore[u], wantLast)
+		}
+		for c, col := range cc.cols {
+			want := int32(deadScore)
+			if live {
+				want = cc.views[u].Overlap[c]
+			}
+			if col[u] != want {
+				t.Fatalf("%s: id %d (live %v) column %d holds %d, want %d", when, u, live, c, col[u], want)
+			}
+		}
+	}
+}
+
+// TestChurnScoreIndexMirrorsViews: after the seed and after every event of
+// a Poisson and a trace campaign — arrivals past the seeded id range,
+// departures, refreshes, compactions and drift rebuilds — every id's
+// score-index entries equal its view's, or the dead value for a dead id.
+func TestChurnScoreIndexMirrorsViews(t *testing.T) {
+	poisson := testChurnConfig()
+	poisson.MissLimit, poisson.Quanta = 12, 80 // both fallbacks fire
+	for _, cfg := range []ChurnConfig{poisson, testChurnTraceConfig()} {
+		var cc *churnCampaign
+		q := 0
+		cfg.OnEvent = func(kind string, _ time.Duration) {
+			checkScoreIndex(t, cc, fmt.Sprintf("%s quantum %d after %s", cfg.Mode, q, kind))
+		}
+		cc = newChurnCampaign(cfg)
+		checkScoreIndex(t, cc, cfg.Mode+" seed")
+		for ; q < cfg.Quanta; q++ {
+			cc.quantum(q)
+		}
+		rep := cc.report()
+		if len(cc.views) <= cfg.P0 || rep.Departures == 0 || rep.Compacts == 0 || rep.Rebuilds == 0 {
+			t.Fatalf("%s: campaign exercises too little: %d ids for P0 %d, %+v", cfg.Mode, len(cc.views), cfg.P0, rep)
+		}
+	}
+}
+
+// TestChurnTopPartnersZeroAllocs: once its scratch has grown, partner
+// selection allocates nothing, for an arrival's view and a probe's alike.
+func TestChurnTopPartnersZeroAllocs(t *testing.T) {
+	cfg := testChurnConfig()
+	cc := newChurnCampaign(cfg)
+	for q := 0; q < 20; q++ {
+		cc.quantum(q)
+	}
+	arrival := cc.newView(-1)
+	probe := &cc.views[cc.oldest()]
+	for _, view := range []*kernel.View{&arrival, probe} {
+		cc.topPartners(view)
+		if a := testing.AllocsPerRun(100, func() { cc.topPartners(view) }); a != 0 {
+			t.Fatalf("topPartners allocates %.1f per call", a)
+		}
+	}
+}
+
+// BenchmarkChurnArrivalP1024 times one whole thread arrival — scoring
+// against the live population, partner selection, graph splice and repair —
+// at a steady P ≈ 1024 on 64 cores, the population of perfbench's
+// churn-p1024. Arrivals come 16 at a time, as there, each batch after 16
+// random live threads depart and storage drift is compacted (untimed), so
+// the arrivals reuse the departed ids. BenchmarkChurnEventP1024 in
+// internal/graph times the graph event alone.
+func BenchmarkChurnArrivalP1024(b *testing.B) {
+	const batch = 16
+	cc := newChurnCampaign(ChurnConfig{Mode: "trace", Seed: 24301, P0: 1024, Cores: 64, FragLimit: 0.6})
+	departures := func(q, n int) {
+		for ; n > 0; n-- {
+			v := cc.rng.Intn(len(cc.born))
+			for cc.born[v] < 0 {
+				v = cc.rng.Intn(len(cc.born))
+			}
+			cc.depart(q, v)
+		}
+		cc.fallback(q)
+	}
+	for q := 0; q < 128; q++ { // reach steady storage before timing
+		departures(q, batch)
+		for k := 0; k < batch; k++ {
+			cc.arrive(q)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		n := min(batch, b.N-i)
+		b.StopTimer()
+		departures(i, n)
+		b.StartTimer()
+		for ; n > 0; n-- {
+			cc.arrive(i)
+			i++
+		}
 	}
 }
