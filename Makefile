@@ -53,29 +53,37 @@ gate = @names=$$($(GO) test -list . $(1) | grep -E '^(Test|Fuzz|Example)') || { 
 # streaming merger must decide and report exactly as a linear-scan
 # reference merger on random shard sets, outcomes the report reduction
 # cannot fold (a benchmark outside the pool, a chosen index outside the
-# candidates, short user-cycle lists) are refused with ErrShardOutcome, and
+# candidates, short user-cycle lists) are refused with ErrShardOutcome, any
+# bytes offered as a shard file are refused with an ErrShard* sentinel or
+# merged into reports that do not panic (FuzzShardMerge's seed corpus: a
+# mid-file corruption, a truncation, an outcome list past its range), and
 # the distributed coordinator — stragglers re-dispatched, duplicates
 # discarded — must produce the same bytes end to end over HTTP.
 shardcheck:
-	$(call gate,./internal/experiments,TestShardMergeEquivalence|TestWorkersInvariance|TestShardMergerMatchesLinearScan|TestMalformedOutcomesRejected)
+	$(call gate,./internal/experiments,TestShardMergeEquivalence|TestWorkersInvariance|TestShardMergerMatchesLinearScan|TestMalformedOutcomesRejected|FuzzShardMerge)
 	$(call gate,./internal/coordctl,TestCoordinatorEndToEnd)
 
-# The trace-replay contract, uncached: the codec round-trips (v1 and both v2
-# containers, including the fuzz corpora), every replay path — bulk loop,
-# streaming, compiled, mmap zero-decode, frame-streaming — is bit-identical
-# to v1 stream replay (the four-way parity gate), NextRun consumes exactly
-# what as many Next calls would for every synthetic profile and for the
-# Next-only adapter (whose engine timing matches native NextRun replay),
-# decode rejects every corruption class without hanging or over-reading,
+# The trace-replay contract, uncached: capture reproduces the recorded
+# content fingerprints of the v1 captures it replaced, the v1 import
+# (Compile) and both v2 containers round-trip (including the fuzz corpora),
+# every replay path — compiled read, mmap zero-decode, framed read and frame
+# streaming — simulates bit-identically to the live generator it was
+# captured from (the four-way parity gate), NextRun consumes exactly what as
+# many Next calls would for every synthetic profile and for the Next-only
+# adapter (whose engine timing matches native NextRun replay), decode
+# rejects every corruption class without hanging or over-reading,
 # downsampled traces validate against full-rate footprints, trace-driven
-# pools run through the sweep/shard plumbing with content-bound pool hashes,
-# and the content-addressed corpus round-trips over HTTP (fetch, verify,
-# resume, tamper rejection) byte-identically to a local trace-dir sweep.
+# pools run through the sweep/shard plumbing with content-bound pool hashes
+# and refuse v1 captures by naming tracegen -compile, and the
+# content-addressed corpus round-trips over HTTP (fetch, verify, resume,
+# tamper rejection) byte-identically to a local trace-dir sweep. Every
+# alternative is a full anchored name, so the gate fails when a listed test
+# disappears.
 tracecheck:
-	$(call gate,./internal/trace,TestReader|TestCompile|TestCorrupt|TestTruncated|TestRunReplay|TestStreamReplay|TestBatchReplay|TestReplayParity|TestCompiledRoundTrip|TestCompiledEmptyAndTailOnly|TestCompiledDecodeErrors|TestReadCompiledLyingHeader|TestWriteV1RoundTrip|TestMmapOpenCompiled|TestFrameStreamReplay|TestDownsample|FuzzTraceRoundTrip|FuzzCompiledDecode)
-	$(call gate,./internal/workload,TestNextRunMatchesNext|TestAsRunSource)
-	$(call gate,./internal/experiments,TestTrace|TestSelectProfiles|TestArenaVirt|TestListTraceDir|TestCorpus)
-	$(call gate,./internal/coordctl,TestCorpusCampaignEndToEnd|TestFetchTrace)
+	$(call gate,./internal/trace,^TestReaderNextRun$$|^TestReaderStreaming$$|^TestCompile$$|^TestCorruptTailMarker$$|^TestTruncatedRecord$$|^TestTruncatedVarint$$|^TestCaptureGolden$$|^TestCaptureFromGenerator$$|^TestRunReplayMatchesReplay$$|^TestRunReplayRebase$$|^TestRunReplayExhaustionPads$$|^TestRunReplayRewind$$|^TestStreamReplayMatchesRunReplay$$|^TestStreamReplayBoundedMemory$$|^TestStreamReplayRewind$$|^TestStreamReplayBadMagic$$|^TestStreamReplayErrorSticky$$|^TestBatchReplayMatchesBatchSrc$$|^TestReplayParityFourWay$$|^TestCompiledRoundTrip$$|^TestCompiledEmptyAndTailOnly$$|^TestCompiledDecodeErrors$$|^TestReadCompiledLyingHeader$$|^TestWriteV1RoundTrip$$|^TestMmapOpenCompiled$$|^TestFrameStreamReplayMatchesCompiled$$|^TestDownsample$$|^FuzzTraceRoundTrip$$|^FuzzCompiledDecode$$)
+	$(call gate,./internal/workload,^TestNextRunMatchesNext$$|^TestAsRunSource$$)
+	$(call gate,./internal/experiments,^TestTracePoolFromDir$$|^TestTraceMixMatchesSyntheticPlumbing$$|^TestTraceSweepShard$$|^TestTracePoolEmptyDir$$|^TestTracePoolMixedFormats$$|^TestTracePoolRefusesV1Capture$$|^TestSelectProfiles$$|^TestArenaVirtMatchesFresh$$|^TestListTraceDirSkipsJunk$$|^TestCorpus$$)
+	$(call gate,./internal/coordctl,^TestCorpusCampaignEndToEnd$$|^TestFetchTraceResume$$|^TestFetchTraceConcurrentSharedCache$$|^TestFetchTraceRejectsTamperedContent$$)
 
 # The lazy-signature contract, uncached: lazy capture is bit-identical to
 # the eager test oracle (bloom's ContextSwitchEagerInto) under random
@@ -153,9 +161,9 @@ sigbench:
 	$(GO) run ./cmd/bench -layers sig -reps 2
 
 # Trace layer: open-to-first-run latency and full replay of the 128 MiB
-# fixture through all four replay paths (v1 compile, compiled read, mmap,
-# framed streaming). All four must replay one identical stream, so this
-# doubles as a replay-parity gate on a trace none of the unit tests
+# fixture through all three replay paths of the compiled format (compiled
+# read, mmap, framed streaming). All three must replay one identical stream,
+# so this doubles as a replay-parity gate on a trace none of the unit tests
 # generated.
 tracebench:
 	$(GO) run ./cmd/bench -layers trace -reps 2

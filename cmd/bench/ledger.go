@@ -217,6 +217,28 @@ func (r Report) entry(i int) (Entry, error) {
 	return e, err
 }
 
+// sweepSummary describes e, a sweep entry just appended to rpt as its last
+// entry: its speedup over the ledger's first entry, and whether its avg and
+// max checksums equal those of the newest earlier entry that ran the sweep
+// (the first entry predates the current checksum baseline). ok is false
+// when no earlier entry ran the sweep.
+func sweepSummary(rpt Report, e Entry) (summary string, ok bool) {
+	first, err := rpt.entry(0)
+	if err != nil {
+		return "", false
+	}
+	for i := len(rpt.Entries) - 2; i >= 0; i-- {
+		prev, err := rpt.entry(i)
+		if err != nil || len(prev.Reps) == 0 {
+			continue
+		}
+		same := prev.AvgImprovementPct == e.AvgImprovementPct && prev.MaxImprovementPct == e.MaxImprovementPct
+		return fmt.Sprintf("sweep min %.3fs, speedup vs %s: %.2fx (same determinism checksums as %s: %v)",
+			e.MinSeconds, first.Label, first.MinSeconds/e.MinSeconds, prev.Label, same), true
+	}
+	return "", false
+}
+
 // appendEntry appends e to the ledger at path, creating it if needed.
 func appendEntry(path string, e Entry) (Report, error) {
 	rpt, err := load(path)

@@ -100,3 +100,35 @@ func TestCompare(t *testing.T) {
 		t.Errorf("partial run failed or judged layers it did not measure:\n%s", out.String())
 	}
 }
+
+// The append summary compares checksums with the newest earlier entry that
+// ran the sweep, not with the first entry, which predates the current
+// baseline; the speedup stays against the first entry.
+func TestSweepSummary(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	for _, e := range []Entry{
+		{Label: "seed", Reps: []float64{14.8}, MinSeconds: 14.8, AvgImprovementPct: 6.434921857087667, MaxImprovementPct: 48.56972425895182},
+		{Label: "pr1", Reps: []float64{6.9}, MinSeconds: 6.9, AvgImprovementPct: 6.413870873232981, MaxImprovementPct: 48.56972425895182},
+		{Label: "points-only", Points: []Point{{Layer: "alloc", Name: "x", Samples: 1}}},
+	} {
+		if _, err := appendEntry(path, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := Entry{Label: "new", Reps: []float64{3.7}, MinSeconds: 3.7, AvgImprovementPct: 6.413870873232981, MaxImprovementPct: 48.56972425895182}
+	rpt, err := appendEntry(path, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := sweepSummary(rpt, cur)
+	if want := "sweep min 3.700s, speedup vs seed: 4.00x (same determinism checksums as pr1: true)"; !ok || got != want {
+		t.Fatalf("summary = %q, %v; want %q", got, ok, want)
+	}
+	cur.MaxImprovementPct = 48.5
+	if got, _ := sweepSummary(rpt, cur); !strings.HasSuffix(got, "as pr1: false)") {
+		t.Fatalf("a changed max checksum reads as the same: %q", got)
+	}
+	if _, ok := sweepSummary(Report{Entries: rpt.Entries[3:]}, cur); ok {
+		t.Fatal("a summary with no earlier sweep entry")
+	}
+}

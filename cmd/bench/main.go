@@ -9,7 +9,7 @@
 //	       avg/max improvement as the determinism checksum
 //	alloc  one allocation decision: sparse build + partition, incremental repair (alloc.go)
 //	sig    one context-switch capture, one monitor quantum (sig.go)
-//	trace  trace open-to-first-run and full replay, four paths (trace.go)
+//	trace  trace open-to-first-run and full replay, three paths (trace.go)
 //	coord  a 50-worker fleet draining one journaled coordinator (runCoord)
 //	churn  arrival/departure campaigns vs a full rebuild (churn.go)
 //
@@ -116,9 +116,8 @@ func main() {
 	rpt, err := appendEntry(*out, e)
 	check(err)
 	fmt.Printf("%s: appended %q with %d points\n", *out, e.Label, len(e.Points))
-	if first, err := rpt.entry(0); sweep && err == nil && len(rpt.Entries) > 1 {
-		fmt.Printf("sweep min %.3fs, speedup vs %s: %.2fx (same determinism checksums: %v)\n",
-			e.MinSeconds, first.Label, first.MinSeconds/e.MinSeconds, first.AvgImprovementPct == e.AvgImprovementPct)
+	if summary, ok := sweepSummary(rpt, e); sweep && ok {
+		fmt.Println(summary)
 	}
 }
 

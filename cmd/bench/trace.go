@@ -12,13 +12,10 @@ import (
 
 // The trace layer: what it costs to go from a corpus file on disk to the
 // first replayed run, and how long a full decode+replay pass takes, for each
-// of the four replay paths:
+// of the three replay paths:
 //
-//   - v1-compile:  varint capture, trace.Compile decodes the whole file into
-//     run-length form before the first run is available — the pre-v2
-//     baseline every other row is measured against.
 //   - compiled:    v2 raw container read through ReadCompiled (bulk record
-//     copy, no varint work).
+//     copy).
 //   - mmap:        v2 raw container through OpenCompiled — the view is a
 //     reinterpreted mapping, so "open" does no decode at all.
 //   - compressed:  v2 framed-flate container streamed frame by frame
@@ -26,7 +23,7 @@ import (
 //
 // The fixture is synthesized deterministically (LCG) and written once per
 // container. A replay point's checksum digests the replayed (skip, line)
-// stream and its length; all four paths must agree or the run aborts, so
+// stream and its length; all three paths must agree or the run aborts, so
 // every recorded replay point is also a replay-parity check. An open point's
 // checksum digests the first run. Info mib_per_s is resident MiB (16 B per
 // memory reference) over the fastest pass, comparable across containers of
@@ -39,7 +36,7 @@ const traceMiB = 128
 
 // synthTrace builds the deterministic fixture: mb MiB of 16-byte run records
 // with an mcf-like reference density (skips of 0..3) over a 256 MiB-line
-// region, so the varint baseline neither degenerates nor inflates.
+// region.
 func synthTrace(mb int) *trace.CompiledTrace {
 	runs := make([]trace.Run, uint64(mb)<<20/16)
 	rng := uint64(0x9E3779B97F4A7C15)
@@ -54,15 +51,11 @@ func synthTrace(mb int) *trace.CompiledTrace {
 // openTrace opens the fixture in dir through one replay path and returns the
 // source with the file or mapping to close after it.
 func openTrace(dir, format string) (workload.RunSource, io.Closer) {
-	if format == "mmap" {
+	switch format {
+	case "mmap":
 		mt, err := trace.OpenCompiled(filepath.Join(dir, "raw.symc"))
 		check(err)
 		return trace.NewRunReplay(mt.Trace(), false, 0), mt
-	}
-	decode, file := trace.Compile, "v1.trc"
-	switch format {
-	case "compiled":
-		decode, file = trace.ReadCompiled, "raw.symc"
 	case "compressed":
 		f, err := os.Open(filepath.Join(dir, "flate.symc"))
 		check(err)
@@ -70,9 +63,9 @@ func openTrace(dir, format string) (workload.RunSource, io.Closer) {
 		check(err)
 		return src, f
 	}
-	f, err := os.Open(filepath.Join(dir, file))
+	f, err := os.Open(filepath.Join(dir, "raw.symc"))
 	check(err)
-	ct, err := decode(f)
+	ct, err := trace.ReadCompiled(f)
 	check(err)
 	return trace.NewRunReplay(ct, false, 0), f
 }
@@ -96,8 +89,8 @@ func replayChecksum(src workload.RunSource, instr uint64) string {
 	return d.String()
 }
 
-// runTrace synthesizes the fixture, writes its three containers, and
-// measures every replay path.
+// runTrace synthesizes the fixture, writes its two containers, and measures
+// every replay path.
 func runTrace(reps int) []Point {
 	dir, err := os.MkdirTemp("", "symbiosched-tracebench-")
 	check(err)
@@ -107,7 +100,6 @@ func runTrace(reps int) []Point {
 	fmt.Fprintf(os.Stderr, "trace: synthesized a %d MiB fixture (%d runs, %d instructions)\n",
 		traceMiB, ct.MemRefs(), ct.Instructions())
 	for file, write := range map[string]func(io.Writer, *trace.CompiledTrace) error{
-		"v1.trc":     trace.WriteV1,
 		"raw.symc":   trace.WriteCompiled,
 		"flate.symc": func(w io.Writer, ct *trace.CompiledTrace) error { return trace.WriteCompiledFrames(w, ct, 0, 0) },
 	} {
@@ -120,7 +112,7 @@ func runTrace(reps int) []Point {
 	ct = nil // the benchmark reads the files, not the fixture
 
 	var pts []Point
-	for _, format := range []string{"v1-compile", "compiled", "mmap", "compressed"} {
+	for _, format := range []string{"compiled", "mmap", "compressed"} {
 		name := fmt.Sprintf("%s %dMiB", format, traceMiB)
 		replay := measure("trace", "replay "+name, reps, func() (func(), func() string) {
 			src, c := openTrace(dir, format)

@@ -16,9 +16,9 @@
 //	-seed N       workload seed
 //	-workers N    simulation parallelism (default GOMAXPROCS)
 //	-pool a,b,c   restrict the benchmark pool for fig10/fig11/fig12
-//	-trace-dir d  sweep over captured traces (cmd/tracegen) instead of the
+//	-trace-dir d  sweep over compiled traces (cmd/tracegen) instead of the
 //	              synthetic pool; -pool then filters by trace name
-//	-trace-stream N  stream traces with an N-run buffer (multi-GB captures)
+//	-trace-stream stream framed traces one frame at a time (multi-GB traces)
 //	-progress     print live task throughput and worker utilization to stderr
 //	-cpuprofile f write a CPU profile of the experiment to f
 //	-memprofile f write an end-of-run heap profile to f
@@ -64,8 +64,8 @@ func main() {
 	seed := flag.Uint64("seed", 0, "workload seed (0 = default)")
 	workers := flag.Int("workers", 0, "simulation parallelism (0 = GOMAXPROCS)")
 	poolFlag := flag.String("pool", "", "comma-separated benchmark subset for the sweeps")
-	traceDir := flag.String("trace-dir", "", "replace the sweep pool with the trace files (*.trc captures or *.symc compiled) in this directory (fig10-style sweeps and shards)")
-	traceStream := flag.Int("trace-stream", 0, "with -trace-dir: stream traces through an N-run decode-ahead buffer instead of compiling them into memory (0 = compile)")
+	traceDir := flag.String("trace-dir", "", "replace the sweep pool with the compiled traces (*.symc; import *.trc captures with tracegen -compile) in this directory (fig10-style sweeps and shards)")
+	traceStream := flag.Bool("trace-stream", false, "with -trace-dir: replay framed traces one frame at a time instead of inflating them into memory")
 	shardFlag := flag.String("shard", "", "run one sweep shard, as i/N (fig10/fig11/fig12 only)")
 	outFlag := flag.String("out", "", "shard output path (default <fig>-shard-<i>of<N>.json)")
 	mergeFlag := flag.String("merge", "", "merge shard files matching this glob and print the report")
@@ -255,10 +255,10 @@ func main() {
 // resolvePool builds the benchmark pool the sweeps run over. Without
 // -trace-dir it resolves the comma-separated -pool names against the
 // synthetic catalog (empty means each experiment's default pool). With
-// -trace-dir the pool is the directory's trace captures — compiled into
-// shared run-length form, or streamed through bounded buffers when
-// -trace-stream is set — and -pool filters it by trace name.
-func resolvePool(s, traceDir string, streamRuns int) ([]workload.Profile, error) {
+// -trace-dir the pool is the directory's compiled traces — held in shared
+// run-length form, or, for framed files under -trace-stream, streamed one
+// frame at a time — and -pool filters it by trace name.
+func resolvePool(s, traceDir string, stream bool) ([]workload.Profile, error) {
 	var names []string
 	if s != "" {
 		for _, n := range strings.Split(s, ",") {
@@ -268,13 +268,11 @@ func resolvePool(s, traceDir string, streamRuns int) ([]workload.Profile, error)
 	var out []workload.Profile
 	switch {
 	case traceDir != "":
-		var err error
-		if streamRuns > 0 {
-			out, err = experiments.StreamingTracePoolFromDir(traceDir, streamRuns)
-		} else {
-			out, err = experiments.TracePoolFromDir(traceDir)
-		}
+		files, err := experiments.ListTraceDir(traceDir)
 		if err != nil {
+			return nil, err
+		}
+		if out, err = experiments.TracePoolFromFiles(files, stream); err != nil {
 			return nil, err
 		}
 		if names != nil {

@@ -1,16 +1,16 @@
 // Command tracegen captures synthetic benchmark reference streams into the
-// compact binary trace format (internal/trace), compiles captures into the
-// v2 mmap-ready corpus format, and inspects existing traces of either
-// container. Traces decouple workload generation from simulation: a captured
-// (or externally produced) trace can be replayed through the cache simulator.
+// compiled trace format (internal/trace, *.symc), imports v1 varint captures
+// (*.trc) into it, and inspects compiled traces. Traces decouple workload
+// generation from simulation: a captured (or externally produced) trace can
+// be replayed through the cache simulator.
 //
 // Usage:
 //
-//	tracegen -bench mcf -n 1000000 -o mcf.trc      # capture (v1 varint)
+//	tracegen -bench mcf -n 1000000 -o mcf.symc     # capture
 //	tracegen -compile dir/                         # every trace in dir → *.symc
 //	tracegen -compile mcf.trc -compress            # one file, framed flate
 //	tracegen -compile dir/ -sample 4               # every-4th-reference corpus
-//	tracegen -inspect mcf.symc                     # summarise either format
+//	tracegen -inspect mcf.symc                     # summarise a compiled trace
 package main
 
 import (
@@ -31,11 +31,11 @@ import (
 func main() {
 	bench := flag.String("bench", "", "benchmark profile to capture")
 	n := flag.Uint64("n", 1_000_000, "instructions to capture")
-	out := flag.String("o", "", "output trace file (capture) or directory (compile; default: alongside the input)")
+	out := flag.String("o", "", "output trace file (capture; default <bench>.symc) or directory (compile; default: alongside the input)")
 	div := flag.Uint64("scale", 16, "region scale divisor")
 	seed := flag.Uint64("seed", 42, "workload seed")
-	inspect := flag.String("inspect", "", "trace file to summarise (v1 or compiled)")
-	compile := flag.String("compile", "", "trace file or directory to compile into the v2 corpus format (*.symc)")
+	inspect := flag.String("inspect", "", "compiled trace file to summarise")
+	compile := flag.String("compile", "", "trace file or directory (v1 captures or compiled traces) to compile into the v2 corpus format (*.symc)")
 	compress := flag.Bool("compress", false, "with -compile: framed flate compression instead of raw mmap-ready records")
 	frameRuns := flag.Int("frame-runs", 0, "with -compress: records per independent frame (0 = 64Ki)")
 	sample := flag.Int("sample", 1, "with -compile: keep every Nth memory reference, folding the rest into compute gaps (recorded in the header)")
@@ -53,7 +53,7 @@ func main() {
 		}
 	case *bench != "":
 		if *out == "" {
-			*out = *bench + ".trc"
+			*out = *bench + trace.CompiledExt
 		}
 		if err := doCapture(*bench, *out, *n, *div, *seed); err != nil {
 			fatal(err)
@@ -79,7 +79,7 @@ func doCapture(bench, out string, n, div, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := trace.Capture(gens[0], n, f); err != nil {
+	if err := trace.WriteCompiled(f, trace.CaptureRuns(gens[0], n)); err != nil {
 		f.Close()
 		return err
 	}
@@ -230,71 +230,9 @@ func compileOne(tf experiments.TraceFile, outDir string, compress bool, frameRun
 	return nil
 }
 
-func doInspect(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var prefix [8]byte
-	if _, err := io.ReadFull(f, prefix[:]); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if trace.SniffFormat(prefix[:]) == trace.FormatCompiled {
-		return inspectCompiled(path)
-	}
-
-	r := trace.NewReader(f)
-	var instr, mem, tail, longestRun uint64
-	lines := trace.LineSet{}
-	var lo, hi uint64
-	first := true
-	for {
-		skip, line, isMem, err := r.NextRun()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		instr += skip
-		if skip > longestRun {
-			longestRun = skip
-		}
-		if !isMem {
-			tail += skip
-			continue
-		}
-		instr++
-		mem++
-		lines.Add(line)
-		if first || line < lo {
-			lo = line
-		}
-		if first || line > hi {
-			hi = line
-		}
-		first = false
-	}
-	distinct := lines.Count()
-	fmt.Printf("%s: %d instructions, %d memory refs (%.1f%%), %d distinct lines",
-		path, instr, mem, 100*float64(mem)/float64(max(instr, 1)), distinct)
-	if !first {
-		avgRun := float64(instr-mem-tail) / float64(mem)
-		fmt.Printf(", footprint %d KiB, line range [%#x, %#x]", distinct*64/1024, lo, hi)
-		fmt.Printf("\n%s: %d runs (avg %.1f computes/run, longest %d), %d trailing computes, compiled size %d KiB",
-			path, mem, avgRun, longestRun, tail, mem*16/1024)
-	}
-	fmt.Println()
-	return nil
-}
-
-// inspectCompiled summarises a v2 trace from its header plus (for the line
+// doInspect summarises a compiled trace from its header plus (for the line
 // statistics) one decode of the records — the mmap path when the file is raw.
-func inspectCompiled(path string) error {
+func doInspect(path string) error {
 	mt, err := trace.OpenCompiled(path)
 	if err != nil {
 		return err

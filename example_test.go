@@ -60,10 +60,10 @@ func ExampleCaptureTrace() {
 	if err := symbio.CaptureTrace("gcc", 100_000, 64, 1, &buf); err != nil {
 		panic(err)
 	}
-	refs, err := symbio.ReadTrace(&buf)
+	ct, err := symbio.ReadTrace(&buf)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(len(refs))
+	fmt.Println(ct.Instructions())
 	// Output: 100000
 }

@@ -167,7 +167,7 @@ func (c Campaign) SpecFromFiles(files []experiments.TraceFile) (experiments.Swee
 	if err != nil {
 		return spec, err
 	}
-	pool, err := experiments.TracePoolFromFiles(files)
+	pool, err := experiments.TracePoolFromFiles(files, false)
 	if err != nil {
 		return spec, err
 	}

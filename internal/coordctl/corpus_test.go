@@ -18,9 +18,9 @@ import (
 	"symbiosched/internal/workload"
 )
 
-// writeCorpusDir captures five quick-scale benchmarks into dir, converting
-// two to the v2 compiled container (one raw, one framed) so a corpus
-// campaign exercises every trace format end to end.
+// writeCorpusDir captures five quick-scale benchmarks into dir as compiled
+// traces, alternating the raw and the framed container, so a corpus
+// campaign exercises both end to end.
 func writeCorpusDir(t *testing.T, dir string) {
 	t.Helper()
 	names := []string{"gobmk", "libquantum", "mcf", "povray", "sjeng"}
@@ -29,35 +29,21 @@ func writeCorpusDir(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := trace.Capture(p.NewThreads(1, 77, 64)[0], 60_000, &buf); err != nil {
+		ct := trace.CaptureRuns(p.NewThreads(1, 77, 64)[0], 60_000)
+		f, err := os.Create(filepath.Join(dir, name+trace.CompiledExt))
+		if err != nil {
 			t.Fatal(err)
 		}
-		switch i % 3 {
-		case 0: // v1 capture as-is
-			if err := os.WriteFile(filepath.Join(dir, name+".trc"), buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			ct, err := trace.Compile(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := os.Create(filepath.Join(dir, name+trace.CompiledExt))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i%3 == 1 {
-				err = trace.WriteCompiled(f, ct)
-			} else {
-				err = trace.WriteCompiledFrames(f, ct, 2048, 0)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+		if i%2 == 0 {
+			err = trace.WriteCompiled(f, ct)
+		} else {
+			err = trace.WriteCompiledFrames(f, ct, 2048, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

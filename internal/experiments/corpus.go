@@ -2,20 +2,17 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 
 	"symbiosched/internal/trace"
 )
 
-// A Corpus is a content-addressed view of a trace directory: every trace file
-// keyed by its 16-hex FNV-1a fingerprint. For v2 compiled traces the key is
-// the header's content fingerprint (identical for raw and framed containers
-// of the same trace); for v1 captures it is the hash of the raw file bytes —
-// the same values the trace pools put into profile fingerprints, so a
-// campaign's pool hash transitively pins the exact bytes a worker must fetch.
+// A Corpus is a content-addressed view of a trace directory: every compiled
+// trace keyed by its 16-hex FNV-1a content fingerprint, read from the v2
+// header (identical for raw and framed containers of the same trace) — the
+// value the trace pool puts into profile fingerprints, so a campaign's pool
+// hash transitively pins the exact bytes a worker must fetch.
 
 // TraceRef names one corpus entry: everything a worker needs to fetch,
 // verify, and pool a trace it does not have locally.
@@ -67,78 +64,43 @@ func (c *Corpus) Lookup(fingerprint string) (TraceRef, bool) {
 // Path returns the on-disk location of a corpus entry.
 func (c *Corpus) Path(ref TraceRef) string { return filepath.Join(c.Dir, ref.File) }
 
-// TraceFileFingerprint computes the content fingerprint and size of a trace
-// file of either format: the v2 header fingerprint (an O(1) read), or the
-// FNV-1a of the raw bytes for v1 captures.
+// TraceFileFingerprint returns the content fingerprint a compiled trace
+// file's header records, and the file's size. A v1 capture fails with an
+// error naming `tracegen -compile`.
 func TraceFileFingerprint(path string) (fingerprint string, size int64, err error) {
-	f, err := os.Open(path)
+	st, err := os.Stat(path)
 	if err != nil {
 		return "", 0, fmt.Errorf("experiments: %w", err)
 	}
-	defer f.Close()
-	st, err := f.Stat()
+	hdr, err := readTraceHeader(path)
 	if err != nil {
-		return "", 0, fmt.Errorf("experiments: %w", err)
+		return "", 0, err
 	}
-	var prefix [8]byte
-	n, err := io.ReadFull(f, prefix[:])
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return "", 0, fmt.Errorf("experiments: %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return "", 0, fmt.Errorf("experiments: %s: %w", path, err)
-	}
-	switch trace.SniffFormat(prefix[:n]) {
-	case trace.FormatCompiled:
-		hdr, err := trace.ReadCompiledHeader(f)
-		if err != nil {
-			return "", 0, fmt.Errorf("experiments: %s: %w", path, err)
-		}
-		return fmt.Sprintf("%016x", hdr.Fingerprint), st.Size(), nil
-	case trace.FormatV1:
-		h := fnv.New64a()
-		if _, err := io.Copy(h, f); err != nil {
-			return "", 0, fmt.Errorf("experiments: %s: %w", path, err)
-		}
-		return fmt.Sprintf("%016x", h.Sum64()), st.Size(), nil
-	}
-	return "", 0, fmt.Errorf("experiments: %s: not a trace file", path)
+	return fmt.Sprintf("%016x", hdr.Fingerprint), st.Size(), nil
 }
 
 // VerifyTraceFile checks a fetched file against its corpus address: the size
-// must match the ref and the recomputed fingerprint must match exactly. For
-// v2 files the header fingerprint alone would trust the header, so the trace
-// content is re-hashed through trace.VerifyCompiled.
+// must match the ref and the content fingerprint must match exactly. The
+// header's fingerprint alone would trust the header, so the trace content is
+// re-hashed through trace.VerifyCompiled.
 func VerifyTraceFile(path string, ref TraceRef) error {
-	st, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
-	if st.Size() != ref.Size {
-		return fmt.Errorf("experiments: %s is %d bytes, corpus says %d", path, st.Size(), ref.Size)
-	}
-	fp, _, err := TraceFileFingerprint(path)
+	fp, size, err := TraceFileFingerprint(path)
 	if err != nil {
 		return err
+	}
+	if size != ref.Size {
+		return fmt.Errorf("experiments: %s is %d bytes, corpus says %d", path, size, ref.Size)
 	}
 	if fp != ref.Fingerprint {
 		return fmt.Errorf("experiments: %s has fingerprint %s, corpus says %s", path, fp, ref.Fingerprint)
 	}
-	// A v2 header could lie about its own content hash; recompute it from the
-	// decoded records before trusting a fetched file.
-	format, err := sniffFile(path)
+	mt, err := trace.OpenCompiled(path)
 	if err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
-	if format == trace.FormatCompiled {
-		mt, err := trace.OpenCompiled(path)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", path, err)
-		}
-		defer mt.Close()
-		if err := trace.VerifyCompiled(mt.Trace(), mt.Header().Fingerprint); err != nil {
-			return fmt.Errorf("experiments: %s: %w", path, err)
-		}
+	defer mt.Close()
+	if err := trace.VerifyCompiled(mt.Trace(), mt.Header().Fingerprint); err != nil {
+		return fmt.Errorf("experiments: %s: %w", path, err)
 	}
 	return nil
 }
@@ -156,7 +118,7 @@ func TraceFilesFor(refs []TraceRef, pathFor func(TraceRef) string) ([]TraceFile,
 		if format == trace.FormatUnknown {
 			return nil, fmt.Errorf("experiments: %s: not a trace file", path)
 		}
-		files = append(files, TraceFile{Name: ref.Name, Path: path, Format: format})
+		files = append(files, TraceFile{Name: ref.Name, Path: path})
 	}
 	return files, nil
 }

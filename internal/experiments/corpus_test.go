@@ -12,41 +12,31 @@ import (
 	"symbiosched/internal/workload"
 )
 
-// convertTraces rewrites some of dir's v1 captures into v2 compiled form —
-// raw for even indices, framed for odd — removing the originals, so the
-// directory exercises every container in one pool.
+// convertTraces replaces the named raw traces in dir with framed copies.
+// Each copy is renamed over its original, so a pool that mapped the raw file
+// keeps reading it.
 func convertTraces(t *testing.T, dir string, names []string) {
 	t.Helper()
-	for i, name := range names {
-		v1 := filepath.Join(dir, name+".trc")
-		data, err := os.ReadFile(v1)
+	for _, name := range names {
+		path := filepath.Join(dir, name+trace.CompiledExt)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := trace.Compile(bytes.NewReader(data))
+		ct, err := trace.ReadCompiled(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := os.Create(filepath.Join(dir, name+trace.CompiledExt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			err = trace.WriteCompiled(f, ct)
-		} else {
-			err = trace.WriteCompiledFrames(f, ct, 1024, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(v1); err != nil {
+		writeTrace(t, path+".tmp", ct, true)
+		if err := os.Rename(path+".tmp", path); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
+
+// v1Capture is a v1 varint trace holding nothing after its header: enough
+// for any reader to recognise the format.
+var v1Capture = []byte("SYMTRC\x00\x01")
 
 // drainSource pulls a bounded prefix of a source's run stream for comparison.
 func drainSource(src workload.RefSource, steps int) []string {
@@ -59,68 +49,87 @@ func drainSource(src workload.RefSource, steps int) []string {
 	return out
 }
 
-// TestTracePoolMixedFormats: a directory holding v1 captures alongside raw
-// and framed v2 conversions of other captures builds one pool, and a
-// converted trace replays exactly like its v1 original.
+// TestTracePoolMixedFormats: a directory holding raw traces alongside framed
+// conversions of others builds one pool, and a converted trace replays
+// exactly like its raw original, resident or streamed.
 func TestTracePoolMixedFormats(t *testing.T) {
 	dir := t.TempDir()
 	names := writeTraceDir(t, dir)
 
-	v1Pool, err := TracePoolFromDir(dir)
+	rawPool, err := TracePoolFromDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Convert half the captures (one raw, one framed), keep the rest v1.
+	// Convert half the traces to the framed container, keep the rest raw.
 	convertTraces(t, dir, names[:2])
-	pool, err := TracePoolFromDir(dir)
+	files, err := ListTraceDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pool) != len(names) {
-		t.Fatalf("mixed pool has %d profiles, want %d", len(pool), len(names))
-	}
-	for i, p := range pool {
-		if p.Name != names[i] {
-			t.Fatalf("profile %d is %q, want %q", i, p.Name, names[i])
+	for _, stream := range []bool{false, true} {
+		pool, err := TracePoolFromFiles(files, stream)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Instructions != v1Pool[i].Instructions {
-			t.Fatalf("%s: conversion changed instruction count %d -> %d",
-				p.Name, v1Pool[i].Instructions, p.Instructions)
+		if len(pool) != len(names) {
+			t.Fatalf("mixed pool has %d profiles, want %d", len(pool), len(names))
 		}
-		// The replay streams must be bit-identical across containers.
-		want := drainSource(v1Pool[i].MakeSources(3, 0, 0)[0], 64)
-		got := drainSource(p.MakeSources(3, 0, 0)[0], 64)
-		for j := range want {
-			if want[j] != got[j] {
-				t.Fatalf("%s: replay diverged at step %d: %s vs %s", p.Name, j, want[j], got[j])
+		for i, p := range pool {
+			if p.Name != names[i] {
+				t.Fatalf("profile %d is %q, want %q", i, p.Name, names[i])
 			}
-		}
-	}
-
-	// The streaming flavour agrees on the same mixed directory (framed v2
-	// goes through FrameStreamReplay, raw v2 through the shared mapping).
-	streaming, err := StreamingTracePoolFromDir(dir, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pool {
-		want := drainSource(pool[i].MakeSources(2, 0, 0)[0], 64)
-		got := drainSource(streaming[i].MakeSources(2, 0, 0)[0], 64)
-		for j := range want {
-			if want[j] != got[j] {
-				t.Fatalf("%s: streaming replay diverged at step %d: %s vs %s",
-					pool[i].Name, j, want[j], got[j])
+			if p.Instructions != rawPool[i].Instructions {
+				t.Fatalf("%s: conversion changed instruction count %d -> %d",
+					p.Name, rawPool[i].Instructions, p.Instructions)
+			}
+			// The replay streams must be bit-identical across containers.
+			want := drainSource(rawPool[i].MakeSources(3, 0, 0)[0], 64)
+			got := drainSource(p.MakeSources(3, 0, 0)[0], 64)
+			for j := range want {
+				if want[j] != got[j] {
+					t.Fatalf("stream=%v %s: replay diverged at step %d: %s vs %s", stream, p.Name, j, want[j], got[j])
+				}
 			}
 		}
 	}
 }
 
+// TestTracePoolRefusesV1Capture: a v1 capture in a trace directory fails
+// the pool and the corpus with an error naming the import path, and the
+// directory works once the capture has been compiled.
+func TestTracePoolRefusesV1Capture(t *testing.T) {
+	dir := t.TempDir()
+	writeTraceDir(t, dir)
+	v1 := filepath.Join(dir, "sjeng.trc")
+	if err := os.WriteFile(v1, v1Capture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TracePoolFromDir(dir); err == nil || !strings.Contains(err.Error(), "tracegen -compile") {
+		t.Fatalf("pool over a v1 capture: want an error naming tracegen -compile, got %v", err)
+	}
+	if _, err := LoadCorpus(dir); err == nil || !strings.Contains(err.Error(), "tracegen -compile") {
+		t.Fatalf("corpus over a v1 capture: want an error naming tracegen -compile, got %v", err)
+	}
+	if err := os.Remove(v1); err != nil {
+		t.Fatal(err)
+	}
+	writeTrace(t, filepath.Join(dir, "sjeng"+trace.CompiledExt), trace.NewCompiled(nil, 100), false)
+	if _, err := TracePoolFromDir(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestListTraceDirSkipsJunk: non-trace files in a trace directory are skipped
-// with a warning, not a pool failure; name collisions across containers are.
+// with a warning, not a pool failure; v1 captures are listed (tracegen
+// -compile imports them from the listing); name collisions across
+// containers fail.
 func TestListTraceDirSkipsJunk(t *testing.T) {
 	dir := t.TempDir()
-	names := writeTraceDir(t, dir)
+	names := append(writeTraceDir(t, dir), "sjeng")
+	if err := os.WriteFile(filepath.Join(dir, "sjeng.trc"), v1Capture, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, junk := range []string{"README.md", "mcf.trc.partial", "checksums.txt"} {
 		if err := os.WriteFile(filepath.Join(dir, junk), []byte("not a trace"), 0o644); err != nil {
 			t.Fatal(err)
@@ -149,9 +158,6 @@ func TestListTraceDirSkipsJunk(t *testing.T) {
 		if tf.Name != names[i] {
 			t.Fatalf("entry %d is %q, want %q", i, tf.Name, names[i])
 		}
-		if tf.Format != trace.FormatV1 {
-			t.Fatalf("%s classified as %v", tf.Name, tf.Format)
-		}
 	}
 	if len(warnings) != 4 {
 		t.Fatalf("%d warnings, want 4: %q", len(warnings), warnings)
@@ -162,23 +168,10 @@ func TestListTraceDirSkipsJunk(t *testing.T) {
 		}
 	}
 
-	// Same base name in both containers collides on the profile name.
-	data, err := os.ReadFile(filepath.Join(dir, "mcf.trc"))
-	if err != nil {
+	// Same base name in both formats collides on the profile name.
+	if err := os.WriteFile(filepath.Join(dir, "mcf.trc"), v1Capture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ct, err := trace.Compile(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join(dir, "mcf"+trace.CompiledExt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteCompiled(f, ct); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	if _, err := ListTraceDir(dir); err == nil || !strings.Contains(err.Error(), "collide") {
 		t.Fatalf("colliding names not rejected: %v", err)
 	}
@@ -234,7 +227,7 @@ func TestCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool2, err := TracePoolFromFiles(files)
+	pool2, err := TracePoolFromFiles(files, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +237,7 @@ func TestCorpus(t *testing.T) {
 
 	// A flipped byte fails verification: torn or tampered fetches never
 	// enter a worker's cache.
-	for _, ref := range []TraceRef{c.Refs[0], c.Refs[1]} { // one v1, one v2
+	for _, ref := range []TraceRef{c.Refs[0], c.Refs[1]} { // one raw, one framed
 		path := c.Path(ref)
 		data, err := os.ReadFile(path)
 		if err != nil {

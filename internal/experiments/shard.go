@@ -203,12 +203,21 @@ func ReadShard(path string) (Shard, error) {
 	if err != nil {
 		return Shard{}, err
 	}
+	s, err := decodeShard(data)
+	if err != nil {
+		return Shard{}, fmt.Errorf("experiments: %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// decodeShard is ReadShard over a file's bytes.
+func decodeShard(data []byte) (Shard, error) {
 	var s Shard
 	if err := json.Unmarshal(data, &s); err != nil {
-		return Shard{}, fmt.Errorf("experiments: %s: not a shard file (%v): %w", path, err, ErrShardFormat)
+		return Shard{}, fmt.Errorf("not a shard file (%v): %w", err, ErrShardFormat)
 	}
 	if s.Format != ShardFormat {
-		return Shard{}, fmt.Errorf("experiments: %s: shard format %d, want %d: %w", path, s.Format, ShardFormat, ErrShardFormat)
+		return Shard{}, fmt.Errorf("shard format %d, want %d: %w", s.Format, ShardFormat, ErrShardFormat)
 	}
 	return s, nil
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log"
 	"os"
@@ -15,12 +13,12 @@ import (
 	"symbiosched/internal/workload"
 )
 
-// This file turns a directory of captured traces (cmd/tracegen, trace.Capture)
-// into a benchmark pool: one single-threaded Profile per trace file, driven by
-// run-length replay instead of synthetic generation. Both trace containers are
-// accepted — *.trc v1 varint captures and *.symc v2 compiled traces (raw or
-// framed-compressed) — and the pool plugs into every sweep entry point:
-// Figure-style sweeps, shards, coordinator campaigns.
+// This file turns a directory of compiled traces (*.symc, raw or
+// framed-compressed; cmd/tracegen writes them) into a benchmark pool: one
+// single-threaded Profile per trace file, driven by run-length replay instead
+// of synthetic generation. The pool plugs into every sweep entry point:
+// Figure-style sweeps, shards, coordinator campaigns. A v1 capture (*.trc)
+// is refused with an error naming its import path, `tracegen -compile`.
 //
 // Determinism caveats, which differ from synthetic pools:
 //   - The instruction stream IS the capture. Config.Seed and the Region scale
@@ -29,24 +27,21 @@ import (
 //   - InstrDiv still applies: it shortens the run target, so a scaled run
 //     replays a prefix of the trace (looping if the target exceeds it).
 //   - Pool identity is filename + content hash: shard headers and campaign
-//     fingerprints include each trace's FNV-1a fingerprint, so two pools that
-//     reuse a file name cannot be merged or cache-aliased.
+//     fingerprints include each trace's FNV-1a content fingerprint (from the
+//     v2 header), so two pools that reuse a file name cannot be merged or
+//     cache-aliased.
 //   - Pool ordering is by trace name (base file name without extension),
 //     never by filesystem iteration order, so the same directory produces the
 //     same pool hash on every host and filesystem.
 
-// traceExt is the v1 trace file extension the pool builders look for;
-// trace.CompiledExt (".symc") marks v2 compiled traces.
-const traceExt = ".trc"
-
-// TraceLogf receives warnings about files the pool builders skip (anything in
-// a trace directory that does not carry a trace magic). It defaults to the
+// TraceLogf receives warnings about files ListTraceDir skips (anything in a
+// trace directory that does not carry a trace magic). It defaults to the
 // standard logger; tests and tools replace it.
 var TraceLogf = func(format string, args ...any) { log.Printf(format, args...) }
 
 // traceAsidShift mirrors the workload package's address-space layout: process
 // asid owns addresses [asid<<40, (asid+1)<<40). Traces are captured in address
-// space 1 (trace.Capture/CaptureTrace build the generator with asid 1), so a
+// space 1 (tracegen and CaptureTrace build the generator with asid 1), so a
 // replay for process asid rebases by (asid-1)<<40.
 const traceAsidShift = 40
 
@@ -55,13 +50,13 @@ func traceBase(asid int) uint64 { return uint64(asid-1) << traceAsidShift }
 // TraceFile is one pool entry: a trace container on disk plus the profile
 // name it contributes.
 type TraceFile struct {
-	Name   string // profile name: base file name without extension
-	Path   string
-	Format trace.Format
+	Name string // profile name: base file name without extension
+	Path string
 }
 
-// ListTraceDir enumerates the trace files in dir in stable (name-sorted)
-// order, classifying each by its magic rather than its extension. Files that
+// ListTraceDir enumerates the trace files in dir — compiled traces and v1
+// captures alike, recognised by their magic rather than their extension — in
+// stable (name-sorted) order. Files that
 // are not traces — editor droppings, checksum sidecars, partial downloads —
 // are skipped with a TraceLogf warning instead of failing the pool; an
 // unreadable file is still an error, as is a directory with no traces at all
@@ -86,7 +81,7 @@ func ListTraceDir(dir string) ([]TraceFile, error) {
 			continue
 		}
 		name := strings.TrimSuffix(e.Name(), filepath.Ext(e.Name()))
-		files = append(files, TraceFile{Name: name, Path: path, Format: format})
+		files = append(files, TraceFile{Name: name, Path: path})
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("experiments: no trace files in %s", dir)
@@ -116,207 +111,91 @@ func sniffFile(path string) (trace.Format, error) {
 	return trace.SniffFormat(prefix[:n]), nil
 }
 
-// traceProfile fills the Profile fields shared by both pool flavours.
-func traceProfile(name, fingerprint string, instr, memRefs uint64) workload.Profile {
-	var ratio float64
-	if instr > 0 {
-		ratio = float64(memRefs) / float64(instr)
-	}
-	return workload.Profile{
-		Name:         name,
-		MemRatio:     ratio,
-		Instructions: instr,
-		Threads:      1,
-		Fingerprint:  fingerprint,
-	}
-}
-
-// TracePoolFromDir builds a benchmark pool from every trace file in dir,
-// fully resident: v1 captures are decoded once into a shared run-length
-// CompiledTrace (16 B per memory reference), v2 compiled traces are mapped
-// zero-decode (raw) or inflated once (framed), and every process instantiated
-// from the profile replays the shared records through an independent cursor.
-// This is the fast-sweep flavour — thousands of mix runs share one decode.
-// For traces too large to hold resident, use StreamingTracePoolFromDir.
+// TracePoolFromDir builds a benchmark pool from every trace file in dir, fully
+// resident (TracePoolFromFiles without streaming).
 func TracePoolFromDir(dir string) ([]workload.Profile, error) {
 	files, err := ListTraceDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	return TracePoolFromFiles(files)
+	return TracePoolFromFiles(files, false)
 }
 
-// TracePoolFromFiles is TracePoolFromDir over an explicit file list, in list
-// order. Corpus fetch paths use it to build a pool from cached downloads with
-// the campaign's own ordering.
-func TracePoolFromFiles(files []TraceFile) ([]workload.Profile, error) {
-	pool := make([]workload.Profile, 0, len(files))
-	for _, tf := range files {
-		var (
-			ct          *trace.CompiledTrace
-			fingerprint string
-		)
-		switch tf.Format {
-		case trace.FormatV1:
-			data, err := os.ReadFile(tf.Path)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %w", err)
-			}
-			h := fnv.New64a()
-			h.Write(data)
-			fingerprint = fmt.Sprintf("%016x", h.Sum64())
-			if ct, err = trace.Compile(bytes.NewReader(data)); err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", tf.Path, err)
-			}
-		case trace.FormatCompiled:
-			// The mapping (raw files on mmap hosts) lives as long as the pool:
-			// its pages are file-backed and shared across every replay cursor.
-			mt, err := trace.OpenCompiled(tf.Path)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", tf.Path, err)
-			}
-			ct = mt.Trace()
-			fingerprint = fmt.Sprintf("%016x", mt.Header().Fingerprint)
-		default:
-			return nil, fmt.Errorf("experiments: %s: unknown trace format", tf.Path)
-		}
-		p := traceProfile(tf.Name, fingerprint, ct.Instructions(), ct.MemRefs())
-		p.MakeSources = func(asid int, _, _ uint64) []workload.RunSource {
-			return []workload.RunSource{trace.NewRunReplay(ct, true, traceBase(asid))}
-		}
-		pool = append(pool, p)
-	}
-	return pool, nil
-}
-
-// StreamingTracePoolFromDir builds the same pool as TracePoolFromDir but
-// without holding decoded records on the heap: each file is scanned once up
-// front (for the fingerprint and instruction counts — O(1) memory for v1
-// captures, one 56-byte header read for v2), and every instantiated source
-// re-reads the file on the fly. v1 captures stream through a bufRuns-run
-// decode-ahead buffer (0 selects trace.DefaultStreamRuns); framed v2 traces
-// hold one inflated frame at a time; raw v2 traces are mmapped, so their
-// resident set is file-backed pages, not heap. Memory per live source is
-// O(buffer) regardless of trace size, which is what makes multi-GB captures
-// sweepable.
+// TracePoolFromFiles builds a benchmark pool from compiled trace files, in
+// list order. Each profile's fingerprint and counts come from its file's v2
+// header. A raw file is mapped zero-decode (its pages are file-backed and
+// shared across every process), and a framed one is inflated once, so that
+// every process instantiated from the profile replays the shared records
+// through an independent cursor — the fast-sweep case, where thousands of
+// mix runs share one decode. With stream set, a framed file is instead
+// re-read by each process through its own FrameStreamReplay, one frame at a
+// time, so memory per live source is O(frame) whatever the trace size:
+// the case for traces too large to hold resident.
 //
-// Each streaming source opens its own file handle; handles live as long as
-// their process set (the experiments arenas rewind sources in place via
-// Rewind, so a cached workload keeps its handles) and are reclaimed with the
-// sources. MakeSources panics if the file has disappeared since the scan —
-// profile instantiation has no error path, and a vanished trace is
-// unrecoverable.
-func StreamingTracePoolFromDir(dir string, bufRuns int) ([]workload.Profile, error) {
-	files, err := ListTraceDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	return StreamingTracePoolFromFiles(files, bufRuns)
-}
-
-// StreamingTracePoolFromFiles is StreamingTracePoolFromDir over an explicit
-// file list, in list order.
-func StreamingTracePoolFromFiles(files []TraceFile, bufRuns int) ([]workload.Profile, error) {
+// A streaming source opens its own file handle, which lives as long as its
+// process set (the experiments arenas rewind sources in place, so a cached
+// workload keeps its handles). MakeSources panics if the file has vanished
+// since the pool was built: profile instantiation has no error path, and a
+// vanished trace is unrecoverable.
+func TracePoolFromFiles(files []TraceFile, stream bool) ([]workload.Profile, error) {
 	pool := make([]workload.Profile, 0, len(files))
 	for _, tf := range files {
-		tf := tf
-		var p workload.Profile
-		switch tf.Format {
-		case trace.FormatV1:
-			fingerprint, instr, memRefs, err := scanTrace(tf.Path)
-			if err != nil {
-				return nil, err
-			}
-			p = traceProfile(tf.Name, fingerprint, instr, memRefs)
+		hdr, err := readTraceHeader(tf.Path)
+		if err != nil {
+			return nil, err
+		}
+		var ratio float64
+		if hdr.Instr > 0 {
+			ratio = float64(hdr.MemRefs) / float64(hdr.Instr)
+		}
+		p := workload.Profile{
+			Name:         tf.Name,
+			MemRatio:     ratio,
+			Instructions: hdr.Instr,
+			Threads:      1,
+			Fingerprint:  fmt.Sprintf("%016x", hdr.Fingerprint),
+		}
+		if stream && hdr.Framed {
 			p.MakeSources = func(asid int, _, _ uint64) []workload.RunSource {
 				f, err := os.Open(tf.Path)
 				if err != nil {
-					panic(fmt.Sprintf("experiments: trace vanished after scan: %v", err))
+					panic(fmt.Sprintf("experiments: trace vanished after the pool was built: %v", err))
 				}
-				sr, err := trace.NewStreamReplay(f, bufRuns, true, traceBase(asid))
+				fs, err := trace.NewFrameStreamReplay(f, true, traceBase(asid))
 				if err != nil {
 					f.Close()
 					panic(fmt.Sprintf("experiments: %s: %v", tf.Path, err))
 				}
-				return []workload.RunSource{sr}
+				return []workload.RunSource{fs}
 			}
-		case trace.FormatCompiled:
-			hf, err := os.Open(tf.Path)
+		} else {
+			mt, err := trace.OpenCompiled(tf.Path)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %w", err)
 			}
-			hdr, err := trace.ReadCompiledHeader(hf)
-			hf.Close()
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", tf.Path, err)
+			ct := mt.Trace()
+			p.MakeSources = func(asid int, _, _ uint64) []workload.RunSource {
+				return []workload.RunSource{trace.NewRunReplay(ct, true, traceBase(asid))}
 			}
-			p = traceProfile(tf.Name, fmt.Sprintf("%016x", hdr.Fingerprint), hdr.Instr, hdr.MemRefs)
-			if hdr.Framed {
-				p.MakeSources = func(asid int, _, _ uint64) []workload.RunSource {
-					f, err := os.Open(tf.Path)
-					if err != nil {
-						panic(fmt.Sprintf("experiments: trace vanished after scan: %v", err))
-					}
-					fs, err := trace.NewFrameStreamReplay(f, true, traceBase(asid))
-					if err != nil {
-						f.Close()
-						panic(fmt.Sprintf("experiments: %s: %v", tf.Path, err))
-					}
-					return []workload.RunSource{fs}
-				}
-			} else {
-				// Raw compiled: the mmap view is already as cheap as streaming
-				// gets — map once, share the records across all cursors.
-				mt, err := trace.OpenCompiled(tf.Path)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s: %w", tf.Path, err)
-				}
-				ct := mt.Trace()
-				p.MakeSources = func(asid int, _, _ uint64) []workload.RunSource {
-					return []workload.RunSource{trace.NewRunReplay(ct, true, traceBase(asid))}
-				}
-			}
-		default:
-			return nil, fmt.Errorf("experiments: %s: unknown trace format", tf.Path)
 		}
 		pool = append(pool, p)
 	}
 	return pool, nil
 }
 
-// scanTrace makes one sequential pass over a v1 trace file, computing the
-// content fingerprint and the run-length statistics without retaining
-// anything: the decoder reads through a TeeReader that feeds the hash, so the
-// fingerprint is over the raw bytes — identical to TracePoolFromDir's.
-func scanTrace(path string) (fingerprint string, instr, memRefs uint64, err error) {
+// readTraceHeader reads the v2 header of the trace file at path. A v1
+// capture fails with an error naming `tracegen -compile`.
+func readTraceHeader(path string) (trace.CompiledHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return "", 0, 0, fmt.Errorf("experiments: %w", err)
+		return trace.CompiledHeader{}, fmt.Errorf("experiments: %w", err)
 	}
 	defer f.Close()
-	h := fnv.New64a()
-	tr := trace.NewReader(io.TeeReader(f, h))
-	for {
-		skip, _, mem, err := tr.NextRun()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", 0, 0, fmt.Errorf("experiments: %s: %w", path, err)
-		}
-		instr += skip
-		if mem {
-			instr++
-			memRefs++
-		}
+	hdr, err := trace.ReadCompiledHeader(f)
+	if err != nil {
+		return trace.CompiledHeader{}, fmt.Errorf("experiments: %s: %w", path, err)
 	}
-	// Drain any bytes the decoder's buffer did not consume (there are none
-	// today — NextRun reads to EOF — but the fingerprint must cover the whole
-	// file regardless of decoder internals).
-	if _, err := io.Copy(h, f); err != nil {
-		return "", 0, 0, fmt.Errorf("experiments: %s: %w", path, err)
-	}
-	return fmt.Sprintf("%016x", h.Sum64()), instr, memRefs, nil
+	return hdr, nil
 }
 
 // SelectProfiles returns the subset of pool matching names, in pool order,

@@ -7,13 +7,21 @@ import (
 	"testing"
 
 	"symbiosched/internal/alloc"
+	"symbiosched/internal/engine"
 	"symbiosched/internal/trace"
 	"symbiosched/internal/workload"
 )
 
-// writeTraceDir captures four quick-scale benchmarks into dir as *.trc files
-// and returns their (sorted) names.
+// writeTraceDir captures four quick-scale benchmarks into dir as raw
+// compiled traces and returns their (sorted) names.
 func writeTraceDir(t testing.TB, dir string) []string {
+	t.Helper()
+	return writeCaptures(t, dir, 77)
+}
+
+// writeCaptures captures four quick-scale benchmarks at seed into dir as raw
+// compiled traces and returns their (sorted) names.
+func writeCaptures(t testing.TB, dir string, seed uint64) []string {
 	t.Helper()
 	names := []string{"gobmk", "libquantum", "mcf", "povray"}
 	for _, name := range names {
@@ -21,18 +29,29 @@ func writeTraceDir(t testing.TB, dir string) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := os.Create(filepath.Join(dir, name+".trc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.Capture(p.NewThreads(1, 77, 64)[0], 60_000, f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writeTrace(t, filepath.Join(dir, name+trace.CompiledExt), trace.CaptureRuns(p.NewThreads(1, seed, 64)[0], 60_000), false)
 	}
 	return names
+}
+
+// writeTrace writes ct to path in the raw or the framed container.
+func writeTrace(t testing.TB, path string, ct *trace.CompiledTrace, framed bool) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if framed {
+		err = trace.WriteCompiledFrames(f, ct, 1024, 0)
+	} else {
+		err = trace.WriteCompiled(f, ct)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestTracePoolFromDir(t *testing.T) {
@@ -63,9 +82,15 @@ func TestTracePoolFromDir(t *testing.T) {
 		}
 	}
 
-	// The streaming flavour must report identical metadata: same fingerprint
-	// (it hashes the same bytes), same counts.
-	streaming, err := StreamingTracePoolFromDir(dir, 8)
+	// Framed containers of the same traces, resident or streamed, must
+	// report identical metadata: the content fingerprint does not depend on
+	// the container, and the counts come from the same header fields.
+	convertTraces(t, dir, names)
+	files, err := ListTraceDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streaming, err := TracePoolFromFiles(files, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +108,11 @@ func TestTracePoolFromDir(t *testing.T) {
 // TestTraceMixMatchesSyntheticPlumbing runs a trace-driven mix end to end
 // through RunMapping and the arena path: deterministic across repeats, and
 // the arena (which rewinds replay cursors in place) must reproduce the fresh
-// result exactly — the Rewind contract for both replay flavours.
+// result exactly — the Rewind contract for both replay flavours, the shared
+// compiled cursor and the frame-streaming one.
 func TestTraceMixMatchesSyntheticPlumbing(t *testing.T) {
 	dir := t.TempDir()
-	writeTraceDir(t, dir)
+	names := writeTraceDir(t, dir)
 	pool, err := TracePoolFromDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +138,14 @@ func TestTraceMixMatchesSyntheticPlumbing(t *testing.T) {
 		}
 	}
 
-	// Streaming pool, tiny buffer: same simulation results as compiled.
-	streaming, err := StreamingTracePoolFromDir(dir, 8)
+	// Streaming pool over framed copies of the same traces: same simulation
+	// results as compiled.
+	convertTraces(t, dir, names)
+	files, err := ListTraceDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streaming, err := TracePoolFromFiles(files, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +153,17 @@ func TestTraceMixMatchesSyntheticPlumbing(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streaming pool diverged from compiled: %+v vs %+v", got, want)
 	}
+	// A fresh arena: the streaming profiles carry the same names and content
+	// fingerprints as the compiled ones, so a's cached workload would serve
+	// them. Its second round rewinds the frame-streaming cursors in place.
+	sa := &simArena{machines: map[engineKey]*engine.Machine{}}
 	for round := 0; round < 2; round++ {
-		if got := a.runMapping(c, streaming, aff, nil); !reflect.DeepEqual(got, want) {
+		if got := sa.runMapping(c, streaming, aff, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("streaming arena round %d: %+v, want %+v", round, got, want)
 		}
+	}
+	if _, ok := sa.procs[0].Threads[0].Gen.(*trace.FrameStreamReplay); !ok {
+		t.Fatalf("streaming arena replays through %T, not a frame stream", sa.procs[0].Threads[0].Gen)
 	}
 }
 
@@ -154,17 +193,7 @@ func TestTraceSweepShard(t *testing.T) {
 		t.Fatal("trace pool hash ignores fingerprints")
 	}
 	dir2 := t.TempDir()
-	for _, name := range []string{"gobmk", "libquantum", "mcf", "povray"} {
-		p, _ := workload.ByName(name)
-		f, err := os.Create(filepath.Join(dir2, name+".trc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.Capture(p.NewThreads(1, 78, 64)[0], 60_000, f); err != nil { // different seed
-			t.Fatal(err)
-		}
-		f.Close()
-	}
+	writeCaptures(t, dir2, 78) // different seed
 	pool2, err := TracePoolFromDir(dir2)
 	if err != nil {
 		t.Fatal(err)

@@ -46,16 +46,7 @@ func contendedRun(t testing.TB, mk func(id int) workload.RefSource) (u0, u1 uint
 // bit-identical — user times and shared-cache statistics — to the same
 // stream consumed per instruction through workload.AsRunSource's adapter.
 func TestBatchReplayMatchesBatchSrc(t *testing.T) {
-	mcf := captureBench(t, "mcf", 41, 150_000)
-	lq := captureBench(t, "libquantum", 43, 150_000)
-	compile := func(data []byte) *CompiledTrace {
-		ct, err := Compile(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ct
-	}
-	cts := []*CompiledTrace{compile(mcf), compile(lq)}
+	cts := []*CompiledTrace{captureBench(t, "mcf", 41, 150_000), captureBench(t, "libquantum", 43, 150_000)}
 
 	fastU0, fastU1, fastStats := contendedRun(t, func(id int) workload.RefSource {
 		return NewRunReplay(cts[id], true, uint64(id)<<40)
@@ -82,27 +73,15 @@ func TestBatchReplayMatchesBatchSrc(t *testing.T) {
 // (5% memory ops, the compute-bound regime run-length encoding exists for)
 // shows the loop's full >4× advantage; "mcf" (40% memory ops, the densest
 // SPEC profile) is bounded by cache-access cost both paths share and lands
-// around 1.4×. "stream" replays sparse through the O(buffer) streaming
-// decoder, pricing the re-decode a multi-GB trace would pay.
+// around 1.4×. "stream" replays sparse through the O(frame) frame-streaming
+// replay, pricing the re-inflate a multi-GB trace would pay.
 func BenchmarkReplay(b *testing.B) {
 	const instr = 500_000
-	capture := func(data []byte) *CompiledTrace {
-		ct, err := Compile(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ct
-	}
-	var sparseBuf bytes.Buffer
-	sparseGen := workload.NewGenerator(workload.GeneratorConfig{
+	sparse := CaptureRuns(workload.NewGenerator(workload.GeneratorConfig{
 		Pattern:  &workload.StreamPattern{Region: 1 << 16},
 		MemRatio: 0.05,
 		Seed:     51,
-	})
-	if err := Capture(sparseGen, instr, &sparseBuf); err != nil {
-		b.Fatal(err)
-	}
-	sparse := sparseBuf.Bytes()
+	}), instr)
 	mcf := captureBench(b, "mcf", 51, instr)
 
 	run := func(b *testing.B, src workload.RefSource) {
@@ -122,17 +101,16 @@ func BenchmarkReplay(b *testing.B) {
 	}
 	for _, tc := range []struct {
 		name string
-		data []byte
+		ct   *CompiledTrace
 	}{{"sparse", sparse}, {"mcf", mcf}} {
-		ct := capture(tc.data)
-		b.Run(tc.name+"/fast", func(b *testing.B) { run(b, NewRunReplay(ct, true, 0)) })
-		b.Run(tc.name+"/interface", func(b *testing.B) { run(b, refOnly{NewRunReplay(ct, true, 0)}) })
+		b.Run(tc.name+"/fast", func(b *testing.B) { run(b, NewRunReplay(tc.ct, true, 0)) })
+		b.Run(tc.name+"/interface", func(b *testing.B) { run(b, refOnly{NewRunReplay(tc.ct, true, 0)}) })
 	}
 	b.Run("sparse/stream", func(b *testing.B) {
-		sr, err := NewStreamReplay(bytes.NewReader(sparse), 0, true, 0)
+		fs, err := NewFrameStreamReplay(bytes.NewReader(framed(b, sparse, 0)), true, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		run(b, sr)
+		run(b, fs)
 	})
 }

@@ -17,12 +17,10 @@ type Run struct {
 }
 
 // CompiledTrace is a fully decoded trace in run-length form: one Run per
-// memory reference (16 B each) plus the trailing compute-only Tail. Compared
-// to ReadAll's one workload.Ref per instruction, memory scales with memory
-// references instead of instructions — a 70%-compute stream compiles to
-// ~1/5 the footprint, and replay touches one record per memory operation.
-// A CompiledTrace is immutable after Compile; any number of RunReplay
-// cursors may share one concurrently.
+// memory reference (16 B each) plus the trailing compute-only Tail, so
+// memory scales with memory references instead of instructions and replay
+// touches one record per memory operation. A CompiledTrace is immutable once
+// built; any number of RunReplay cursors may share one concurrently.
 type CompiledTrace struct {
 	Runs []Run
 	Tail uint64 // compute instructions after the last memory reference
@@ -60,12 +58,34 @@ func NewCompiled(runs []Run, tail uint64) *CompiledTrace {
 	return ct
 }
 
-// Compile decodes a binary trace into run-length form.
+// CaptureRuns draws n instructions from src in run-length form: the capture
+// path from a live RunSource (a synthetic generator) to a trace, one NextRun
+// call per memory reference. Byte addresses become line addresses (×1/64),
+// the granularity every trace stores.
+func CaptureRuns(src workload.RunSource, n uint64) *CompiledTrace {
+	var runs []Run
+	var pending uint64
+	for left := n; left > 0; {
+		skipped, addr, mem := src.NextRun(int(min(left, 1<<20)))
+		pending += uint64(skipped)
+		left -= uint64(skipped)
+		if mem {
+			runs = append(runs, Run{Skip: pending, Line: addr >> 6})
+			pending = 0
+			left--
+		}
+	}
+	return NewCompiled(runs, pending)
+}
+
+// Compile imports a v1 varint trace (see trace.go) into run-length form.
+// It is the only reader of v1; `tracegen -compile` converts v1 captures to
+// the compiled format with it.
 func Compile(r io.Reader) (*CompiledTrace, error) {
-	tr := NewReader(r)
+	tr := newReader(r)
 	ct := &CompiledTrace{}
 	for {
-		skip, line, mem, err := tr.NextRun()
+		skip, line, mem, err := tr.nextRun()
 		if err == io.EOF {
 			return ct, nil
 		}
@@ -86,13 +106,13 @@ func Compile(r io.Reader) (*CompiledTrace, error) {
 // access loop consumes it one compute-run+memory-reference pair per call,
 // mirroring Generator.NextRun. Loop wraps the stream around forever (the
 // simulator restarts finished benchmarks); a non-looping replay pads
-// with compute no-ops after exhaustion, exactly like trace.Replay. Base is
-// added to every replayed byte address, which is how a trace captured in
-// address space 1 is rebased into another process's address space.
+// with compute no-ops after exhaustion. Base is added to every replayed
+// byte address, which is how a trace captured in address space 1 is rebased
+// into another process's address space.
 //
-// The emitted instruction sequence is bit-identical to feeding the decoded
-// refs through Replay: NextRun(1) degenerates to per-instruction stepping,
-// and the run boundaries carry over across arbitrary batch limits.
+// NextRun(1) degenerates to per-instruction stepping, and the run
+// boundaries carry over across arbitrary batch limits, so the emitted
+// instruction sequence does not depend on how the caller batches it.
 type RunReplay struct {
 	ct   *CompiledTrace
 	loop bool
@@ -146,7 +166,7 @@ func (rp *RunReplay) NextRun(limit int) (skipped int, addr uint64, mem bool) {
 		rp.pending -= uint64(limit)
 		return limit, 0, false
 	}
-	if !rp.haveMem { // exhausted: pad with compute no-ops, like Replay
+	if !rp.haveMem { // exhausted: pad with compute no-ops
 		rp.pending = 0
 		return limit, 0, false
 	}

@@ -4,8 +4,9 @@ package trace
 // *.symc): a fixed-width header followed by the run-length payload in exactly
 // the in-memory layout of CompiledTrace.Runs, so opening a compiled trace is
 // an mmap plus a bounds-checked slice view (see mmapfile.go) and replay
-// starts with zero decode cost. The v1 varint stream remains the capture
-// format; v2 is what a corpus stores and what sweeps re-open.
+// starts with zero decode cost. A capture (CaptureRuns) is written in it
+// directly, and it is the only format a corpus stores and a sweep opens; v1
+// captures are imported with Compile (`tracegen -compile`).
 //
 // Layout (all fields little-endian):
 //
@@ -68,7 +69,7 @@ const (
 )
 
 // ErrNotCompiled reports a stream that is not a v2 compiled trace (wrong
-// magic or version). Callers that accept both formats sniff for it.
+// magic or version, or a v1 capture, which the error names as one).
 var ErrNotCompiled = errors.New("trace: not a compiled (v2) trace")
 
 // Format identifies a trace container.
@@ -108,12 +109,19 @@ type CompiledHeader struct {
 	FrameCount  uint32
 }
 
-// frames returns the number of frames the geometry implies.
+// frameCountFor returns the number of frames the geometry implies.
 func frameCountFor(memRefs uint64, frameRuns int) int {
 	if memRefs == 0 {
 		return 0
 	}
 	return int((memRefs + uint64(frameRuns) - 1) / uint64(frameRuns))
+}
+
+// frameBounds returns the record range [lo, hi) frame i of a framed trace
+// covers.
+func (h CompiledHeader) frameBounds(i int) (lo, hi uint64) {
+	lo = uint64(i) * uint64(h.FrameRuns)
+	return lo, min(lo+uint64(h.FrameRuns), h.MemRefs)
 }
 
 func (h CompiledHeader) encode(buf *[compiledHeaderSize]byte) {
@@ -132,17 +140,18 @@ func (h CompiledHeader) encode(buf *[compiledHeaderSize]byte) {
 	binary.LittleEndian.PutUint32(buf[52:56], h.FrameCount)
 }
 
+// decodeCompiledHeader decodes and validates a v2 header from buf, which
+// may be short: a v1 capture of any length is refused by name.
 func decodeCompiledHeader(buf []byte) (CompiledHeader, error) {
 	var h CompiledHeader
+	format := SniffFormat(buf)
+	if format == FormatV1 {
+		return h, fmt.Errorf("%w: v1 varint trace (import it with tracegen -compile)", ErrNotCompiled)
+	}
 	if len(buf) < compiledHeaderSize {
 		return h, fmt.Errorf("%w: truncated header (%d bytes)", ErrNotCompiled, len(buf))
 	}
-	var got [8]byte
-	copy(got[:], buf[:8])
-	if got != magic2 {
-		if got == magic {
-			return h, fmt.Errorf("%w: v1 varint trace (use Compile)", ErrNotCompiled)
-		}
+	if format != FormatCompiled {
 		return h, fmt.Errorf("%w: bad magic", ErrNotCompiled)
 	}
 	flags := binary.LittleEndian.Uint32(buf[8:12])
@@ -401,30 +410,65 @@ func compressFrame(runs []Run) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decompressFrame inflates one frame into exactly want records starting at
-// dst. Short frames, long frames and torn DEFLATE streams all error — a
-// frame must account for its record count precisely.
-func decompressFrame(dst []Run, data []byte) error {
-	fr := flate.NewReader(bytes.NewReader(data))
-	defer fr.Close()
-	var (
-		raw []byte
-		ok  bool
-	)
-	if raw, ok = runsBytes(dst); !ok {
-		raw = make([]byte, len(dst)*runSize)
+// frameDecoder inflates frames one at a time, reusing its DEFLATE state and
+// staging buffer from one frame to the next, so a decoder that has seen a
+// frame of the largest size allocates nothing more.
+type frameDecoder struct {
+	src     bytes.Reader
+	fr      io.ReadCloser
+	scratch []byte  // portable-decode staging (non-little-endian hosts)
+	extra   [1]byte // probe past the frame's end; a local would escape
+}
+
+// decode inflates data into exactly len(dst) records. Short frames, long
+// frames and torn DEFLATE streams all error — a frame must account for its
+// record count precisely.
+func (d *frameDecoder) decode(dst []Run, data []byte) error {
+	d.src.Reset(data)
+	if d.fr == nil {
+		d.fr = flate.NewReader(&d.src)
+	} else if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
+		return err
 	}
-	if _, err := io.ReadFull(fr, raw); err != nil {
-		return fmt.Errorf("trace: truncated frame: %w", err)
+	raw, ok := runsBytes(dst)
+	if !ok {
+		if cap(d.scratch) < len(dst)*runSize {
+			d.scratch = make([]byte, len(dst)*runSize)
+		}
+		raw = d.scratch[:len(dst)*runSize]
 	}
-	var extra [1]byte
-	if n, _ := fr.Read(extra[:]); n != 0 {
-		return errors.New("trace: frame decompresses past its record count")
+	if _, err := io.ReadFull(d.fr, raw); err != nil {
+		return fmt.Errorf("truncated frame: %w", err)
+	}
+	if n, _ := d.fr.Read(d.extra[:]); n != 0 {
+		return errors.New("frame decompresses past its record count")
 	}
 	if !ok {
 		decodeRuns(dst, raw)
 	}
 	return nil
+}
+
+// readFrameIndex reads the frame index that follows a framed header: the
+// compressed byte length of each frame, each refused past what a DEFLATE
+// stream of a full frame can need.
+func readFrameIndex(r io.Reader, h CompiledHeader) ([]int, error) {
+	index := make([]byte, 4*int(h.FrameCount))
+	if _, err := io.ReadFull(r, index); err != nil {
+		return nil, fmt.Errorf("trace: frame index truncated: %w", err)
+	}
+	lens := make([]int, h.FrameCount)
+	frameRuns := uint64(h.FrameRuns)
+	for i := range lens {
+		n := binary.LittleEndian.Uint32(index[4*i:])
+		// A DEFLATE stream of an incompressible 16·frameRuns-byte frame is
+		// bounded by stored-block overhead: ~5 bytes per 64 KiB plus header.
+		if max := frameRuns*runSize + frameRuns/2 + 64; uint64(n) > max {
+			return nil, fmt.Errorf("trace: frame %d claims %d compressed bytes (cap %d)", i, n, max)
+		}
+		lens[i] = int(n)
+	}
+	return lens, nil
 }
 
 // readChunkRuns bounds the incremental allocation granularity of the
@@ -436,11 +480,7 @@ const readChunkRuns = 1 << 20
 // memory. This is the portable open path — OpenCompiled is the mmap fast
 // path for uncompressed files. Framed payloads decompress in parallel.
 func ReadCompiled(r io.Reader) (*CompiledTrace, error) {
-	var hdr [compiledHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotCompiled, err)
-	}
-	h, err := decodeCompiledHeader(hdr[:])
+	h, err := ReadCompiledHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -490,22 +530,11 @@ func ReadCompiled(r io.Reader) (*CompiledTrace, error) {
 // readFramed decodes the framed container: frame index, then all frames into
 // memory, then parallel inflate straight into the final run slice.
 func readFramed(r io.Reader, h CompiledHeader) (*CompiledTrace, error) {
-	frames := int(h.FrameCount)
-	index := make([]byte, 4*frames)
-	if _, err := io.ReadFull(r, index); err != nil {
-		return nil, fmt.Errorf("trace: frame index truncated: %w", err)
+	lens, err := readFrameIndex(r, h)
+	if err != nil {
+		return nil, err
 	}
-	lens := make([]int, frames)
-	frameRuns := uint64(h.FrameRuns)
-	for i := range lens {
-		n := binary.LittleEndian.Uint32(index[4*i:])
-		// A DEFLATE stream of an incompressible 16·frameRuns-byte frame is
-		// bounded by stored-block overhead: ~5 bytes per 64 KiB plus header.
-		if max := frameRuns*runSize + frameRuns/2 + 64; uint64(n) > max {
-			return nil, fmt.Errorf("trace: frame %d claims %d compressed bytes (cap %d)", i, n, max)
-		}
-		lens[i] = int(n)
-	}
+	frames := len(lens)
 	ct := &CompiledTrace{
 		Runs:       make([]Run, h.MemRefs),
 		Tail:       h.Tail,
@@ -537,6 +566,7 @@ func readFramed(r io.Reader, h CompiledHeader) (*CompiledTrace, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var dec frameDecoder
 			for {
 				mu.Lock()
 				i := next
@@ -545,12 +575,8 @@ func readFramed(r io.Reader, h CompiledHeader) (*CompiledTrace, error) {
 				if i >= frames {
 					return
 				}
-				lo := uint64(i) * frameRuns
-				hi := lo + frameRuns
-				if hi > h.MemRefs {
-					hi = h.MemRefs
-				}
-				if err := decompressFrame(ct.Runs[lo:hi], data[i]); err != nil {
+				lo, hi := h.frameBounds(i)
+				if err := dec.decode(ct.Runs[lo:hi], data[i]); err != nil {
 					mu.Lock()
 					if ferr == nil {
 						ferr = fmt.Errorf("trace: frame %d: %w", i, err)
@@ -598,10 +624,11 @@ func expectEOF(r io.Reader) error {
 // the trace pools and the corpus use.
 func ReadCompiledHeader(r io.Reader) (CompiledHeader, error) {
 	var hdr [compiledHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := io.ReadFull(r, hdr[:])
+	if err != nil && SniffFormat(hdr[:n]) != FormatV1 {
 		return CompiledHeader{}, fmt.Errorf("%w: %v", ErrNotCompiled, err)
 	}
-	return decodeCompiledHeader(hdr[:])
+	return decodeCompiledHeader(hdr[:n])
 }
 
 // VerifyCompiled recomputes ct's content fingerprint and checks it against
@@ -612,33 +639,4 @@ func VerifyCompiled(ct *CompiledTrace, want uint64) error {
 		return fmt.Errorf("trace: content fingerprint %016x, header claims %016x", got, want)
 	}
 	return nil
-}
-
-// WriteV1 re-encodes a compiled trace into the v1 varint capture format —
-// the exact inverse of Compile (Compile(WriteV1(ct)) reproduces ct). It is
-// how tools synthesise large v1 fixtures without a per-instruction loop and
-// how a v2-only corpus exports back to the interchange format.
-func WriteV1(w io.Writer, ct *CompiledTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var buf [2 * binary.MaxVarintLen64]byte
-	var lastLine uint64
-	for _, r := range ct.Runs {
-		n := binary.PutUvarint(buf[:], r.Skip)
-		n += binary.PutVarint(buf[n:], int64(r.Line)-int64(lastLine))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		lastLine = r.Line
-	}
-	if ct.Tail > 0 {
-		n := binary.PutUvarint(buf[:], tailMarker)
-		n += binary.PutVarint(buf[n:], int64(ct.Tail))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

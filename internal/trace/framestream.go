@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -13,24 +10,26 @@ import (
 // FrameStreamReplay replays a framed-compressed v2 trace directly from its
 // seekable source as a workload.RunSource, holding one inflated frame of
 // records at a time: memory stays O(frameRuns) no matter how large the
-// corpus file is — the framed twin of StreamReplay, with the varint decoder
-// replaced by per-frame inflate into a reusable buffer.
+// corpus file is, and once the largest frame has been inflated, replay —
+// loop wraps included — allocates nothing.
 //
 // The emitted stream is bit-identical to NewRunReplay(ReadCompiled(src)):
 // same runs, same tail handling, same compute padding after a non-looping
-// exhaustion. Errors are sticky exactly like StreamReplay's: the stream
-// turns into compute no-ops, Err reports it, Rewind fails.
+// exhaustion. A read or inflate error after construction is sticky: the
+// stream turns into compute no-ops from the error point on (the simulator
+// cannot unwind a half-simulated batch), Err reports it, and Rewind fails —
+// so the experiments arena rebuilds rather than reusing a broken stream.
 type FrameStreamReplay struct {
 	src  io.ReadSeeker
 	hdr  CompiledHeader
 	loop bool
 	base uint64
 
-	offsets []int64 // frame start offsets in the file
-	lens    []int   // compressed frame byte lengths
-	cbuf    []byte  // reusable compressed-frame read buffer
-	runs    []Run   // current inflated frame, reused across frames
-	scratch []byte  // portable-decode staging (non-little-endian hosts)
+	lens      []int // compressed frame byte lengths
+	dataStart int64 // file offset of frame 0; frames follow back to back
+	cbuf      []byte
+	runs      []Run // current inflated frame, reused across frames
+	dec       frameDecoder
 
 	frame   int // next frame to inflate
 	pos     int // next undelivered run in runs
@@ -54,31 +53,18 @@ func NewFrameStreamReplay(src io.ReadSeeker, loop bool, base uint64) (*FrameStre
 	if !hdr.Framed {
 		return nil, fmt.Errorf("trace: not a framed trace (mmap it with OpenCompiled instead)")
 	}
-	frames := int(hdr.FrameCount)
-	index := make([]byte, 4*frames)
-	if _, err := io.ReadFull(src, index); err != nil {
-		return nil, fmt.Errorf("trace: frame index truncated: %w", err)
+	lens, err := readFrameIndex(src, hdr)
+	if err != nil {
+		return nil, err
 	}
-	fs := &FrameStreamReplay{
-		src:     src,
-		hdr:     hdr,
-		loop:    loop,
-		base:    base,
-		offsets: make([]int64, frames),
-		lens:    make([]int, frames),
-	}
-	off := int64(compiledHeaderSize) + int64(4*frames)
-	frameRuns := uint64(hdr.FrameRuns)
-	for i := 0; i < frames; i++ {
-		n := binary.LittleEndian.Uint32(index[4*i:])
-		if max := frameRuns*runSize + frameRuns/2 + 64; uint64(n) > max {
-			return nil, fmt.Errorf("trace: frame %d claims %d compressed bytes (cap %d)", i, n, max)
-		}
-		fs.offsets[i] = off
-		fs.lens[i] = int(n)
-		off += int64(n)
-	}
-	return fs, nil
+	return &FrameStreamReplay{
+		src:       src,
+		hdr:       hdr,
+		loop:      loop,
+		base:      base,
+		lens:      lens,
+		dataStart: int64(compiledHeaderSize) + int64(4*len(lens)),
+	}, nil
 }
 
 // Err returns the sticky decode error, if any.
@@ -87,20 +73,11 @@ func (fs *FrameStreamReplay) Err() error { return fs.err }
 // Header returns the source's v2 header.
 func (fs *FrameStreamReplay) Header() CompiledHeader { return fs.hdr }
 
-// frameBounds returns the record range [lo, hi) frame i covers.
-func (fs *FrameStreamReplay) frameBounds(i int) (lo, hi uint64) {
-	lo = uint64(i) * uint64(fs.hdr.FrameRuns)
-	hi = lo + uint64(fs.hdr.FrameRuns)
-	if hi > fs.hdr.MemRefs {
-		hi = fs.hdr.MemRefs
-	}
-	return lo, hi
-}
-
-// inflateNext loads frame fs.frame into the run buffer.
+// inflateNext loads frame fs.frame into the run buffer. Frames are read in
+// order, so only frame 0 seeks.
 func (fs *FrameStreamReplay) inflateNext() {
 	i := fs.frame
-	lo, hi := fs.frameBounds(i)
+	lo, hi := fs.hdr.frameBounds(i)
 	n := int(hi - lo)
 	if cap(fs.runs) < n {
 		fs.runs = make([]Run, n)
@@ -111,43 +88,21 @@ func (fs *FrameStreamReplay) inflateNext() {
 		fs.cbuf = make([]byte, fs.lens[i])
 	}
 	fs.cbuf = fs.cbuf[:fs.lens[i]]
-	if _, err := fs.src.Seek(fs.offsets[i], io.SeekStart); err != nil {
-		fs.fail(fmt.Errorf("trace: seeking frame %d: %w", i, err))
-		return
+	if i == 0 {
+		if _, err := fs.src.Seek(fs.dataStart, io.SeekStart); err != nil {
+			fs.fail(fmt.Errorf("trace: seeking frame 0: %w", err))
+			return
+		}
 	}
 	if _, err := io.ReadFull(fs.src, fs.cbuf); err != nil {
 		fs.fail(fmt.Errorf("trace: frame %d truncated: %w", i, err))
 		return
 	}
-	if err := fs.inflateInto(fs.runs, fs.cbuf); err != nil {
+	if err := fs.dec.decode(fs.runs, fs.cbuf); err != nil {
 		fs.fail(fmt.Errorf("trace: frame %d: %w", i, err))
 		return
 	}
 	fs.frame++
-}
-
-// inflateInto is decompressFrame with reusable scratch for the portable path.
-func (fs *FrameStreamReplay) inflateInto(dst []Run, data []byte) error {
-	fr := flate.NewReader(bytes.NewReader(data))
-	defer fr.Close()
-	raw, ok := runsBytes(dst)
-	if !ok {
-		if cap(fs.scratch) < len(dst)*runSize {
-			fs.scratch = make([]byte, len(dst)*runSize)
-		}
-		raw = fs.scratch[:len(dst)*runSize]
-	}
-	if _, err := io.ReadFull(fr, raw); err != nil {
-		return fmt.Errorf("truncated frame: %w", err)
-	}
-	var extra [1]byte
-	if n, _ := fr.Read(extra[:]); n != 0 {
-		return fmt.Errorf("frame decompresses past its record count")
-	}
-	if !ok {
-		decodeRuns(dst, raw)
-	}
-	return nil
 }
 
 func (fs *FrameStreamReplay) fail(err error) {
@@ -167,7 +122,7 @@ func (fs *FrameStreamReplay) advance() {
 			fs.haveMem = true
 			return
 		}
-		if fs.frame < len(fs.offsets) {
+		if fs.frame < len(fs.lens) {
 			fs.inflateNext()
 			continue
 		}
@@ -216,7 +171,7 @@ func (fs *FrameStreamReplay) Next() workload.Ref {
 }
 
 // Rewind implements workload.Rewinder, reusing the frame buffers in place.
-// It reports false after a sticky failure, like StreamReplay.
+// It reports false after a sticky failure.
 func (fs *FrameStreamReplay) Rewind() bool {
 	if fs.err != nil {
 		return false

@@ -12,35 +12,41 @@ import (
 	"symbiosched/internal/workload"
 )
 
+// simulate runs src as a single process on core 0 for instr instructions
+// and returns its user completion cycles and the shared-L2 statistics.
+func simulate(t *testing.T, name string, src workload.RefSource, instr uint64) (uint64, cache.Stats) {
+	t.Helper()
+	proc := kernel.SourceProcess(0, name, src, instr)
+	m := engine.New(engine.Config{
+		Hierarchy:     cache.CoreDuoConfig().Scaled(64),
+		QuantumCycles: 1_000_000,
+	}, []*kernel.Process{proc})
+	m.SetAffinities([]int{0})
+	m.Run(engine.RunOptions{})
+	return proc.CompletionUser(), m.Hierarchy().L2For(0).Stats()
+}
+
 // TestReplayParityFourWay is the replay parity pin the tracecheck gate relies
-// on: the same capture driven through every replay path — v1 varint stream,
-// compiled in-memory, mmap zero-decode, and framed-compressed (both the
-// in-memory decode and the frame-streaming replay) — must produce the exact
-// same simulation: identical user completion cycles and identical shared-L2
-// statistics, not merely close ones.
+// on: a capture driven through every replay path — compiled in-memory, mmap
+// zero-decode, and framed-compressed (both the in-memory decode and the
+// frame-streaming replay) — must produce exactly the simulation of the live
+// generator it was captured from: identical user completion cycles and
+// identical shared-L2 statistics, not merely close ones. The reference
+// shares no code with the trace package. The capture holds twice the run's
+// instructions, so the replays never wrap inside the batch that overshoots
+// the run target, where the live generator would keep going.
 func TestReplayParityFourWay(t *testing.T) {
 	prof, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const instr = 250_000
+	wantCycles, wantStats := simulate(t, "live", prof.NewThreads(1, 21, 64)[0], instr)
 
-	var v1 bytes.Buffer
-	if err := Capture(prof.NewThreads(1, 21, 64)[0], instr, &v1); err != nil {
-		t.Fatal(err)
-	}
-	ct, err := Compile(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	ct := CaptureRuns(prof.NewThreads(1, 21, 64)[0], 2*instr)
 	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "t.trc")
 	rawPath := filepath.Join(dir, "t.symc")
 	framedPath := filepath.Join(dir, "t-framed.symc")
-	if err := os.WriteFile(v1Path, v1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	writeFile := func(path string, write func(f *os.File) error) {
 		f, err := os.Create(path)
 		if err != nil {
@@ -56,34 +62,6 @@ func TestReplayParityFourWay(t *testing.T) {
 	writeFile(rawPath, func(f *os.File) error { return WriteCompiled(f, ct) })
 	writeFile(framedPath, func(f *os.File) error { return WriteCompiledFrames(f, ct, 4096, 0) })
 
-	run := func(name string, src workload.RefSource) (uint64, cache.Stats) {
-		t.Helper()
-		proc := kernel.SourceProcess(0, name, src, instr)
-		m := engine.New(engine.Config{
-			Hierarchy:     cache.CoreDuoConfig().Scaled(64),
-			QuantumCycles: 1_000_000,
-		}, []*kernel.Process{proc})
-		m.SetAffinities([]int{0})
-		m.Run(engine.RunOptions{})
-		return proc.CompletionUser(), m.Hierarchy().L2For(0).Stats()
-	}
-
-	const base = uint64(7) << 40
-
-	v1f, err := os.Open(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1f.Close()
-	v1Replay, err := NewStreamReplay(v1f, DefaultStreamRuns, true, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCycles, wantStats := run("v1", v1Replay)
-	if v1Replay.Err() != nil {
-		t.Fatal(v1Replay.Err())
-	}
-
 	sources := map[string]workload.RefSource{}
 
 	rawBytes, err := os.ReadFile(rawPath)
@@ -94,14 +72,14 @@ func TestReplayParityFourWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources["compiled"] = NewRunReplay(decoded, true, base)
+	sources["compiled"] = NewRunReplay(decoded, true, 0)
 
 	mt, err := OpenCompiled(rawPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mt.Close()
-	sources["mmap"] = NewRunReplay(mt.Trace(), true, base)
+	sources["mmap"] = NewRunReplay(mt.Trace(), true, 0)
 
 	framedBytes, err := os.ReadFile(framedPath)
 	if err != nil {
@@ -111,26 +89,26 @@ func TestReplayParityFourWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources["compressed"] = NewRunReplay(framedCT, true, base)
+	sources["compressed"] = NewRunReplay(framedCT, true, 0)
 
 	ff, err := os.Open(framedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ff.Close()
-	fs, err := NewFrameStreamReplay(ff, true, base)
+	fs, err := NewFrameStreamReplay(ff, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sources["framestream"] = fs
 
 	for name, src := range sources {
-		cycles, stats := run(name, src)
+		cycles, stats := simulate(t, name, src, instr)
 		if cycles != wantCycles {
-			t.Errorf("%s: %d user cycles, v1 replay took %d", name, cycles, wantCycles)
+			t.Errorf("%s: %d user cycles, the live generator took %d", name, cycles, wantCycles)
 		}
 		if stats != wantStats {
-			t.Errorf("%s: L2 stats %+v, v1 replay saw %+v", name, stats, wantStats)
+			t.Errorf("%s: L2 stats %+v, the live generator saw %+v", name, stats, wantStats)
 		}
 	}
 	if fs.Err() != nil {

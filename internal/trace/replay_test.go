@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"symbiosched/internal/cache"
@@ -10,58 +9,27 @@ import (
 	"symbiosched/internal/workload"
 )
 
-// A captured trace replayed through the simulator must produce exactly the
-// same timing as the live generator it was captured from (addresses are
-// line-granular in the codec, and the cache is line-granular too, so the
-// simulations are bit-identical).
+// A captured trace replayed through the simulator one instruction at a time
+// (the Next-only view, stepped by workload.AsRunSource's adapter) must
+// produce exactly the timing and cache statistics of the live generator it
+// was captured from: addresses are line-granular in the trace, and the cache
+// is line-granular too. The capture outlasts the run, so the batch that
+// overshoots the target replays captured instructions rather than a wrap.
 func TestReplayMatchesLiveSimulation(t *testing.T) {
 	prof, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const instr = 300_000
+	liveCycles, liveStats := simulate(t, "gcc-live", prof.NewThreads(1, 9, 64)[0], instr)
 
-	cfg := engine.Config{
-		Hierarchy:     cache.CoreDuoConfig().Scaled(64),
-		QuantumCycles: 1_000_000,
+	ct := CaptureRuns(prof.NewThreads(1, 9, 64)[0], 2*instr)
+	cycles, stats := simulate(t, "gcc-replay", refOnly{NewRunReplay(ct, true, 0)}, instr)
+	if cycles != liveCycles {
+		t.Fatalf("replay diverged: live %d cycles, replay %d cycles", liveCycles, cycles)
 	}
-
-	// Live run.
-	live := kernel.SourceProcess(0, "gcc-live", prof.NewThreads(1, 9, 64)[0], instr)
-	lm := engine.New(cfg, []*kernel.Process{live})
-	lm.SetAffinities([]int{0})
-	lm.Run(engine.RunOptions{})
-
-	// Capture an identical generator, then replay.
-	var buf bytes.Buffer
-	if err := Capture(prof.NewThreads(1, 9, 64)[0], instr, &buf); err != nil {
-		t.Fatal(err)
-	}
-	refs, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := kernel.SourceProcess(0, "gcc-replay", &Replay{Refs: refs, Loop: true}, instr)
-	rm := engine.New(cfg, []*kernel.Process{replayed})
-	rm.SetAffinities([]int{0})
-	rm.Run(engine.RunOptions{})
-
-	if live.CompletionUser() != replayed.CompletionUser() {
-		t.Fatalf("replay diverged: live %d cycles, replay %d cycles",
-			live.CompletionUser(), replayed.CompletionUser())
-	}
-	// L2 stats may differ by up to one dispatch batch: the run stops at the
-	// batch boundary after completion, and past the run target the live
-	// generator continues its pattern while the replay wraps around.
-	liveStats := lm.Hierarchy().L2For(0).Stats()
-	repStats := rm.Hierarchy().L2For(0).Stats()
-	diff := int64(liveStats.Accesses) - int64(repStats.Accesses)
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 256 {
-		t.Fatalf("replay L2 stats diverged beyond the completion batch: %+v vs %+v",
-			liveStats, repStats)
+	if stats != liveStats {
+		t.Fatalf("replay L2 stats diverged: %+v vs %+v", liveStats, stats)
 	}
 }
 
@@ -69,23 +37,13 @@ func TestReplayMatchesLiveSimulation(t *testing.T) {
 func TestReplayedProcessesContend(t *testing.T) {
 	mcf, _ := workload.ByName("mcf")
 	lq, _ := workload.ByName("libquantum")
-	capture := func(p workload.Profile, asid int) []workload.Ref {
-		var buf bytes.Buffer
-		if err := Capture(p.NewThreads(asid, 5, 64)[0], 400_000, &buf); err != nil {
-			t.Fatal(err)
-		}
-		refs, err := ReadAll(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return refs
-	}
-	mcfRefs, lqRefs := capture(mcf, 1), capture(lq, 2)
+	mcfTrace := CaptureRuns(mcf.NewThreads(1, 5, 64)[0], 400_000)
+	lqTrace := CaptureRuns(lq.NewThreads(2, 5, 64)[0], 400_000)
 
 	run := func(aff []int) uint64 {
 		procs := []*kernel.Process{
-			kernel.SourceProcess(0, "mcf", &Replay{Refs: mcfRefs, Loop: true}, 400_000),
-			kernel.SourceProcess(1, "libquantum", &Replay{Refs: lqRefs, Loop: true}, 400_000),
+			kernel.SourceProcess(0, "mcf", NewRunReplay(mcfTrace, true, 0), 400_000),
+			kernel.SourceProcess(1, "libquantum", NewRunReplay(lqTrace, true, 0), 400_000),
 		}
 		m := engine.New(engine.Config{
 			Hierarchy:     cache.CoreDuoConfig().Scaled(64),

@@ -1,18 +1,26 @@
-// Package trace records and replays instruction streams in a compact binary
-// format. The paper's methodology separates signature gathering from
-// execution; traces make that split externally visible: a workload's
-// reference stream can be captured once (or imported from a real system) and
-// replayed deterministically through the simulator, substituting for the
-// proprietary SPEC traces the original evaluation used.
+// Package trace records and replays instruction streams. The paper's
+// methodology separates signature gathering from execution; traces make that
+// split externally visible: a workload's reference stream can be captured
+// once (or imported from a real system) and replayed deterministically
+// through the simulator, substituting for the proprietary SPEC traces the
+// original evaluation used.
 //
-// Format (little-endian, after an 8-byte header "SYMTRC\x00" + version):
-// a sequence of records, each encoding one memory reference as
+// Traces live on disk in the compiled v2 format (compiled.go, *.symc).
+// CaptureRuns draws a live RunSource straight into a CompiledTrace; replay
+// opens it zero-decode (OpenCompiled), in memory (ReadCompiled) or one frame
+// at a time (FrameStreamReplay).
+//
+// The older v1 varint stream this file decodes is import-only: Compile turns
+// a v1 capture into a CompiledTrace, and nothing else reads it. Format
+// (little-endian, after an 8-byte header "SYMTRC\x00" + version 1): a
+// sequence of records, each encoding one memory reference as
 //
 //	gap    uvarint — number of compute (non-memory) instructions preceding it
 //	delta  svarint — line-address delta from the previous memory reference
 //
-// The stream ends at EOF. Compute-only tails are encoded by a final record
-// with delta 0 and the reserved gap tailMarker.
+// The stream ends at EOF. A record whose gap is the reserved tailMarker
+// carries, in its delta field, a run of compute instructions that no memory
+// reference follows.
 package trace
 
 import (
@@ -21,8 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"symbiosched/internal/workload"
 )
 
 var magic = [8]byte{'S', 'Y', 'M', 'T', 'R', 'C', 0, 1}
@@ -31,98 +37,19 @@ var magic = [8]byte{'S', 'Y', 'M', 'T', 'R', 'C', 0, 1}
 // memory reference.
 const tailMarker = ^uint64(0) >> 1
 
-// Writer streams instructions into the binary format.
-type Writer struct {
-	w          *bufio.Writer
-	wroteMagic bool
-	gap        uint64
-	lastLine   uint64
-	count      uint64
-	err        error
-}
-
-// NewWriter returns a Writer over w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-func (tw *Writer) ensureMagic() {
-	if !tw.wroteMagic && tw.err == nil {
-		_, tw.err = tw.w.Write(magic[:])
-		tw.wroteMagic = true
-	}
-}
-
-// Add appends one instruction.
-func (tw *Writer) Add(r workload.Ref) error {
-	tw.ensureMagic()
-	if tw.err != nil {
-		return tw.err
-	}
-	tw.count++
-	if !r.Mem {
-		tw.gap++
-		if tw.gap >= tailMarker-1 {
-			return tw.flushTail()
-		}
-		return nil
-	}
-	line := r.Addr >> 6
-	var buf [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], tw.gap)
-	n += binary.PutVarint(buf[n:], int64(line)-int64(tw.lastLine))
-	_, tw.err = tw.w.Write(buf[:n])
-	tw.gap = 0
-	tw.lastLine = line
-	return tw.err
-}
-
-// flushTail emits a pending compute-only run.
-func (tw *Writer) flushTail() error {
-	if tw.gap == 0 || tw.err != nil {
-		return tw.err
-	}
-	var buf [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], tailMarker)
-	n += binary.PutVarint(buf[n:], int64(tw.gap))
-	_, tw.err = tw.w.Write(buf[:n])
-	tw.gap = 0
-	return tw.err
-}
-
-// Count returns the number of instructions added so far.
-func (tw *Writer) Count() uint64 { return tw.count }
-
-// Close flushes any compute tail and the underlying buffer.
-func (tw *Writer) Close() error {
-	tw.ensureMagic()
-	if err := tw.flushTail(); err != nil {
-		return err
-	}
-	if err := tw.w.Flush(); err != nil {
-		tw.err = err
-		return err
-	}
-	return tw.err
-}
-
-// Reader streams instructions back out of the binary format.
-type Reader struct {
+// reader decodes a v1 stream one run at a time in O(1) memory.
+type reader struct {
 	r        *bufio.Reader
 	checked  bool
-	gap      uint64 // compute instructions still to emit before next mem ref
-	nextLine uint64
-	havePend bool
 	lastLine uint64
 	done     bool
 }
 
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+func newReader(r io.Reader) *reader {
+	return &reader{r: bufio.NewReader(r)}
 }
 
-func (tr *Reader) checkMagic() error {
+func (tr *reader) checkMagic() error {
 	if tr.checked {
 		return nil
 	}
@@ -137,80 +64,19 @@ func (tr *Reader) checkMagic() error {
 	return nil
 }
 
-// Next returns the next instruction, or io.EOF when the trace is exhausted.
-func (tr *Reader) Next() (workload.Ref, error) {
-	if err := tr.checkMagic(); err != nil {
-		return workload.Ref{}, err
-	}
-	for {
-		if tr.gap > 0 {
-			tr.gap--
-			return workload.Ref{}, nil
-		}
-		if tr.havePend {
-			tr.havePend = false
-			tr.lastLine = tr.nextLine
-			return workload.Ref{Addr: tr.nextLine << 6, Mem: true}, nil
-		}
-		if tr.done {
-			return workload.Ref{}, io.EOF
-		}
-		gap, err := binary.ReadUvarint(tr.r)
-		if err == io.EOF {
-			tr.done = true
-			continue
-		}
-		if err != nil {
-			return workload.Ref{}, fmt.Errorf("trace: %w", err)
-		}
-		delta, err := binary.ReadVarint(tr.r)
-		if err != nil {
-			return workload.Ref{}, fmt.Errorf("trace: truncated record: %w", err)
-		}
-		if gap == tailMarker {
-			if delta < 0 {
-				// A negative count reinterpreted as uint64 would be ~2^64
-				// pending compute instructions: ReadAll would hang and
-				// allocate without bound on a corrupt (or adversarial) file.
-				return workload.Ref{}, fmt.Errorf("trace: corrupt tail marker (negative count %d)", delta)
-			}
-			tr.gap += uint64(delta)
-			continue
-		}
-		tr.gap = gap
-		tr.nextLine = uint64(int64(tr.lastLine) + delta)
-		tr.havePend = true
-	}
-}
-
-// NextRun returns the next run of the trace — skip compute instructions
+// nextRun returns the next run of the trace — skip compute instructions
 // followed, when mem is true, by one memory reference to line (a line
 // address; ×64 for bytes). A final compute-only run is returned once with
-// mem false; after the trace is exhausted NextRun returns io.EOF. It is the
-// bulk counterpart of Next (one call per memory operation instead of one per
-// instruction) and interleaves correctly with it: both consume the same
-// decoder state.
-func (tr *Reader) NextRun() (skip, line uint64, mem bool, err error) {
+// mem false; after the trace is exhausted nextRun returns io.EOF.
+func (tr *reader) nextRun() (skip, line uint64, mem bool, err error) {
 	if err := tr.checkMagic(); err != nil {
 		return 0, 0, false, err
 	}
-	skip, tr.gap = tr.gap, 0
-	for {
-		if tr.havePend {
-			tr.havePend = false
-			tr.lastLine = tr.nextLine
-			return skip, tr.nextLine, true, nil
-		}
-		if tr.done {
-			if skip > 0 {
-				return skip, 0, false, nil
-			}
-			return 0, 0, false, io.EOF
-		}
+	for !tr.done {
 		gap, err := binary.ReadUvarint(tr.r)
 		if err == io.EOF {
 			tr.done = true
-			continue
+			break
 		}
 		if err != nil {
 			return 0, 0, false, fmt.Errorf("trace: %w", err)
@@ -221,75 +87,19 @@ func (tr *Reader) NextRun() (skip, line uint64, mem bool, err error) {
 		}
 		if gap == tailMarker {
 			if delta < 0 {
+				// A negative count reinterpreted as uint64 would be ~2^64
+				// pending compute instructions: a corrupt (or adversarial)
+				// file must not turn into an unbounded compute stream.
 				return 0, 0, false, fmt.Errorf("trace: corrupt tail marker (negative count %d)", delta)
 			}
 			skip += uint64(delta) // merge marker runs into the current gap
 			continue
 		}
-		skip += gap
-		tr.nextLine = uint64(int64(tr.lastLine) + delta)
-		tr.havePend = true
+		tr.lastLine = uint64(int64(tr.lastLine) + delta)
+		return skip + gap, tr.lastLine, true, nil
 	}
-}
-
-// Reset rewinds the Reader onto a new (or re-seeked) stream, reusing its
-// buffer — the allocation-free path the streaming replay's loop support
-// stands on.
-func (tr *Reader) Reset(r io.Reader) {
-	tr.r.Reset(r)
-	tr.checked = false
-	tr.gap, tr.nextLine, tr.lastLine = 0, 0, 0
-	tr.havePend, tr.done = false, false
-}
-
-// Capture records the next n instructions from a generator into w.
-func Capture(gen *workload.Generator, n uint64, w io.Writer) error {
-	tw := NewWriter(w)
-	for i := uint64(0); i < n; i++ {
-		if err := tw.Add(gen.Next()); err != nil {
-			return err
-		}
+	if skip > 0 {
+		return skip, 0, false, nil
 	}
-	return tw.Close()
-}
-
-// ReadAll loads an entire trace into memory.
-func ReadAll(r io.Reader) ([]workload.Ref, error) {
-	tr := NewReader(r)
-	var out []workload.Ref
-	for {
-		ref, err := tr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ref)
-	}
-}
-
-// Replay replays a fully loaded trace, optionally looping forever (the
-// engine restarts finished benchmarks, so loops stand in for re-execution).
-type Replay struct {
-	Refs []workload.Ref
-	Loop bool
-	pos  int
-}
-
-// Next returns the next instruction; after a non-looping replay is
-// exhausted it returns compute no-ops.
-func (rp *Replay) Next() workload.Ref {
-	if len(rp.Refs) == 0 {
-		return workload.Ref{}
-	}
-	if rp.pos >= len(rp.Refs) {
-		if !rp.Loop {
-			return workload.Ref{}
-		}
-		rp.pos = 0
-	}
-	r := rp.Refs[rp.pos]
-	rp.pos++
-	return r
+	return 0, 0, false, io.EOF
 }

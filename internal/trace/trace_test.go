@@ -9,23 +9,15 @@ import (
 	"symbiosched/internal/workload"
 )
 
+// roundTrip encodes refs in the v1 format, imports them with Compile and
+// expands the result back into one Ref per instruction.
 func roundTrip(t *testing.T, refs []workload.Ref) []workload.Ref {
 	t.Helper()
-	var buf bytes.Buffer
-	tw := NewWriter(&buf)
-	for _, r := range refs {
-		if err := tw.Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadAll(&buf)
+	ct, err := Compile(bytes.NewReader(encode(t, refs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return flatten(ct)
 }
 
 func TestRoundTripBasic(t *testing.T) {
@@ -71,22 +63,18 @@ func TestRoundTripComputeOnly(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	if _, err := ReadAll(bytes.NewReader([]byte("NOTATRACE"))); err == nil {
+	if _, err := Compile(bytes.NewReader([]byte("NOTATRACE"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if _, err := ReadAll(bytes.NewReader(nil)); err == nil {
+	if _, err := Compile(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
 
 func TestTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewWriter(&buf)
-	tw.Add(workload.Ref{Addr: 4096, Mem: true})
-	tw.Close()
-	full := buf.Bytes()
+	full := encode(t, []workload.Ref{{Addr: 4096, Mem: true}})
 	// Chop the last byte: the varint record is torn.
-	if _, err := ReadAll(bytes.NewReader(full[:len(full)-1])); err == nil {
+	if _, err := Compile(bytes.NewReader(full[:len(full)-1])); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
 }
@@ -96,15 +84,8 @@ func TestCaptureFromGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := p.NewThreads(1, 7, 64)[0]
-	var buf bytes.Buffer
-	if err := Capture(gen, 10000, &buf); err != nil {
-		t.Fatal(err)
-	}
-	refs, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := CaptureRuns(p.NewThreads(1, 7, 64)[0], 10000)
+	refs := flatten(ct)
 	if len(refs) != 10000 {
 		t.Fatalf("captured %d refs", len(refs))
 	}
@@ -118,25 +99,14 @@ func TestCaptureFromGenerator(t *testing.T) {
 	}
 }
 
-func TestWriterCount(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewWriter(&buf)
-	for i := 0; i < 7; i++ {
-		tw.Add(workload.Ref{})
-	}
-	tw.Add(workload.Ref{Addr: 64, Mem: true})
-	if tw.Count() != 8 {
-		t.Fatalf("Count = %d", tw.Count())
-	}
-}
-
 func TestReplayLooping(t *testing.T) {
 	refs := []workload.Ref{
 		{Addr: 64, Mem: true},
 		{},
 		{Addr: 128, Mem: true},
 	}
-	rp := &Replay{Refs: refs, Loop: true}
+	ct := runsOf(refs)
+	rp := NewRunReplay(ct, true, 0)
 	for round := 0; round < 3; round++ {
 		for i := range refs {
 			if got := rp.Next(); got != refs[i] {
@@ -144,14 +114,14 @@ func TestReplayLooping(t *testing.T) {
 			}
 		}
 	}
-	flat := &Replay{Refs: refs}
+	flat := NewRunReplay(ct, false, 0)
 	for range refs {
 		flat.Next()
 	}
 	if r := flat.Next(); r.Mem {
 		t.Fatal("exhausted non-looping replay emitted a memory op")
 	}
-	empty := &Replay{}
+	empty := NewRunReplay(NewCompiled(nil, 0), true, 0)
 	if r := empty.Next(); r.Mem {
 		t.Fatal("empty replay emitted a memory op")
 	}
@@ -166,17 +136,15 @@ func TestRoundTripQuick(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		tw := NewWriter(&buf)
-		for _, r := range refs {
-			if tw.Add(r) != nil {
-				return false
-			}
-		}
-		if tw.Close() != nil {
+		if writeV1(&buf, runsOf(refs)) != nil {
 			return false
 		}
-		got, err := ReadAll(&buf)
-		if err != nil || len(got) != len(refs) {
+		ct, err := Compile(&buf)
+		if err != nil {
+			return false
+		}
+		got := flatten(ct)
+		if len(got) != len(refs) {
 			return false
 		}
 		for i := range refs {
@@ -191,32 +159,29 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestCompression: the framed container makes a strided stream with small
+// deltas cost only a few bytes per memory reference on disk, against the
+// raw container's 16.
 func TestCompression(t *testing.T) {
-	// A strided stream with small deltas should cost only a few bytes per
-	// memory reference.
 	p := &workload.StreamPattern{Region: 1 << 20}
 	gen := workload.NewGenerator(workload.GeneratorConfig{Pattern: p, MemRatio: 0.25, Seed: 1})
+	ct := CaptureRuns(gen, 100000)
 	var buf bytes.Buffer
-	if err := Capture(gen, 100000, &buf); err != nil {
+	if err := WriteCompiledFrames(&buf, ct, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	memRefs := 100000 / 4
-	bytesPerRef := float64(buf.Len()) / float64(memRefs)
+	bytesPerRef := float64(buf.Len()) / float64(ct.MemRefs())
 	if bytesPerRef > 4 {
-		t.Fatalf("codec too fat: %.1f bytes per memory reference", bytesPerRef)
+		t.Fatalf("framed container too fat: %.1f bytes per memory reference", bytesPerRef)
 	}
 }
 
 func TestReaderStreaming(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewWriter(&buf)
-	tw.Add(workload.Ref{Addr: 64, Mem: true})
-	tw.Close()
-	tr := NewReader(&buf)
-	if _, err := tr.Next(); err != nil {
+	tr := newReader(bytes.NewReader(encode(t, []workload.Ref{{Addr: 64, Mem: true}})))
+	if _, _, _, err := tr.nextRun(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Next(); err != io.EOF {
+	if _, _, _, err := tr.nextRun(); err != io.EOF {
 		t.Fatalf("want io.EOF, got %v", err)
 	}
 }

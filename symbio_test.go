@@ -148,31 +148,15 @@ func TestTraceFacadeRoundTrip(t *testing.T) {
 	if err := CaptureTrace("mcf", 5000, 64, 7, &buf); err != nil {
 		t.Fatal(err)
 	}
-	refs, err := ReadTrace(&buf)
+	ct, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(refs) != 5000 {
-		t.Fatalf("read %d refs", len(refs))
+	if ct.Instructions() != 5000 {
+		t.Fatalf("read %d instructions", ct.Instructions())
 	}
-	var buf2 bytes.Buffer
-	if err := WriteTrace(refs, &buf2); err != nil {
-		t.Fatal(err)
-	}
-	refs2, err := ReadTrace(&buf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs2) != len(refs) {
-		t.Fatalf("re-encoded trace has %d refs", len(refs2))
-	}
-	for i := range refs {
-		if refs[i] != refs2[i] {
-			t.Fatalf("ref %d differs after re-encode", i)
-		}
-	}
-	// The replay type is a usable RefSource.
-	var src RefSource = &TraceReplay{Refs: refs, Loop: true}
+	// The replay cursor is a usable RefSource.
+	var src RefSource = ReplayTrace(ct, true, 0)
 	mem := 0
 	for i := 0; i < 1000; i++ {
 		if src.Next().Mem {

@@ -16,14 +16,9 @@ type Ref = workload.Ref
 // replay, or a custom model).
 type RefSource = workload.RefSource
 
-// TraceReplay replays a loaded trace as a RefSource, wrapping around when
-// Loop is set (the simulator restarts finished benchmarks, so looping
-// replays stand in for re-execution).
-type TraceReplay = trace.Replay
-
-// CompiledTrace is a trace decoded into run-length form: one 16-byte record
-// per memory reference instead of one Ref per instruction, and the shape the
-// engine's fast batch loop replays directly (see ReplayTrace).
+// CompiledTrace is a trace in run-length form: one 16-byte record per memory
+// reference instead of one Ref per instruction, and the shape the engine's
+// fast batch loop replays directly (see ReplayTrace).
 type CompiledTrace = trace.CompiledTrace
 
 // RunReplay is a replay cursor over a CompiledTrace; it implements the
@@ -32,14 +27,6 @@ type CompiledTrace = trace.CompiledTrace
 // share one compiled trace.
 type RunReplay = trace.RunReplay
 
-// StreamReplay replays a trace directly from a seekable source through a
-// fixed decode-ahead buffer: memory stays O(buffer) regardless of trace
-// size, which is how multi-GB captures are simulated.
-type StreamReplay = trace.StreamReplay
-
-// CompileTrace decodes a binary trace into run-length form.
-func CompileTrace(r io.Reader) (*CompiledTrace, error) { return trace.Compile(r) }
-
 // ReplayTrace returns a fast replay cursor over a compiled trace. Loop wraps
 // the stream forever; base is added to every replayed address (rebasing a
 // trace captured in address space 1 into another process's space).
@@ -47,16 +34,10 @@ func ReplayTrace(ct *CompiledTrace, loop bool, base uint64) *RunReplay {
 	return trace.NewRunReplay(ct, loop, base)
 }
 
-// StreamTrace opens a streaming replay over src with a bufRuns-run
-// decode-ahead buffer (0 selects the 4096-run default).
-func StreamTrace(src io.ReadSeeker, bufRuns int, loop bool, base uint64) (*StreamReplay, error) {
-	return trace.NewStreamReplay(src, bufRuns, loop, base)
-}
-
 // CaptureTrace records n instructions of the named benchmark's reference
-// stream (thread 0, address-space 1) into w using the compact binary trace
-// format. The scale divisor matches Options semantics: 16 is the
-// experiment-grade machine, 64 the quick one.
+// stream (thread 0, address-space 1) into w as a compiled trace (the *.symc
+// format cmd/tracegen writes). The scale divisor matches Options semantics:
+// 16 is the experiment-grade machine, 64 the quick one.
 func CaptureTrace(bench string, n uint64, regionDiv uint64, seed uint64, w io.Writer) error {
 	p, err := workload.ByName(bench)
 	if err != nil {
@@ -69,19 +50,9 @@ func CaptureTrace(bench string, n uint64, regionDiv uint64, seed uint64, w io.Wr
 		return fmt.Errorf("symbio: zero-length trace capture")
 	}
 	gens := p.NewThreads(1, seed, regionDiv)
-	return trace.Capture(gens[0], n, w)
+	return trace.WriteCompiled(w, trace.CaptureRuns(gens[0], n))
 }
 
-// ReadTrace loads a binary trace written by CaptureTrace (or cmd/tracegen).
-func ReadTrace(r io.Reader) ([]Ref, error) { return trace.ReadAll(r) }
-
-// WriteTrace encodes an instruction stream into the binary trace format.
-func WriteTrace(refs []Ref, w io.Writer) error {
-	tw := trace.NewWriter(w)
-	for _, ref := range refs {
-		if err := tw.Add(ref); err != nil {
-			return err
-		}
-	}
-	return tw.Close()
-}
+// ReadTrace loads a compiled trace written by CaptureTrace (or cmd/tracegen),
+// raw or framed-compressed.
+func ReadTrace(r io.Reader) (*CompiledTrace, error) { return trace.ReadCompiled(r) }
