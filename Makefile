@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci lint vet build test race shardcheck tracecheck sigcheck servicecheck churncheck benchsmoke allocbench sigbench tracebench servicebench churnbench benchgate bench clean
+.PHONY: ci lint vet build test race shardcheck tracecheck sigcheck servicecheck churncheck benchsmoke allocbench sigbench tracebench churnbench benchgate bench clean
 
-ci: lint build race shardcheck tracecheck sigcheck servicecheck churncheck benchsmoke allocbench sigbench tracebench servicebench churnbench
+ci: lint build race shardcheck tracecheck sigcheck servicecheck churncheck benchsmoke allocbench sigbench tracebench churnbench
 
 # Style gate: gofmt must be clean, vet must pass, and staticcheck runs when
 # the host has it (CI and dev boxes without it still get the first two).
@@ -58,10 +58,11 @@ gate = @names=$$($(GO) test -list . $(1) | grep -E '^(Test|Fuzz|Example)') || { 
 # merged into reports that do not panic (FuzzShardMerge's seed corpus: a
 # mid-file corruption, a truncation, an outcome list past its range), and
 # the distributed coordinator — stragglers re-dispatched, duplicates
-# discarded — must produce the same bytes end to end over HTTP.
+# discarded — must produce the same bytes end to end over HTTP. Every
+# alternative is a full anchored name.
 shardcheck:
-	$(call gate,./internal/experiments,TestShardMergeEquivalence|TestWorkersInvariance|TestShardMergerMatchesLinearScan|TestMalformedOutcomesRejected|FuzzShardMerge)
-	$(call gate,./internal/coordctl,TestCoordinatorEndToEnd)
+	$(call gate,./internal/experiments,^TestShardMergeEquivalence$$|^TestWorkersInvariance$$|^TestShardMergerMatchesLinearScan$$|^TestMalformedOutcomesRejected$$|^FuzzShardMerge$$)
+	$(call gate,./internal/coordctl,^TestCoordinatorEndToEnd$$)
 
 # The trace-replay contract, uncached: capture reproduces the recorded
 # content fingerprints of the v1 captures it replaced, the v1 import
@@ -71,7 +72,9 @@ shardcheck:
 # captured from (the four-way parity gate), NextRun consumes exactly what as
 # many Next calls would for every synthetic profile and for the Next-only
 # adapter (whose engine timing matches native NextRun replay), decode
-# rejects every corruption class without hanging or over-reading,
+# rejects every corruption class without hanging or over-reading (a framed
+# header claiming far more than its file holds fails with ErrCorrupt having
+# allocated under 1 MiB; a torn DEFLATE trailer fails both framed paths),
 # downsampled traces validate against full-rate footprints, trace-driven
 # pools run through the sweep/shard plumbing with content-bound pool hashes
 # and refuse v1 captures by naming tracegen -compile, and the
@@ -80,7 +83,7 @@ shardcheck:
 # alternative is a full anchored name, so the gate fails when a listed test
 # disappears.
 tracecheck:
-	$(call gate,./internal/trace,^TestReaderNextRun$$|^TestReaderStreaming$$|^TestCompile$$|^TestCorruptTailMarker$$|^TestTruncatedRecord$$|^TestTruncatedVarint$$|^TestCaptureGolden$$|^TestCaptureFromGenerator$$|^TestRunReplayMatchesReplay$$|^TestRunReplayRebase$$|^TestRunReplayExhaustionPads$$|^TestRunReplayRewind$$|^TestStreamReplayMatchesRunReplay$$|^TestStreamReplayBoundedMemory$$|^TestStreamReplayRewind$$|^TestStreamReplayBadMagic$$|^TestStreamReplayErrorSticky$$|^TestBatchReplayMatchesBatchSrc$$|^TestReplayParityFourWay$$|^TestCompiledRoundTrip$$|^TestCompiledEmptyAndTailOnly$$|^TestCompiledDecodeErrors$$|^TestReadCompiledLyingHeader$$|^TestWriteV1RoundTrip$$|^TestMmapOpenCompiled$$|^TestFrameStreamReplayMatchesCompiled$$|^TestDownsample$$|^FuzzTraceRoundTrip$$|^FuzzCompiledDecode$$)
+	$(call gate,./internal/trace,^TestReaderNextRun$$|^TestReaderStreaming$$|^TestCompile$$|^TestCorruptTailMarker$$|^TestTruncatedRecord$$|^TestTruncatedVarint$$|^TestCaptureGolden$$|^TestCaptureFromGenerator$$|^TestRunReplayMatchesReplay$$|^TestRunReplayRebase$$|^TestRunReplayExhaustionPads$$|^TestRunReplayRewind$$|^TestStreamReplayMatchesRunReplay$$|^TestStreamReplayBoundedMemory$$|^TestStreamReplayRewind$$|^TestStreamReplayBadMagic$$|^TestStreamReplayErrorSticky$$|^TestBatchReplayMatchesBatchSrc$$|^TestReplayParityFourWay$$|^TestCompiledRoundTrip$$|^TestCompiledEmptyAndTailOnly$$|^TestCompiledDecodeErrors$$|^TestReadCompiledLyingHeader$$|^TestWriteV1RoundTrip$$|^TestMmapOpenCompiled$$|^TestFrameStreamReplayMatchesCompiled$$|^TestFramedReadBoundedByBytes$$|^TestFramedTornTrailerRefused$$|^TestDownsample$$|^FuzzTraceRoundTrip$$|^FuzzCompiledDecode$$)
 	$(call gate,./internal/workload,^TestNextRunMatchesNext$$|^TestAsRunSource$$)
 	$(call gate,./internal/experiments,^TestTracePoolFromDir$$|^TestTraceMixMatchesSyntheticPlumbing$$|^TestTraceSweepShard$$|^TestTracePoolEmptyDir$$|^TestTracePoolMixedFormats$$|^TestTracePoolRefusesV1Capture$$|^TestSelectProfiles$$|^TestArenaVirtMatchesFresh$$|^TestListTraceDirSkipsJunk$$|^TestCorpus$$)
 	$(call gate,./internal/coordctl,^TestCorpusCampaignEndToEnd$$|^TestFetchTraceResume$$|^TestFetchTraceConcurrentSharedCache$$|^TestFetchTraceRejectsTamperedContent$$)
@@ -105,18 +108,23 @@ sigcheck:
 # The coordinator-as-a-service contract, uncached: journal recovery (a tail
 # torn at EVERY byte offset replays cleanly; mid-file damage is a typed
 # refusal, never a panic or a double-count), restart-resume (kill a daemon
-# mid-campaign, restart from the journal, finish to a byte-identical report
-# with no accepted shard re-leased), bearer-token auth on both planes, TLS
+# mid-campaign, restart it over its journal, finish under the same campaign
+# id to a byte-identical report with no accepted shard re-leased),
+# bearer-token auth on both planes (either token alone guards both), TLS
 # trust configuration, the multi-campaign REST API with cancellation
 # persisting across restarts, the worker's failure budget resetting on any
 # successful exchange, the 50-worker load smoke reconciling client
 # counts, server counters, and journal records three ways, the counted
 # lease table agreeing step for step with a linear-scan reference table,
 # /metrics shard counts equal to a scan, oversized request bodies refused
-# with 413 and no state change, and a shard with a malformed outcome
-# refused with 422 before it reaches the journal.
+# with 413 and no state change, a shard with a malformed outcome refused
+# with 422 before it reaches the journal, every request naming its campaign
+# (no single-campaign views or fallbacks), and 16 drained campaigns serving
+# their list, status, report and /metrics bytes as recorded (before and
+# after a restart, with late and replayed duplicate shards). Every
+# alternative is a full anchored name.
 servicecheck:
-	$(call gate,./internal/coordctl,TestJournal|TestServiceRestartResume|TestCoordinatorAuth|TestCoordinatorTLS|TestCampaignAPI|TestCancelPersistsAcrossRestart|TestWorkerFailureBudgetResetsOnContact|TestCoordinatorLoadSmoke|TestLeaseTableMatchesScan|TestMetricsShardCountsMatchScan|TestOversizedBodiesRefused|TestMalformedShardRefusedBeforeJournal)
+	$(call gate,./internal/coordctl,^TestJournalTornTailAtEveryOffset$$|^TestJournalMidFileCorruption$$|^TestJournalDuplicateShardReplay$$|^TestJournalAppendAfterRecovery$$|^TestServiceRestartResume$$|^TestCoordinatorAuth$$|^TestAdminTokenOnlyGuardsWorkerPlane$$|^TestCoordinatorTLS$$|^TestCampaignAPI$$|^TestCancelPersistsAcrossRestart$$|^TestWorkerFailureBudgetResetsOnContact$$|^TestCoordinatorLoadSmoke$$|^TestLeaseTableMatchesScan$$|^TestMetricsShardCountsMatchScan$$|^TestOversizedBodiesRefused$$|^TestMalformedShardRefusedBeforeJournal$$|^TestRequestsNameTheirCampaign$$|^TestDrainedCampaignsMatchGolden$$)
 
 # The churn contract, uncached: incremental insert/remove/age on the sparse
 # graph stays parity-exact with a fresh Builder build (fuzz seed corpus +
@@ -168,15 +176,6 @@ sigbench:
 tracebench:
 	$(GO) run ./cmd/bench -layers trace -reps 2
 
-# Coordinator layer: the 50-worker load harness as a bench, printing lease
-# throughput and round-trip latency percentiles. Every run reconciles
-# client accepts, server counters, and journal records before reporting, so
-# this doubles as a correctness gate; the latency numbers themselves are
-# recorded but never -check-gated (loopback HTTP + fsync jitter on shared
-# runners would make any useful tolerance flake).
-servicebench:
-	$(GO) run ./cmd/bench -layers coord -reps 2
-
 # Churn layer: one 200-quantum Poisson campaign per P with per-event timing
 # (insert/remove/age percentiles and the rebuild crossover in the point's
 # info). The campaign checksum is deterministic, so this doubles as an
@@ -200,7 +199,7 @@ benchgate:
 # reads; see README "Performance". An entry recorded this way is a complete
 # baseline for benchgate. Without -out, cmd/bench only prints the entry.
 bench:
-	$(GO) run ./cmd/bench -layers sweep,alloc,sig,trace,coord,churn -reps 5 -mp1 -label $$(git rev-parse --short HEAD) -out results/BENCH_2026-08-06.json
+	$(GO) run ./cmd/bench -layers sweep,alloc,sig,trace,churn -reps 5 -mp1 -label $$(git rev-parse --short HEAD) -out results/BENCH_2026-08-06.json
 
 clean:
 	$(GO) clean ./...

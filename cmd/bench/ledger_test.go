@@ -52,7 +52,7 @@ func TestCompare(t *testing.T) {
 			{Layer: "alloc", Name: "sparse", P50Micros: 2000, Checksum: "a"},
 			{Layer: "alloc", Name: "repair", P50Micros: 500, Checksum: "b"},
 			{Layer: "sig", Name: "monitor", P50Micros: 5000, Checksum: "c"},
-			{Layer: "coord", Name: "fleet", P50Micros: 1e5},
+			{Layer: "trace", Name: "open", P50Micros: 5000, Checksum: "d"},
 		}}
 	with := func(edit func(e *Entry)) Entry {
 		e := base
@@ -69,7 +69,7 @@ func TestCompare(t *testing.T) {
 		{"checksum mismatch", base, with(func(e *Entry) { e.Points[1].Checksum = "x" }), false},
 		{"p50 over tolerance above the floor", base, with(func(e *Entry) { e.Points[0].P50Micros = 2400 }), false},
 		{"same slowdown under the floor", base, with(func(e *Entry) { e.Points[1].P50Micros = 600 }), true},
-		{"coord never latency-gated", base, with(func(e *Entry) { e.Points[3].P50Micros = 1e7 }), true},
+		{"slowdown under the trace floor", base, with(func(e *Entry) { e.Points[3].P50Micros = 9000 }), true},
 		{"missing layer", with(func(e *Entry) { e.Points = append(e.Points[:2], e.Points[3]) }), base, false},
 		{"point gone from a measured layer", base, with(func(e *Entry) { e.Points = append(e.Points[:1], e.Points[2:]...) }), false},
 		{"sweep checksum mismatch", base, with(func(e *Entry) { e.MaxImprovementPct = 48.5 }), false},
@@ -80,7 +80,7 @@ func TestCompare(t *testing.T) {
 		if got := compare(&out, tc.ref, tc.cur, true, 0.15); got != tc.want {
 			t.Errorf("%s: compare = %v, want %v\n%s", tc.name, got, tc.want, out.String())
 		}
-		for _, l := range []string{"sweep", "alloc", "sig", "coord"} {
+		for _, l := range []string{"sweep", "alloc", "sig", "trace"} {
 			if !strings.Contains(out.String(), "bench: "+l+" ") {
 				t.Errorf("%s: no verdict for %s:\n%s", tc.name, l, out.String())
 			}
@@ -96,7 +96,7 @@ func TestCompare(t *testing.T) {
 	}
 	out.Reset()
 	if !compare(&out, base, with(func(e *Entry) { e.Points = e.Points[:2] }), true, 0.15) ||
-		strings.Contains(out.String(), "bench: sig") || strings.Contains(out.String(), "bench: coord") {
+		strings.Contains(out.String(), "bench: sig") || strings.Contains(out.String(), "bench: trace") {
 		t.Errorf("partial run failed or judged layers it did not measure:\n%s", out.String())
 	}
 }

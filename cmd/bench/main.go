@@ -10,7 +10,6 @@
 //	alloc  one allocation decision: sparse build + partition, incremental repair (alloc.go)
 //	sig    one context-switch capture, one monitor quantum (sig.go)
 //	trace  trace open-to-first-run and full replay, three paths (trace.go)
-//	coord  a 50-worker fleet draining one journaled coordinator (runCoord)
 //	churn  arrival/departure campaigns vs a full rebuild (churn.go)
 //
 // Every layer but the sweep yields Points, each -reps timed samples of one
@@ -30,7 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -38,7 +36,6 @@ import (
 	"time"
 
 	"symbiosched/internal/alloc"
-	"symbiosched/internal/coordctl"
 	"symbiosched/internal/experiments"
 	"symbiosched/internal/workload"
 )
@@ -54,14 +51,11 @@ var layers = map[string]struct {
 	"alloc": {runAlloc, 1e3},
 	"sig":   {runSig, 1e3},
 	"trace": {runTrace, 1e4},
-	// Loopback HTTP and fsync latency vary too much across hosts for any
-	// useful tolerance: recorded, never latency-gated.
-	"coord": {runCoord, math.Inf(1)},
 	"churn": {runChurn, 1e3},
 }
 
 func main() {
-	layerList := flag.String("layers", "sweep", "comma-separated layers to measure: sweep, alloc, sig, trace, coord, churn")
+	layerList := flag.String("layers", "sweep", "comma-separated layers to measure: sweep, alloc, sig, trace, churn")
 	reps := flag.Int("reps", 3, "timed samples per point (sweep: repetitions; the minimum wall time is the headline)")
 	label := flag.String("label", "HEAD", "entry label, e.g. a commit id")
 	out := flag.String("out", "", "ledger to append the entry to (without it nothing is written and the entry is printed)")
@@ -156,37 +150,6 @@ func seconds(us []float64) ([]float64, float64) {
 		s[i] = u / 1e6
 	}
 	return s, slices.Min(s)
-}
-
-// runCoord is the coordinator layer: internal/coordctl's load smoke drives
-// one journaled daemon with 50 fake workers over real HTTP until a 64-shard
-// campaign drains. Shards are fabricated, so the measured path is the
-// coordinator itself (mutex, lease table, validation, journal fsync), not
-// simulation. The point times the drain; Info holds the last sample's lease
-// throughput and round-trip percentiles. Every run reconciles client, server
-// and journal counts itself, and nothing it measures is deterministic, so
-// the point has no checksum.
-func runCoord(reps int) []Point {
-	const workers, shards = 50, 64
-	var res coordctl.LoadSmokeResult
-	pt := measure("coord", fmt.Sprintf("fleet workers=%d shards=%d", workers, shards), reps, func() (func(), func() string) {
-		return func() {
-			var err error
-			if res, err = coordctl.LoadSmoke(coordctl.LoadSmokeOptions{Workers: workers, Shards: shards}); err != nil {
-				fatal(fmt.Errorf("coordinator load smoke: %w", err))
-			}
-		}, func() string { return "" }
-	})
-	pt.Info = map[string]float64{
-		"lease_requests": float64(res.LeaseRequests),
-		"leases_per_sec": res.LeasesPerSec,
-		"lease_p50_us":   res.LeaseP50Micros,
-		"lease_p99_us":   res.LeaseP99Micros,
-		"submit_p50_us":  res.SubmitP50Micros,
-		"submit_p99_us":  res.SubmitP99Micros,
-		"journal_bytes":  float64(res.JournalBytes),
-	}
-	return []Point{pt}
 }
 
 // pool returns the Figure 10 bench pool: six SPEC profiles spanning every

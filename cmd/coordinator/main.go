@@ -1,27 +1,25 @@
-// Command coordinator runs the campaign coordinator in one of three modes.
+// Command coordinator runs the campaign coordinator daemon, or drives one.
 //
-// One-shot (default, the original interface): submit a single campaign,
-// serve it to `symbiosched -worker` processes, print the merged report and
-// exit — byte-identical to a single-process `symbiosched <fig>` run. With
-// -state-dir the campaign is journaled: killing the coordinator mid-sweep
-// and rerunning the same command line resumes from the journal without
-// recomputing any accepted shard.
+// Daemon (default): a persistent multi-campaign service. Campaigns are
+// submitted, listed, watched and cancelled over the REST API (or with the
+// admin client below); workers (`symbiosched -worker URL`) lease their
+// shards. With -state-dir the daemon journals every accepted campaign and
+// shard and, restarted over the same directory, resumes its campaigns under
+// their ids without recomputing any accepted shard. Bearer tokens
+// (-worker-token/-admin-token) and TLS (-tls-cert/-tls-key) guard
+// non-trusted networks; /metrics serves Prometheus text.
 //
-//	coordinator -figure fig10 -shards 8 -state-dir /var/lib/coord &
-//	symbiosched -worker http://host:8377       # on each worker machine
+//	coordinator -state-dir /var/lib/coord -worker-token W -admin-token A
+//	symbiosched -worker http://host:8377 -token W   # on each worker machine
 //
-// Daemon (-serve): a persistent multi-campaign service. Campaigns are
-// submitted, listed and cancelled over the REST API (or with the admin verbs
-// below); the daemon journals everything under -state-dir and resumes its
-// campaigns on restart. Bearer tokens (-worker-token/-admin-token) and TLS
-// (-tls-cert/-tls-key) guard non-trusted networks; /metrics serves
-// Prometheus text.
+// Admin client (-connect): drive a running daemon. Submitting a campaign
+// watches it to the end and prints its table (exit 1 if it fails) —
+// byte-identical to a single-process `symbiosched <fig>` run; -watch does
+// the same for a campaign already submitted, e.g. after a daemon restart.
+// The client's flags (their help starts "with -connect:") are refused
+// without -connect rather than starting a daemon with nothing to serve.
 //
-//	coordinator -serve -state-dir /var/lib/coord -worker-token W -admin-token A
-//
-// Admin client (-connect): drive a running daemon.
-//
-//	coordinator -connect http://host:8377 -token A -figure fig11 -shards 16   # submit
+//	coordinator -connect http://host:8377 -token A -figure fig11 -shards 16 [-out report.json]
 //	coordinator -connect http://host:8377 -token A -list
 //	coordinator -connect http://host:8377 -token A -cancel c3
 //	coordinator -connect http://host:8377 -token A -watch c2 [-out report.json]
@@ -40,41 +38,43 @@ import (
 	"time"
 
 	"symbiosched/internal/coordctl"
-	"symbiosched/internal/workload"
 )
 
 func main() {
 	addr := flag.String("addr", ":8377", "listen address")
-	serve := flag.Bool("serve", false, "run as a persistent multi-campaign daemon (no campaign submitted at startup; use POST /campaigns or -connect)")
-	stateDir := flag.String("state-dir", "", "journal accepted campaigns and shards here; a restarted coordinator resumes from it")
-	figure := flag.String("figure", "fig10", "sweep to run: fig10, fig11 or fig12")
-	shards := flag.Int("shards", 4, "number of shards to cut the campaign into")
-	quick := flag.Bool("quick", false, "run at test scale")
-	seed := flag.Uint64("seed", 0, "workload seed (0 = default)")
-	poolFlag := flag.String("pool", "", "comma-separated benchmark subset (default: the figure's pool)")
-	traceDir := flag.String("trace-dir", "", "replace the figure's pool with the trace files (*.trc or *.symc) in this directory; workers fetch them from this coordinator's content-addressed /trace endpoint")
+	stateDir := flag.String("state-dir", "", "journal accepted campaigns and shards here; a restarted daemon resumes from it")
+	figure := flag.String("figure", "fig10", "with -connect: sweep to submit: fig10, fig11 or fig12")
+	shards := flag.Int("shards", 4, "with -connect: number of shards to cut the campaign into")
+	quick := flag.Bool("quick", false, "with -connect: run the campaign at test scale")
+	seed := flag.Uint64("seed", 0, "with -connect: workload seed (0 = default)")
+	poolFlag := flag.String("pool", "", "with -connect: comma-separated benchmark subset (default: the figure's pool)")
+	traceDir := flag.String("trace-dir", "", "with -connect: replace the figure's pool with the compiled traces (*.symc) in this directory on the daemon's host; workers fetch them from its content-addressed /trace endpoint")
 	leaseTimeout := flag.Duration("lease-timeout", 10*time.Minute, "re-dispatch a shard when its lease is this old")
 	maxAttempts := flag.Int("max-attempts", 3, "dispatch attempts per shard before the campaign fails")
-	statusEvery := flag.Duration("status-every", 15*time.Second, "progress line period on stderr (0 disables)")
-	linger := flag.Duration("linger", 6*time.Second, "keep serving after completion so polling workers observe it and exit (0 disables)")
-	out := flag.String("out", "", "write the final report as JSON to this path")
-	csv := flag.Bool("csv", false, "emit the final table as CSV")
-	workerToken := flag.String("worker-token", "", "bearer token required on worker endpoints (lease/submit/status/trace/metrics)")
+	statusEvery := flag.Duration("status-every", 15*time.Second, "with -connect: progress line period on stderr while watching (0 disables)")
+	out := flag.String("out", "", "with -connect: write the final report as JSON to this path")
+	csv := flag.Bool("csv", false, "with -connect: emit the final table as CSV")
+	workerToken := flag.String("worker-token", "", "bearer token required on worker endpoints (lease/submit/campaign reads/trace/metrics)")
 	adminToken := flag.String("admin-token", "", "bearer token required to submit or cancel campaigns")
 	tlsCert := flag.String("tls-cert", "", "serve TLS with this certificate (requires -tls-key)")
 	tlsKey := flag.String("tls-key", "", "TLS private key for -tls-cert")
 	connect := flag.String("connect", "", "act as an admin client against the daemon at this URL instead of serving")
-	token := flag.String("token", "", "bearer token for -connect requests")
-	tlsCA := flag.String("tls-ca", "", "PEM file of root CAs to trust for -connect over https (e.g. the daemon's self-signed cert)")
+	token := flag.String("token", "", "with -connect: bearer token for the requests")
+	tlsCA := flag.String("tls-ca", "", "with -connect: PEM file of root CAs to trust over https (e.g. the daemon's self-signed cert)")
 	list := flag.Bool("list", false, "with -connect: list the daemon's campaigns")
 	cancel := flag.String("cancel", "", "with -connect: cancel this campaign id")
 	watch := flag.String("watch", "", "with -connect: wait for this campaign and print its report")
 	flag.Parse()
 
-	if (*tlsCert != "") != (*tlsKey != "") {
-		fatal(fmt.Errorf("-tls-cert and -tls-key must be set together"))
+	if *connect == "" {
+		// The daemon takes campaigns only over its API: a client flag
+		// without -connect would start an idle daemon that never exits.
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Usage, "with -connect:") {
+				fatal(fmt.Errorf("-%s is an admin-client flag and needs -connect URL (submit a campaign with: coordinator -connect URL -figure F -shards N)", f.Name))
+			}
+		})
 	}
-
 	if *connect != "" {
 		runAdmin(adminArgs{
 			url: *connect, token: *token, tlsCA: *tlsCA,
@@ -84,6 +84,9 @@ func main() {
 			statusEvery: *statusEvery, out: *out, csv: *csv,
 		})
 		return
+	}
+	if (*tlsCert != "") != (*tlsKey != "") {
+		fatal(fmt.Errorf("-tls-cert and -tls-key must be set together"))
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -98,24 +101,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer srv.Close()
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() {
-		var err error
-		if *tlsCert != "" {
-			err = httpSrv.ServeTLS(ln, *tlsCert, *tlsKey)
-		} else {
-			err = httpSrv.Serve(ln)
-		}
-		if err != nil && err != http.ErrServerClosed {
-			fatal(err)
-		}
-	}()
 	scheme := "http"
 	if *tlsCert != "" {
 		scheme = "https"
@@ -123,118 +112,13 @@ func main() {
 	logger.Info("coordinator listening", "url", fmt.Sprintf("%s://%s", scheme, ln.Addr()),
 		"state_dir", *stateDir, "tls", *tlsCert != "",
 		"worker_auth", *workerToken != "", "admin_auth", *adminToken != "")
-
-	if *serve {
-		// Daemon mode: campaigns come and go over the API; we serve forever.
-		logger.Info("daemon mode: submit campaigns with POST /campaigns or `coordinator -connect`")
-		select {}
-	}
-
-	// One-shot compatibility shim: submit (or, restarting with a journal,
-	// adopt) a single campaign and exit with its report.
-	var pool []string
-	if *poolFlag != "" {
-		for _, n := range strings.Split(*poolFlag, ",") {
-			n = strings.TrimSpace(n)
-			// Trace pools carry their own names; NewCampaign validates the
-			// subset against the directory listing instead.
-			if *traceDir == "" {
-				if _, err := workload.ByName(n); err != nil {
-					fatal(err)
-				}
-			}
-			pool = append(pool, n)
-		}
-	}
-	campaign, err := coordctl.NewCampaign(*figure, *quick, *seed, pool, *traceDir, *shards)
-	if err != nil {
-		fatal(err)
-	}
-	id, adopted, err := srv.AdoptOrSubmit(campaign)
-	if err != nil {
-		fatal(err)
-	}
-	combos, _ := campaign.Combos()
-	if adopted {
-		st, _ := srv.Status(id)
-		logger.Info("campaign resumed from journal", "campaign", id,
-			"figure", campaign.Figure, "combos_merged", st.CombosCovered, "combos", combos)
-	}
-	logger.Info("serving campaign", "campaign", id, "figure", campaign.Figure,
-		"combos", combos, "shards", campaign.ShardTotal, "pool_hash", campaign.PoolHash)
-	if n := len(campaign.Traces); n > 0 {
-		var total int64
-		for _, ref := range campaign.Traces {
-			total += ref.Size
-		}
-		logger.Info("serving trace corpus", "traces", n, "mib", float64(total)/(1<<20))
-	}
-	logger.Info("start workers", "cmd", fmt.Sprintf("symbiosched -worker %s://<this-host>%s", scheme, *addr))
-
-	if *statusEvery > 0 {
-		go func() {
-			t := time.NewTicker(*statusEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-srv.Done(id):
-					return
-				case <-t.C:
-					st, err := srv.Status(id)
-					if err != nil {
-						return
-					}
-					counts := map[string]int{}
-					for _, sh := range st.Shards {
-						counts[sh.State]++
-					}
-					logger.Info("progress", "campaign", id,
-						"combos_merged", st.CombosCovered, "combos", st.TotalCombos,
-						"done", counts["done"], "leased", counts["leased"],
-						"pending", counts["pending"], "failed", counts["failed"])
-				}
-			}
-		}()
-	}
-
-	<-srv.Done(id)
-	// Keep answering for a moment: workers sleeping in their poll backoff
-	// (capped at 5s) learn the campaign is over from a 410 instead of
-	// finding a dead socket and burning their retry budget against it.
-	lingerDone := time.After(*linger)
-	finish := func(code int) {
-		if *linger > 0 {
-			logger.Info("lingering so workers observe completion", "linger", *linger)
-		}
-		<-lingerDone
-		httpSrv.Close()
-		srv.Close()
-		os.Exit(code)
-	}
-	if err := srv.Err(id); err != nil {
-		fmt.Fprintln(os.Stderr, "coordinator:", err)
-		finish(1)
-	}
-	report, err := srv.Report(id)
-	if err != nil {
-		fatal(err)
-	}
-	if *out != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		logger.Info("report written", "path", *out)
-	}
-	if *csv {
-		fmt.Print(report.Table().CSV())
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	if *tlsCert != "" {
+		err = httpSrv.ServeTLS(ln, *tlsCert, *tlsKey)
 	} else {
-		fmt.Println(report.Table().String())
+		err = httpSrv.Serve(ln)
 	}
-	finish(0)
+	fatal(err) // every acknowledged event is already journaled
 }
 
 // adminArgs is everything the -connect admin client needs.
@@ -301,28 +185,30 @@ func runAdmin(a adminArgs) {
 	}
 }
 
-// watchCampaign polls a campaign to completion, then prints its report like
-// the one-shot mode does.
+// watchPoll is how often a watched campaign's status is polled.
+const watchPoll = 500 * time.Millisecond
+
+// watchCampaign polls a campaign to completion, logging progress every
+// statusEvery, then prints its report; a campaign that fails or is cancelled
+// exits 1.
 func watchCampaign(ctx context.Context, cl *coordctl.Client, a adminArgs, id string) {
-	every := a.statusEvery
-	if every <= 0 {
-		every = 2 * time.Second
-	}
+	var logged time.Time
 	for {
 		st, err := cl.Status(ctx, id)
 		if err != nil {
 			fatal(err)
 		}
-		switch st.State {
-		case "running":
-			fmt.Fprintf(os.Stderr, "coordinator: %s %d/%d combos merged\n", id, st.CombosCovered, st.TotalCombos)
-			time.Sleep(every)
-			continue
-		case "done":
-		default:
+		if st.State == "done" {
+			break
+		}
+		if st.State != "running" {
 			fatal(fmt.Errorf("campaign %s %s: %s", id, st.State, st.Error))
 		}
-		break
+		if a.statusEvery > 0 && time.Since(logged) >= a.statusEvery {
+			fmt.Fprintf(os.Stderr, "coordinator: %s %d/%d combos merged\n", id, st.CombosCovered, st.TotalCombos)
+			logged = time.Now()
+		}
+		time.Sleep(watchPoll)
 	}
 	report, err := cl.Report(ctx, id)
 	if err != nil {

@@ -70,8 +70,8 @@ func (c Config) validate() error {
 	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache: line size %d must be a positive power of two", c.LineBytes)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache: ways %d must be positive", c.Ways)
+	if c.Ways <= 0 || c.Ways > 16 {
+		return fmt.Errorf("cache: ways %d must be 1 to 16 (a set's recency order is one 64-bit word of 4-bit way indices)", c.Ways)
 	}
 	if c.SizeBytes <= 0 || c.SizeBytes%(c.LineBytes*c.Ways) != 0 {
 		return fmt.Errorf("cache: size %d not divisible into %d-byte lines × %d ways", c.SizeBytes, c.LineBytes, c.Ways)
@@ -113,16 +113,15 @@ func (s Stats) MissRate() float64 {
 // lineAddr+1 per frame (0 = invalid) so the hit scan touches a single dense
 // uint64 array and needs no separate valid bit.
 //
-// Recency is position-encoded: for associativities up to 16, order holds one
-// uint64 per set whose 4-bit nibbles list way indices from MRU (nibble 0) to
-// LRU (nibble ways-1). A hit promotes its way's nibble to the front with a
-// few shifts; the victim is read straight out of the LRU nibble — no
-// timestamp array, no per-miss minimum scan. The nibble stack is initialised
-// so victims emerge in way order 0,1,2,… while the set is filling, which
-// reproduces the "first invalid way wins" rule of the timestamp
-// implementation exactly (and keeps the valid ways a prefix of the row, so
-// the hit scan can stop at the first invalid tag). Wider caches (ways > 16,
-// unused by the paper's machines) fall back to the classic timestamp scheme.
+// Recency is position-encoded: order holds one uint64 per set whose 4-bit
+// nibbles list way indices from MRU (nibble 0) to LRU (nibble ways-1), which
+// caps associativity at 16 (the paper's machines use at most 16). A hit
+// promotes its way's nibble to the front with a few shifts; the victim is
+// read straight out of the LRU nibble — no timestamp array, no per-miss
+// minimum scan. A fill promotes too, so under FIFO, where hits do not, the
+// LRU nibble is the oldest fill. Ways fill in index order while a set has
+// invalid ones ("first invalid way wins"), which keeps the valid ways a
+// prefix of the row, so the hit scan can stop at the first invalid tag.
 //
 // Global counters are derived: Access only updates the per-core Stats row
 // plus one eviction counter, and Stats() sums the rows on demand — two fewer
@@ -135,12 +134,8 @@ type Cache struct {
 	ways      int
 	tags      []uint64 // sets × ways, row-major by set; lineAddr+1, 0 = invalid
 	valid     []uint16 // per-set count of valid ways (always a prefix of the row)
-	order     []uint64 // per-set MRU→LRU nibble stack (ways ≤ 16)
+	order     []uint64 // per-set MRU→LRU nibble stack
 	orderInit uint64   // initial stack: victims pop in way order 0,1,2,…
-	useOrder  bool
-	lruOrder  bool     // fused Replace==LRU && useOrder: one hit-path test
-	used      []uint64 // fill/use timestamps (fallback, ways > 16)
-	clock     uint64   // timestamp source for the fallback path
 	evictions uint64
 	rng       uint64      // xorshift state for Random replacement
 	unit      *bloom.Unit // concrete fast-path observer (production)
@@ -167,23 +162,16 @@ func New(cfg Config) *Cache {
 		ways:      cfg.Ways,
 		tags:      make([]uint64, cfg.Sets()*cfg.Ways),
 		valid:     make([]uint16, cfg.Sets()),
+		order:     make([]uint64, cfg.Sets()),
 		rng:       rngSeed,
 	}
-	if cfg.Ways <= 16 {
-		c.useOrder = true
-		c.lruOrder = cfg.Replace == LRU
-		// Nibble i holds way ways-1-i: the LRU nibble starts at way 0, so an
-		// untouched set's victims appear in index order, matching the
-		// first-invalid-way rule of the timestamp scheme.
-		for i := 0; i < cfg.Ways; i++ {
-			c.orderInit |= uint64(cfg.Ways-1-i) << (4 * uint(i))
-		}
-		c.order = make([]uint64, cfg.Sets())
-		for s := range c.order {
-			c.order[s] = c.orderInit
-		}
-	} else {
-		c.used = make([]uint64, cfg.Sets()*cfg.Ways)
+	// Nibble i holds way ways-1-i: the LRU nibble starts at way 0, so an
+	// untouched set's victims appear in index order.
+	for i := 0; i < cfg.Ways; i++ {
+		c.orderInit |= uint64(cfg.Ways-1-i) << (4 * uint(i))
+	}
+	for s := range c.order {
+		c.order[s] = c.orderInit
 	}
 	return c
 }
@@ -279,7 +267,7 @@ func (c *Cache) AccessFast(core int, addr uint64) bool {
 	tag := lineAddr + 1
 	set := int(lineAddr & c.setMask)
 	base := set * c.ways
-	if c.lruOrder {
+	if c.cfg.Replace == LRU {
 		// MRU-first probe: tag positions are static in the nibble scheme
 		// (only the order word moves), so the most recently used way is one
 		// load away — and an MRU hit needs no reordering. Re-referenced
@@ -304,14 +292,10 @@ func (c *Cache) AccessFast(core int, addr uint64) bool {
 		c.fillMiss(core, lineAddr, set, base)
 		return false
 	}
+	// FIFO and Random: a hit changes nothing.
 	row := c.tags[base : base+int(c.valid[set])]
 	for w := range row {
 		if row[w] == tag {
-			if c.cfg.Replace == LRU {
-				// Timestamp LRU (ways > 16): stamp the hit way.
-				c.clock++
-				c.used[base+w] = c.clock
-			}
 			return true
 		}
 	}
@@ -346,16 +330,11 @@ func promote(o uint64, w int) uint64 {
 }
 
 // fillMiss handles the miss path: victim selection, eviction notification,
-// and the fill. Victim choice is bit-identical to the timestamp scheme:
-// first invalid way if any (they pop from the nibble stack in index order),
-// else the true-LRU (or oldest-filled, for FIFO) way, else a deterministic
-// xorshift-selected way (Random — the RNG advances only when no invalid way
-// exists, as before).
+// and the fill. The victim is the first invalid way if any; in a full set
+// it is the least recently used way (LRU), the oldest fill (FIFO) or a
+// deterministic xorshift-selected way (Random — the RNG advances only when
+// no invalid way exists).
 func (c *Cache) fillMiss(core int, lineAddr uint64, set, base int) {
-	if !c.useOrder {
-		c.fillMissStamp(core, lineAddr, set, base)
-		return
-	}
 	var victim int
 	if nv := int(c.valid[set]); nv < c.ways {
 		// Set not full: the next unused way (ways fill in index order).
@@ -365,8 +344,7 @@ func (c *Cache) fillMiss(core int, lineAddr uint64, set, base int) {
 		o := c.order[set]
 		victim = int(o >> (4 * uint(c.ways-1)) & 0xF)
 		if c.cfg.Replace == Random {
-			// xorshift64: deterministic pseudo-random way selection. The RNG
-			// advances only when no invalid way exists, as before.
+			// xorshift64: deterministic pseudo-random way selection.
 			c.rng ^= c.rng << 13
 			c.rng ^= c.rng >> 7
 			c.rng ^= c.rng << 17
@@ -382,52 +360,6 @@ func (c *Cache) fillMiss(core int, lineAddr uint64, set, base int) {
 	}
 	c.tags[base+victim] = lineAddr + 1
 	c.order[set] = promote(c.order[set], victim)
-	if c.unit != nil {
-		c.unit.OnFill(core, lineAddr, set, victim)
-	} else if c.listener != nil {
-		c.listener.OnFill(core, lineAddr, set, victim)
-	}
-}
-
-// fillMissStamp is the timestamp-based miss path for caches wider than 16
-// ways. One pass finds both the first invalid way (which always wins) and
-// the minimum-timestamp way (the LRU/FIFO victim when the set is full).
-func (c *Cache) fillMissStamp(core int, lineAddr uint64, set, base int) {
-	victim := -1
-	full := true
-	tags := c.tags[base : base+c.ways : base+c.ways]
-	used := c.used[base : base+c.ways : base+c.ways]
-	if nv := int(c.valid[set]); nv < c.ways {
-		victim, full = nv, false
-		c.valid[set] = uint16(nv + 1)
-	} else {
-		var victimUsed uint64 = ^uint64(0)
-		for w := range tags {
-			if u := used[w]; u < victimUsed {
-				victim, victimUsed = w, u
-			}
-		}
-	}
-	if full {
-		if c.cfg.Replace == Random {
-			// xorshift64: deterministic pseudo-random way selection. The RNG
-			// advances only when no invalid way exists, as before.
-			c.rng ^= c.rng << 13
-			c.rng ^= c.rng >> 7
-			c.rng ^= c.rng << 17
-			victim = int(c.rng % uint64(c.ways))
-		}
-		c.evictions++
-		old := tags[victim] - 1
-		if c.unit != nil {
-			c.unit.OnEvict(old, set, victim)
-		} else if c.listener != nil {
-			c.listener.OnEvict(old, set, victim)
-		}
-	}
-	tags[victim] = lineAddr + 1
-	c.clock++
-	used[victim] = c.clock
 	if c.unit != nil {
 		c.unit.OnFill(core, lineAddr, set, victim)
 	} else if c.listener != nil {
@@ -497,7 +429,7 @@ func (c *Cache) ResetStats() {
 }
 
 // Reset returns the cache to its just-constructed state while keeping every
-// allocation: tags invalidated, recency stacks (or timestamps) re-initialised,
+// allocation: tags invalidated, recency stacks re-initialised,
 // statistics and the replacement RNG reset. Unlike Flush, no eviction events
 // are reported — a reset models powering up a fresh machine, not running the
 // invalidation protocol — so an attached unit or listener sees nothing.
@@ -511,8 +443,6 @@ func (c *Cache) Reset() {
 	for s := range c.order {
 		c.order[s] = c.orderInit
 	}
-	clear(c.used)
-	c.clock = 0
 	c.evictions = 0
 	c.rng = rngSeed
 	for i := range c.perCore {

@@ -27,7 +27,8 @@ func TestInvalidConfigsPanic(t *testing.T) {
 		{SizeBytes: 1024, LineBytes: 48, Ways: 1},
 		{SizeBytes: 1024, LineBytes: 64, Ways: 0},
 		{SizeBytes: 1000, LineBytes: 64, Ways: 1},
-		{SizeBytes: 3 * 64, LineBytes: 64, Ways: 1}, // 3 sets: not a power of two
+		{SizeBytes: 3 * 64, LineBytes: 64, Ways: 1},   // 3 sets: not a power of two
+		{SizeBytes: 17 * 64, LineBytes: 64, Ways: 17}, // more ways than the recency stack holds
 	}
 	for i, cfg := range bad {
 		func() {

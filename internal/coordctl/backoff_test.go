@@ -78,13 +78,13 @@ func TestLeaseTableExpiry(t *testing.T) {
 	}
 
 	// Not yet expired.
-	if r, f, rel := tab.expire(now.Add(30 * time.Second)); len(r)+len(f)+len(rel) != 0 {
-		t.Fatalf("premature expiry: %v %v %v", r, f, rel)
+	if r, f := tab.expire(now.Add(30 * time.Second)); len(r)+len(f) != 0 {
+		t.Fatalf("premature expiry: %v %v", r, f)
 	}
 	// Both expire; both have attempts left → requeued, both leases released.
-	r, f, rel := tab.expire(now.Add(2 * time.Minute))
-	if len(r) != 2 || len(f) != 0 || len(rel) != 2 {
-		t.Fatalf("expiry requeued %v failed %v released %v", r, f, rel)
+	r, f := tab.expire(now.Add(2 * time.Minute))
+	if len(r) != 2 || len(f) != 0 {
+		t.Fatalf("expiry requeued %v failed %v", r, f)
 	}
 	if tab.entries[0].state != statePending || tab.entries[0].leaseID != "" {
 		t.Fatalf("requeued entry %+v", tab.entries[0])
@@ -95,7 +95,7 @@ func TestLeaseTableExpiry(t *testing.T) {
 	if e := tab.lease("w1", later); e == nil || e.attempts != 2 {
 		t.Fatalf("re-lease %+v", e)
 	}
-	r, f, _ = tab.expire(later.Add(2 * time.Minute))
+	r, f = tab.expire(later.Add(2 * time.Minute))
 	if len(r) != 0 || len(f) != 1 || tab.entries[0].state != stateFailed {
 		t.Fatalf("exhausted shard: requeued %v failed %v state %v", r, f, tab.entries[0].state)
 	}

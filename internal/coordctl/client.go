@@ -38,7 +38,7 @@ type Client struct {
 	// Worker names this worker in leases and shard provenance.
 	Worker string
 	// Token, when set, is sent as a bearer token on every request. Use the
-	// worker token for lease/submit/status/trace, the admin token for
+	// worker token for lease/submit/status/report/trace, the admin token for
 	// campaign submission and cancellation.
 	Token string
 	// TLS, when set, configures the transport's TLS (e.g. a custom root CA
@@ -132,18 +132,15 @@ func (c *Client) Lease(ctx context.Context) (*WorkUnit, error) {
 }
 
 // Submit posts a completed shard under the work unit's lease. The campaign
-// id rides along as a query parameter — leases die with a coordinator
-// restart, campaign ids are journaled, so the id is what routes a submission
-// after a crash.
+// id routes the submission: leases die with a coordinator restart, campaign
+// ids are journaled, so the id is what still names the campaign after a
+// crash. The lease id rides along for the coordinator's log.
 func (c *Client) Submit(ctx context.Context, wu *WorkUnit, sh experiments.Shard) (SubmitResult, error) {
 	body, err := json.Marshal(sh)
 	if err != nil {
 		return SubmitResult{}, err
 	}
-	path := "/submit?lease=" + wu.LeaseID
-	if wu.CampaignID != "" {
-		path += "&campaign=" + wu.CampaignID
-	}
+	path := "/submit?lease=" + wu.LeaseID + "&campaign=" + wu.CampaignID
 	req, err := c.newRequest(ctx, http.MethodPost, path, bytes.NewReader(body))
 	if err != nil {
 		return SubmitResult{}, err
@@ -177,15 +174,10 @@ func (c *Client) Submit(ctx context.Context, wu *WorkUnit, sh experiments.Shard)
 	return res, nil
 }
 
-// Status fetches a campaign's status document. An empty id means the
-// coordinator's only campaign — the single-campaign compatibility path.
+// Status fetches a campaign's status document.
 func (c *Client) Status(ctx context.Context, id string) (Status, error) {
-	path := "/status"
-	if id != "" {
-		path = "/campaigns/" + id
-	}
 	var st Status
-	if err := c.getJSON(ctx, path, &st); err != nil {
+	if err := c.getJSON(ctx, "/campaigns/"+id, &st); err != nil {
 		return Status{}, err
 	}
 	return st, nil
@@ -273,14 +265,10 @@ func (c *Client) CancelCampaign(ctx context.Context, id string) error {
 }
 
 // Report fetches a campaign's final merged report; errors while shards are
-// outstanding (HTTP 409). An empty id means the only campaign.
+// outstanding (HTTP 409).
 func (c *Client) Report(ctx context.Context, id string) (experiments.ImprovementReport, error) {
-	path := "/report"
-	if id != "" {
-		path = "/campaigns/" + id + "/report"
-	}
 	var rep experiments.ImprovementReport
-	if err := c.getJSON(ctx, path, &rep); err != nil {
+	if err := c.getJSON(ctx, "/campaigns/"+id+"/report", &rep); err != nil {
 		return experiments.ImprovementReport{}, err
 	}
 	return rep, nil

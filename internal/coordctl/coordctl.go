@@ -1,22 +1,30 @@
 // Package coordctl is the distributed campaign coordinator for the figure
-// sweeps: an HTTP server that hands shard work units to worker processes,
-// re-dispatches stragglers when leases expire, validates every submission
-// against the campaign's pool and config fingerprints, folds accepted
-// shards into a streaming partial merge, and finishes with a report that is
-// byte-identical to a single-process Sweep of the same campaign.
+// sweeps: a daemon that serves any number of campaigns, hands their shard
+// work units to worker processes, re-dispatches stragglers when leases
+// expire, validates every submission against the campaign's pool and config
+// fingerprints, folds accepted shards into a streaming partial merge, and
+// finishes each campaign with a report that is byte-identical to a
+// single-process Sweep of it.
 //
-// The protocol has three verbs, all JSON over HTTP:
+// The API is JSON over HTTP; every campaign is named by the id the daemon
+// assigned at submission:
 //
-//	POST /lease   {"worker": name}      → WorkUnit, 204 (nothing leasable
-//	                                      right now, retry) or 410 (campaign
-//	                                      over, stop)
-//	POST /submit?lease=ID  Shard JSON   → SubmitResult (422 on a shard that
-//	                                      fails validation)
-//	GET  /status                        → Status, including the partial
-//	                                      ImprovementReport over the combos
-//	                                      merged so far
-//	GET  /report                        → the final ImprovementReport (409
-//	                                      until the campaign completes)
+//	POST   /campaigns  CampaignRequest    → CampaignCreated (admin plane)
+//	GET    /campaigns                     → []CampaignSummary
+//	GET    /campaigns/{id}                → Status, including the partial
+//	                                        ImprovementReport over the combos
+//	                                        merged so far
+//	GET    /campaigns/{id}/report         → the final ImprovementReport (409
+//	                                        until the campaign completes)
+//	DELETE /campaigns/{id}                → cancel (admin plane)
+//	POST   /lease  {"worker": name}       → WorkUnit, 204 (nothing leasable
+//	                                        right now, retry) or 410 (no
+//	                                        campaign running, stop)
+//	POST   /submit?campaign=ID&lease=L    → SubmitResult (422 on a shard that
+//	       Shard JSON                       fails validation or names no
+//	                                        campaign)
+//	GET    /trace/{fingerprint}           → one corpus trace file
+//	GET    /metrics                       → Prometheus text
 //
 // Failure semantics: a shard whose lease expires goes back to pending and
 // is handed to the next idle worker; a shard that exhausts MaxAttempts
@@ -298,8 +306,8 @@ type CampaignSummary struct {
 	Error          string  `json:"error,omitempty"`
 }
 
-// Status is the /status document: the campaign, the per-shard state
-// machine, and the streaming partial merge.
+// Status is the GET /campaigns/{id} document: the campaign, the per-shard
+// state machine, and the streaming partial merge.
 type Status struct {
 	ID             string        `json:"id"`
 	Figure         string        `json:"figure"`
@@ -314,7 +322,7 @@ type Status struct {
 	Partial *experiments.ImprovementReport `json:"partial,omitempty"`
 }
 
-// ShardStatus is one shard's row in the /status state machine.
+// ShardStatus is one shard's row in a campaign's status.
 type ShardStatus struct {
 	Index    int    `json:"index"`
 	State    string `json:"state"` // pending | leased | done | failed

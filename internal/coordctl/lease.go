@@ -106,11 +106,10 @@ func (t *leaseTable) count(s shardState) int { return t.counts[s] }
 
 // expire requeues every leased shard whose deadline has passed — the
 // straggler re-dispatch path — failing those that already burned their
-// attempt budget. It returns the indices it moved so the server can log,
-// and the lease ids it invalidated so the server can forget them.
-func (t *leaseTable) expire(now time.Time) (requeued, failed []int, released []string) {
+// attempt budget. It returns the indices it moved so the server can log.
+func (t *leaseTable) expire(now time.Time) (requeued, failed []int) {
 	if t.counts[stateLeased] == 0 || now.Before(t.earliest) {
-		return nil, nil, nil
+		return nil, nil
 	}
 	var earliest time.Time
 	kept := false
@@ -126,7 +125,6 @@ func (t *leaseTable) expire(now time.Time) (requeued, failed []int, released []s
 			continue
 		}
 		e.lastErr = fmt.Sprintf("lease %s to %s expired after %v (attempt %d)", e.leaseID, e.worker, t.timeout, e.attempts)
-		released = append(released, e.leaseID)
 		e.leaseID = ""
 		if e.attempts >= t.maxAttempts {
 			t.setState(e, stateFailed)
@@ -137,7 +135,7 @@ func (t *leaseTable) expire(now time.Time) (requeued, failed []int, released []s
 		}
 	}
 	t.earliest = earliest
-	return requeued, failed, released
+	return requeued, failed
 }
 
 // lease grants the lowest-indexed pending shard to the worker, or returns

@@ -82,7 +82,7 @@ func (s *Server) writeMetrics(w io.Writer, now time.Time) {
 	}
 	fmt.Fprintf(w, "# HELP coordinator_campaign_combos_covered Combos merged so far per campaign.\n# TYPE coordinator_campaign_combos_covered gauge\n")
 	for _, id := range s.order {
-		fmt.Fprintf(w, "coordinator_campaign_combos_covered{campaign=%q} %d\n", id, s.campaigns[id].merger.Covered())
+		fmt.Fprintf(w, "coordinator_campaign_combos_covered{campaign=%q} %d\n", id, s.campaigns[id].covered)
 	}
 	fmt.Fprintf(w, "# HELP coordinator_campaign_combos_total Size of each campaign's combination space.\n# TYPE coordinator_campaign_combos_total gauge\n")
 	for _, id := range s.order {

@@ -10,8 +10,8 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,7 +25,7 @@ import (
 var ErrNoCampaign = errors.New("coordctl: no such campaign")
 
 // ErrCampaignCancelled is the terminal error of a campaign cancelled via the
-// API; Err returns it and /status carries its message.
+// API; Err returns it and the campaign's status carries its message.
 var ErrCampaignCancelled = errors.New("coordctl: campaign cancelled")
 
 // ServerOptions configures a coordinator daemon.
@@ -45,8 +45,8 @@ type ServerOptions struct {
 	// unfinished shards — the journal records accepted work, not failures.
 	MaxAttempts int
 	// WorkerToken, when set, is the bearer token required on the worker
-	// plane (/lease, /submit, /status, /report, /trace, /metrics, campaign
-	// reads). The admin token is accepted there too.
+	// plane (/lease, /submit, /trace, /metrics, campaign list, status and
+	// report). The admin token is accepted there too.
 	WorkerToken string
 	// AdminToken, when set, is the bearer token required to submit or
 	// cancel campaigns. The fallback is symmetric: with only WorkerToken
@@ -74,8 +74,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*campaignState
-	order     []string          // campaign ids in submission order (lease priority)
-	leases    map[string]string // lease id → campaign id, across restarts-within-process
+	order     []string         // campaign ids in submission order
+	running   []*campaignState // running campaigns in submission order (lease priority)
 	corpora   []*experiments.Corpus
 	corpusDir map[string]bool
 	journal   *Journal
@@ -86,12 +86,17 @@ type Server struct {
 }
 
 // campaignState is one campaign's bookkeeping behind the server mutex.
+// While it runs, merger folds its accepted shards; when it ends, the merge
+// is reduced once into partial (the final report of a done campaign) and
+// the merger, with every outcome it held, is dropped.
 type campaignState struct {
 	id      string
 	c       Campaign
 	combos  int
 	table   *leaseTable
-	merger  *experiments.ShardMerger
+	merger  *experiments.ShardMerger // nil once the campaign has ended
+	covered int                      // combos merged
+	partial *experiments.ImprovementReport
 	start   time.Time
 	state   string // running | done | failed | cancelled
 	failure error
@@ -120,7 +125,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		campaigns: make(map[string]*campaignState),
-		leases:    make(map[string]string),
 		corpusDir: make(map[string]bool),
 		start:     opts.Clock(),
 	}
@@ -139,8 +143,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /lease", s.worker(s.handleLease))
 	s.mux.HandleFunc("POST /submit", s.worker(s.handleSubmit))
-	s.mux.HandleFunc("GET /status", s.worker(s.handleStatus))
-	s.mux.HandleFunc("GET /report", s.worker(s.handleReport))
 	s.mux.HandleFunc("GET /trace/{fingerprint}", s.worker(s.handleTrace))
 	s.mux.HandleFunc("GET /metrics", s.worker(s.handleMetrics))
 	s.mux.HandleFunc("POST /campaigns", s.admin(s.handleSubmitCampaign))
@@ -183,12 +185,12 @@ func (s *Server) replay(recs []JournalRecord) error {
 			}
 			sh := *rec.Shard
 			e := cs.table.byIndex(sh.Index)
-			if e == nil || e.state == stateDone {
-				s.opts.Logger.Warn("journal: duplicate shard record skipped",
+			if e == nil || e.state == stateDone || !cs.running() {
+				s.opts.Logger.Warn("journal: shard record of a done shard or an ended campaign skipped",
 					"campaign", rec.Campaign, "shard", sh.Index)
 				continue
 			}
-			if err := cs.merger.Add(sh); err != nil {
+			if err := cs.merge(sh); err != nil {
 				s.opts.Logger.Warn("journal: shard record no longer merges, skipped",
 					"campaign", rec.Campaign, "shard", sh.Index, "err", err)
 				continue
@@ -207,7 +209,7 @@ func (s *Server) replay(recs []JournalRecord) error {
 		cs := s.campaigns[id]
 		s.opts.Logger.Info("journal: campaign restored",
 			"campaign", id, "figure", cs.c.Figure, "state", cs.state,
-			"shards_done", cs.merger.Accepted(), "shard_total", cs.c.ShardTotal)
+			"shards_done", cs.table.count(stateDone), "shard_total", cs.c.ShardTotal)
 	}
 	return nil
 }
@@ -257,6 +259,7 @@ func (s *Server) registerCampaign(id string, c Campaign, combos int) (*campaignS
 	}
 	s.campaigns[id] = cs
 	s.order = append(s.order, id)
+	s.running = append(s.running, cs)
 	return cs, nil
 }
 
@@ -287,6 +290,7 @@ func (s *Server) submitCampaign(c Campaign) (id string, combos int, err error) {
 		if err := s.journal.Append(JournalRecord{Kind: recordCampaign, Campaign: id, Spec: &c, Combos: cs.combos}); err != nil {
 			delete(s.campaigns, id)
 			s.order = s.order[:len(s.order)-1]
+			s.running = s.running[:len(s.running)-1]
 			if len(s.corpora) > preCorpora {
 				s.corpora = s.corpora[:preCorpora]
 				delete(s.corpusDir, c.TraceDir)
@@ -300,29 +304,6 @@ func (s *Server) submitCampaign(c Campaign) (id string, combos int, err error) {
 		"campaign", id, "figure", c.Figure, "shards", c.ShardTotal,
 		"combos", cs.combos, "pool_hash", c.PoolHash)
 	return id, cs.combos, nil
-}
-
-// AdoptOrSubmit is the restart-resume path of the single-campaign CLI: if
-// the (journal-replayed) server already holds a live campaign with the same
-// identity — figure, scale, fingerprints, shard count — that campaign is
-// adopted instead of submitting a duplicate, so rerunning the same
-// coordinator command line after a crash resumes where it stopped.
-func (s *Server) AdoptOrSubmit(c Campaign) (id string, adopted bool, err error) {
-	s.mu.Lock()
-	for _, cid := range s.order {
-		cs := s.campaigns[cid]
-		prev := cs.c
-		if cs.state != "failed" && cs.state != "cancelled" &&
-			prev.Figure == c.Figure && prev.Quick == c.Quick && prev.Seed == c.Seed &&
-			prev.PoolHash == c.PoolHash && prev.ConfigHash == c.ConfigHash &&
-			prev.ShardTotal == c.ShardTotal {
-			s.mu.Unlock()
-			return cid, true, nil
-		}
-	}
-	s.mu.Unlock()
-	id, err = s.SubmitCampaign(c)
-	return id, false, err
 }
 
 // CancelCampaign cancels a running campaign: its leases are released, its
@@ -353,27 +334,36 @@ func (s *Server) cancelLocked(cs *campaignState) {
 		return
 	}
 	released := cs.table.cancel()
-	cs.state = "cancelled"
-	cs.failure = ErrCampaignCancelled
-	s.pruneLeasesLocked(cs.id)
-	close(cs.done)
+	s.endLocked(cs, "cancelled", ErrCampaignCancelled)
 	if s.replaying {
 		return // a restored cancellation is not a new per-process event
 	}
 	s.ctr.CampaignsCancelled++
 	s.opts.Logger.Info("campaign cancelled", "campaign", cs.id, "figure", cs.c.Figure,
-		"leases_released", released, "combos_merged", cs.merger.Covered())
+		"leases_released", released, "combos_merged", cs.covered)
 }
 
-// pruneLeasesLocked forgets every lease-resolution entry of a campaign that
-// reached a terminal state. Without it the lease map would grow for the
-// daemon's whole lifetime, one entry per lease ever granted.
-func (s *Server) pruneLeasesLocked(id string) {
-	for lid, cid := range s.leases {
-		if cid == id {
-			delete(s.leases, lid)
-		}
+// endLocked moves a running campaign to a terminal state. It leaves the
+// running list that every request walks, and its merge is reduced once and
+// dropped: no shard reaches an ended campaign's merge again.
+func (s *Server) endLocked(cs *campaignState, state string, failure error) {
+	cs.state, cs.failure = state, failure
+	s.running = slices.DeleteFunc(s.running, func(r *campaignState) bool { return r == cs })
+	if cs.merger.Accepted() > 0 {
+		p := cs.merger.Partial()
+		cs.partial = &p
 	}
+	cs.merger = nil
+	close(cs.done)
+}
+
+// merge folds an accepted shard into a running campaign's merge.
+func (cs *campaignState) merge(sh experiments.Shard) error {
+	if err := cs.merger.Add(sh); err != nil {
+		return err
+	}
+	cs.covered = cs.merger.Covered()
+	return nil
 }
 
 // Close releases the journal. In-flight handlers finish normally; every
@@ -438,6 +428,9 @@ func (s *Server) Report(id string) (experiments.ImprovementReport, error) {
 	if cs.failure != nil {
 		return experiments.ImprovementReport{}, cs.failure
 	}
+	if cs.merger == nil {
+		return *cs.partial, nil // a done campaign's partial is its final report
+	}
 	return cs.merger.Report()
 }
 
@@ -475,7 +468,7 @@ func (s *Server) summaryLocked(cs *campaignState, now time.Time) CampaignSummary
 		ShardTotal:     cs.c.ShardTotal,
 		ShardsDone:     cs.table.count(stateDone),
 		TotalCombos:    cs.combos,
-		CombosCovered:  cs.merger.Covered(),
+		CombosCovered:  cs.covered,
 		ElapsedSeconds: now.Sub(cs.start).Seconds(),
 	}
 	if cs.failure != nil {
@@ -557,31 +550,28 @@ func tokenEqual(a, b string) bool {
 
 // --- protocol handlers ---------------------------------------------------
 
-// sweepExpiryLocked advances every campaign's lease state machine to now.
-// Called under the lock by every handler, so stragglers are detected as soon
-// as any worker or status probe talks to us — no background timer needed.
-// A table scans its entries only once its earliest lease deadline has
-// passed, so a request with no lease due costs O(campaigns), not O(shards).
+// sweepExpiryLocked advances every running campaign's lease state machine
+// to now. Called under the lock by every handler, so stragglers are
+// detected as soon as any worker or status probe talks to us — no
+// background timer needed. A table scans its entries only once its
+// earliest lease deadline has passed, so a request with no lease due costs
+// O(running campaigns), not O(shards).
 func (s *Server) sweepExpiryLocked(now time.Time) {
-	for _, id := range s.order {
-		cs := s.campaigns[id]
-		if !cs.running() {
-			continue
-		}
-		requeued, failed, released := cs.table.expire(now)
-		for _, lid := range released {
-			delete(s.leases, lid)
-		}
+	// Backwards: a campaign that fails here leaves s.running, which shifts
+	// only the entries already swept.
+	for k := len(s.running) - 1; k >= 0; k-- {
+		cs := s.running[k]
+		requeued, failed := cs.table.expire(now)
 		s.ctr.Redispatches += int64(len(requeued))
 		for _, i := range requeued {
 			s.opts.Logger.Info("lease expired, shard re-dispatching",
-				"campaign", id, "shard", i, "worker", cs.table.entries[i].worker,
+				"campaign", cs.id, "shard", i, "worker", cs.table.entries[i].worker,
 				"attempt", cs.table.entries[i].attempts, "max_attempts", s.opts.MaxAttempts)
 		}
 		for _, i := range failed {
 			s.ctr.ShardsFailed++
 			s.opts.Logger.Error("shard failed permanently",
-				"campaign", id, "shard", i, "err", cs.table.entries[i].lastErr)
+				"campaign", cs.id, "shard", i, "err", cs.table.entries[i].lastErr)
 		}
 		s.checkTerminal(cs)
 	}
@@ -594,10 +584,7 @@ func (s *Server) checkTerminal(cs *campaignState) {
 		return
 	}
 	if e := cs.table.firstFailed(); e != nil {
-		cs.failure = fmt.Errorf("coordctl: shard %d failed after %d attempts: %s", e.index, e.attempts, e.lastErr)
-		cs.state = "failed"
-		s.pruneLeasesLocked(cs.id)
-		close(cs.done)
+		s.endLocked(cs, "failed", fmt.Errorf("coordctl: shard %d failed after %d attempts: %s", e.index, e.attempts, e.lastErr))
 		if !s.replaying {
 			s.ctr.CampaignsFailed++
 			s.opts.Logger.Error("campaign failed", "campaign", cs.id, "figure", cs.c.Figure, "err", cs.failure)
@@ -605,9 +592,7 @@ func (s *Server) checkTerminal(cs *campaignState) {
 		return
 	}
 	if cs.table.allDone() && cs.merger.Complete() {
-		cs.state = "done"
-		s.pruneLeasesLocked(cs.id)
-		close(cs.done)
+		s.endLocked(cs, "done", nil)
 		if !s.replaying {
 			s.ctr.CampaignsDone++
 			s.opts.Logger.Info("campaign complete",
@@ -619,14 +604,7 @@ func (s *Server) checkTerminal(cs *campaignState) {
 
 // idleLocked reports whether no campaign is currently running — the signal
 // (SubmitResult.Done, lease 410) that tells a worker fleet to stand down.
-func (s *Server) idleLocked() bool {
-	for _, cs := range s.campaigns {
-		if cs.running() {
-			return false
-		}
-	}
-	return true
-}
+func (s *Server) idleLocked() bool { return len(s.running) == 0 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req struct {
@@ -642,7 +620,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	now := s.opts.Clock()
 	s.sweepExpiryLocked(now)
 
-	scope := s.order
+	scope := s.running
 	if req.Campaign != "" {
 		cs, ok := s.campaigns[req.Campaign]
 		if !ok {
@@ -653,7 +631,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			writeJSONStatus(w, http.StatusGone, SubmitResult{Done: true, Error: errString(cs.failure)})
 			return
 		}
-		scope = []string{req.Campaign}
+		scope = []*campaignState{cs}
 	} else if len(s.campaigns) > 0 && s.idleLocked() {
 		// Every known campaign is over: tell the fleet to stand down. (With
 		// no campaigns at all the daemon answers 204 — workers started
@@ -661,23 +639,18 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusGone, SubmitResult{Done: true})
 		return
 	}
-	for _, id := range scope {
-		cs := s.campaigns[id]
-		if !cs.running() {
-			continue
-		}
+	for _, cs := range scope {
 		e := cs.table.lease(req.Worker, now)
 		if e == nil {
 			continue
 		}
-		s.leases[e.leaseID] = id
 		s.ctr.LeasesGranted++
 		s.opts.Logger.Info("shard leased",
-			"campaign", id, "shard", e.index, "shard_total", cs.c.ShardTotal,
+			"campaign", cs.id, "shard", e.index, "shard_total", cs.c.ShardTotal,
 			"worker", req.Worker, "lease", e.leaseID, "attempt", e.attempts)
 		writeJSON(w, WorkUnit{
 			Campaign:   cs.c,
-			CampaignID: id,
+			CampaignID: cs.id,
 			ShardIndex: e.index,
 			LeaseID:    e.leaseID,
 			Attempt:    e.attempts,
@@ -688,23 +661,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	// ask again — it may inherit an expired lease.
 	s.ctr.EmptyPolls++
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// resolveSubmitCampaign maps a submission to its campaign: by the campaign
-// query parameter (what current workers send, and the only thing that works
-// across a coordinator restart), by the lease id, or — for compatibility
-// with single-campaign clients — the only campaign there is.
-func (s *Server) resolveSubmitCampaign(q url.Values, leaseID string) *campaignState {
-	if id := q.Get("campaign"); id != "" {
-		return s.campaigns[id]
-	}
-	if id, ok := s.leases[leaseID]; ok {
-		return s.campaigns[id]
-	}
-	if len(s.order) == 1 {
-		return s.campaigns[s.order[0]]
-	}
-	return nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -720,7 +676,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	now := s.opts.Clock()
 	s.sweepExpiryLocked(now)
 
-	cs := s.resolveSubmitCampaign(q, leaseID)
+	cs := s.campaigns[q.Get("campaign")]
 	if cs == nil {
 		writeJSONStatus(w, http.StatusUnprocessableEntity, SubmitResult{
 			Error: "submission names no campaign this coordinator serves (send ?campaign=<id>)"})
@@ -743,7 +699,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if e.state == stateDone {
 		// First valid result won; a straggler's duplicate is discarded.
-		delete(s.leases, leaseID)
 		s.ctr.SubmitsSuperseded++
 		s.opts.Logger.Info("duplicate shard discarded",
 			"campaign", cs.id, "shard", sh.Index, "worker", sh.Worker, "lease", leaseID)
@@ -751,7 +706,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.validate(cs, sh); err != nil {
-		delete(s.leases, leaseID)
 		s.ctr.SubmitsRejected++
 		s.opts.Logger.Warn("shard rejected",
 			"campaign", cs.id, "shard", sh.Index, "worker", sh.Worker, "err", err)
@@ -778,8 +732,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := cs.merger.Add(sh); err != nil {
-		delete(s.leases, leaseID)
+	if err := cs.merge(sh); err != nil {
 		s.ctr.SubmitsRejected++
 		s.opts.Logger.Warn("shard failed streaming merge",
 			"campaign", cs.id, "shard", sh.Index, "err", err)
@@ -788,14 +741,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusUnprocessableEntity, SubmitResult{Error: err.Error()})
 		return
 	}
-	delete(s.leases, leaseID)
 	cs.table.accept(e, sh.Worker, sh.ElapsedSeconds)
 	s.ctr.SubmitsAccepted++
 	s.checkTerminal(cs)
 	s.opts.Logger.Info("shard accepted and merged",
 		"campaign", cs.id, "shard", sh.Index, "worker", sh.Worker, "attempt", sh.Attempt,
 		"elapsed", sh.ElapsedSeconds, "lease", leaseID,
-		"combos_merged", cs.merger.Covered(), "combos_total", cs.combos)
+		"combos_merged", cs.covered, "combos_total", cs.combos)
 	writeJSON(w, SubmitResult{Accepted: true, CampaignDone: !cs.running(), Done: s.idleLocked()})
 }
 
@@ -825,47 +777,6 @@ func (s *Server) validate(cs *campaignState, sh experiments.Shard) error {
 	return cs.merger.CheckOutcomes(sh)
 }
 
-// statusCampaign resolves the campaign a /status or /report request means:
-// the {id} path segment, the ?campaign= parameter, or — compatibility with
-// single-campaign clients — the only campaign there is.
-func (s *Server) statusCampaign(r *http.Request) (*campaignState, error) {
-	if id := r.PathValue("id"); id != "" {
-		cs, ok := s.campaigns[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoCampaign, id)
-		}
-		return cs, nil
-	}
-	if id := r.URL.Query().Get("campaign"); id != "" {
-		cs, ok := s.campaigns[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoCampaign, id)
-		}
-		return cs, nil
-	}
-	if len(s.order) == 1 {
-		return s.campaigns[s.order[0]], nil
-	}
-	return nil, fmt.Errorf("coordctl: %d campaigns; name one with ?campaign=<id> or GET /campaigns", len(s.order))
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.opts.Clock()
-	s.sweepExpiryLocked(now)
-	cs, err := s.statusCampaign(r)
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, ErrNoCampaign) {
-			code = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	writeJSON(w, s.statusLocked(cs, now))
-}
-
 func (s *Server) statusLocked(cs *campaignState, now time.Time) Status {
 	out := Status{
 		ID:             cs.id,
@@ -873,7 +784,7 @@ func (s *Server) statusLocked(cs *campaignState, now time.Time) Status {
 		State:          cs.state,
 		ElapsedSeconds: now.Sub(cs.start).Seconds(),
 		TotalCombos:    cs.combos,
-		CombosCovered:  cs.merger.Covered(),
+		CombosCovered:  cs.covered,
 		Shards:         make([]ShardStatus, len(cs.table.entries)),
 	}
 	if cs.failure != nil {
@@ -896,7 +807,10 @@ func (s *Server) statusLocked(cs *campaignState, now time.Time) Status {
 		}
 		out.Shards[i] = ss
 	}
-	if cs.merger.Accepted() > 0 {
+	switch {
+	case cs.merger == nil:
+		out.Partial = cs.partial
+	case cs.merger.Accepted() > 0:
 		partial := cs.merger.Partial()
 		out.Partial = &partial
 	}
@@ -904,25 +818,15 @@ func (s *Server) statusLocked(cs *campaignState, now time.Time) Status {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	cs, err := s.statusCampaign(r)
-	if err != nil {
-		s.mu.Unlock()
-		code := http.StatusBadRequest
-		if errors.Is(err, ErrNoCampaign) {
-			code = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	id := cs.id
-	s.mu.Unlock()
-	report, err := s.Report(id)
-	if err != nil {
+	report, err := s.Report(r.PathValue("id"))
+	switch {
+	case errors.Is(err, ErrNoCampaign):
+		http.Error(w, err.Error(), http.StatusNotFound)
+	case err != nil:
 		writeJSONStatus(w, http.StatusConflict, SubmitResult{Error: err.Error()})
-		return
+	default:
+		writeJSON(w, report)
 	}
-	writeJSON(w, report)
 }
 
 // handleTrace serves one corpus trace by content fingerprint, searching every
@@ -994,7 +898,17 @@ func (s *Server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
-	s.handleStatus(w, r)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.opts.Clock()
+	s.sweepExpiryLocked(now)
+	id := r.PathValue("id")
+	cs, ok := s.campaigns[id]
+	if !ok {
+		http.Error(w, fmt.Sprintf("%v: %s", ErrNoCampaign, id), http.StatusNotFound)
+		return
+	}
+	writeJSON(w, s.statusLocked(cs, now))
 }
 
 func (s *Server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {

@@ -66,16 +66,39 @@ func newTestServer(t *testing.T, c Campaign, leaseTimeout time.Duration, maxAtte
 	return srv, hs, id
 }
 
-// stubShard fabricates a header-valid shard for protocol-level tests that
-// must not pay for a real simulation. Outcomes are empty-but-counted, which
-// the merge accepts (it validates counts and headers, not physics).
-func stubShard(t *testing.T, c Campaign, idx int) experiments.Shard {
-	t.Helper()
-	sh, err := fabricateShard(c, idx)
+// stubShard fabricates a header-valid shard for protocol-level tests and
+// benchmarks that must not pay for a real simulation. Outcomes are
+// empty-but-counted, which the merge accepts (it validates counts and
+// headers, not physics).
+func stubShard(tb testing.TB, c Campaign, idx int) experiments.Shard {
+	tb.Helper()
+	combos, err := c.Combos()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return sh
+	spec, err := c.Spec()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lo, hi := experiments.ShardRange(combos, idx, c.ShardTotal)
+	names := make([]string, len(spec.Pool))
+	for i, p := range spec.Pool {
+		names[i] = p.Name
+	}
+	return experiments.Shard{
+		Format:      experiments.ShardFormat,
+		PoolHash:    c.PoolHash,
+		ConfigHash:  c.ConfigHash,
+		Pool:        names,
+		Policy:      spec.Policy.Name(),
+		MixSize:     spec.MixSize,
+		TotalCombos: combos,
+		ComboLo:     lo,
+		ComboHi:     hi,
+		Index:       idx,
+		Total:       c.ShardTotal,
+		Outcomes:    make([]experiments.MixOutcome, hi-lo),
+	}
 }
 
 // mustStatus fetches a campaign's status document or fails the test.
@@ -409,11 +432,7 @@ func newRoundFixture(b *testing.B, campaigns int) *roundFixture {
 		}
 		bodies := make([][]byte, c.ShardTotal)
 		for idx := range bodies {
-			sh, err := fabricateShard(c, idx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if bodies[idx], err = json.Marshal(sh); err != nil {
+			if bodies[idx], err = json.Marshal(stubShard(b, c, idx)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,24 +6,29 @@ import (
 	"encoding/json"
 	"encoding/pem"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"symbiosched/internal/experiments"
 )
 
-// TestServiceRestartResume is the service gate the issue names: a
-// coordinator killed mid-campaign and restarted from its journal must
-// resume — the accepted shard is never re-leased or recomputed — and the
-// final merged report must be byte-identical to the single-process Sweep.
+// TestServiceRestartResume is the service gate for restarts: a daemon
+// killed mid-campaign and restarted over its state dir resumes the campaign
+// under the same id — the accepted shard is never re-leased or recomputed —
+// and the report a client fetches by that id is byte-identical to the
+// single-process Sweep.
 func TestServiceRestartResume(t *testing.T) {
 	dir := t.TempDir()
 	campaign := quickCampaign(t, 3)
 
-	// Phase 1: a coordinator accepts one real shard, then dies.
+	// Phase 1: a daemon accepts one real shard, then dies.
 	srv1, err := NewServer(ServerOptions{StateDir: dir, LeaseTimeout: time.Minute, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +59,8 @@ func TestServiceRestartResume(t *testing.T) {
 		t.Fatalf("phase-1 submit: res=%+v err=%v", res, err)
 	}
 	doneIdx := wu.ShardIndex
-	// A second lease is outstanding when the coordinator dies — the crash
-	// must not resurrect it as accepted state.
+	// A second lease is outstanding when the daemon dies — the crash must
+	// not resurrect it as accepted state.
 	if wu2, err := cl.Lease(ctx); err != nil || wu2 == nil {
 		t.Fatalf("phase-1 second lease: %v %v", wu2, err)
 	}
@@ -64,20 +69,24 @@ func TestServiceRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 2: a fresh process over the same state dir resumes the campaign.
+	// Phase 2: a restarted daemon over the same state dir serves the
+	// campaign under its id, with the accepted shard done.
 	srv2, err := NewServer(ServerOptions{StateDir: dir, LeaseTimeout: time.Minute, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	id2, adopted, err := srv2.AdoptOrSubmit(campaign)
+	hs2 := httptest.NewServer(srv2.Handler())
+	defer hs2.Close()
+	watcher := Client{BaseURL: hs2.URL, Worker: "watcher"}
+	list, err := watcher.Campaigns(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !adopted || id2 != id {
-		t.Fatalf("restart adopted=%v id=%s, want adoption of %s", adopted, id2, id)
+	if len(list) != 1 || list[0].ID != id || list[0].State != "running" || list[0].ShardsDone != 1 {
+		t.Fatalf("restarted daemon lists %+v, want %s running with 1 shard done", list, id)
 	}
-	st, err := srv2.Status(id)
+	st, err := watcher.Status(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +95,6 @@ func TestServiceRestartResume(t *testing.T) {
 	}
 
 	// Real workers drain the remaining shards against the resumed daemon.
-	hs2 := httptest.NewServer(srv2.Handler())
-	defer hs2.Close()
 	w := &Worker{
 		Client:  Client{BaseURL: hs2.URL, Worker: "phase2"},
 		Workers: 1,
@@ -99,13 +106,8 @@ func TestServiceRestartResume(t *testing.T) {
 	if err := w.Loop(loopCtx); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-srv2.Done(id):
-	default:
-		t.Fatal("campaign not done after resume")
-	}
-	if err := srv2.Err(id); err != nil {
-		t.Fatal(err)
+	if st, err := watcher.Status(ctx, id); err != nil || st.State != "done" {
+		t.Fatalf("campaign after resume: %+v %v, want done", st, err)
 	}
 
 	// No accepted shard recomputed: the resumed daemon granted exactly the
@@ -123,6 +125,9 @@ func TestServiceRestartResume(t *testing.T) {
 			perShard[rec.Shard.Index]++
 		}
 	}
+	if len(perShard) != campaign.ShardTotal {
+		t.Fatalf("journal holds shards %v, want all %d", perShard, campaign.ShardTotal)
+	}
 	for idx, n := range perShard {
 		if n != 1 {
 			t.Fatalf("journal holds %d records for shard %d", n, idx)
@@ -130,7 +135,7 @@ func TestServiceRestartResume(t *testing.T) {
 	}
 
 	// Byte-identical to the uninterrupted single-process sweep.
-	merged, err := srv2.Report(id)
+	merged, err := watcher.Report(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +281,8 @@ func TestRejectedCampaignNotJournaled(t *testing.T) {
 
 // TestMalformedShardRefusedBeforeJournal: a shard whose outcome names a
 // benchmark outside the campaign's pool is refused with 422 before it is
-// journaled, so /status and /report keep answering, and a valid
-// resubmission of the same shard is then accepted.
+// journaled, so the campaign's status and report keep answering, and a
+// valid resubmission of the same shard is then accepted.
 func TestMalformedShardRefusedBeforeJournal(t *testing.T) {
 	dir := t.TempDir()
 	campaign := quickCampaign(t, 2)
@@ -286,7 +291,8 @@ func TestMalformedShardRefusedBeforeJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := srv.SubmitCampaign(campaign); err != nil {
+	id, err := srv.SubmitCampaign(campaign)
+	if err != nil {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv.Handler())
@@ -321,8 +327,8 @@ func TestMalformedShardRefusedBeforeJournal(t *testing.T) {
 			t.Fatalf("refused shard was journaled: %+v", rec)
 		}
 	}
-	if code := get("/status"); code != http.StatusOK {
-		t.Fatalf("/status after the refusal: %d", code)
+	if code := get("/campaigns/" + id); code != http.StatusOK {
+		t.Fatalf("status after the refusal: %d", code)
 	}
 
 	refused := wu.ShardIndex
@@ -338,10 +344,46 @@ func TestMalformedShardRefusedBeforeJournal(t *testing.T) {
 			t.Fatalf("valid shard %d: %+v %v", wu.ShardIndex, res, err)
 		}
 	}
-	for _, path := range []string{"/status", "/report"} {
+	for _, path := range []string{"/campaigns/" + id, "/campaigns/" + id + "/report"} {
 		if code := get(path); code != http.StatusOK {
 			t.Fatalf("%s after the campaign completed: %d", path, code)
 		}
+	}
+}
+
+// TestRequestsNameTheirCampaign: even a daemon serving a single campaign
+// answers only requests that name it — there is no GET /status or
+// GET /report, and a shard submitted under a valid lease but without
+// ?campaign= is refused with 422 and merges nothing.
+func TestRequestsNameTheirCampaign(t *testing.T) {
+	campaign := quickCampaign(t, 2)
+	srv, hs, id := newTestServer(t, campaign, time.Minute, 3)
+	for _, path := range []string{"/status", "/report", "/status?campaign=" + id, "/report?campaign=" + id} {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
+		}
+	}
+	ctx := context.Background()
+	cl := Client{BaseURL: hs.URL, Worker: "anonymous-submit"}
+	wu, err := cl.Lease(ctx)
+	if err != nil || wu == nil {
+		t.Fatalf("lease: %+v %v", wu, err)
+	}
+	unnamed := *wu
+	unnamed.CampaignID = ""
+	if _, err := cl.Submit(ctx, &unnamed, stubShard(t, campaign, wu.ShardIndex)); !errors.Is(err, ErrRejected) {
+		t.Fatalf("submit naming no campaign: %v, want ErrRejected", err)
+	}
+	if st := mustStatus(t, srv, id); st.CombosCovered != 0 {
+		t.Fatalf("a submission naming no campaign was merged: %+v", st)
+	}
+	if res, err := cl.Submit(ctx, wu, stubShard(t, campaign, wu.ShardIndex)); err != nil || !res.Accepted {
+		t.Fatalf("submit naming its campaign: %+v %v", res, err)
 	}
 }
 
@@ -437,59 +479,6 @@ func TestReplayDoesNotInflateCounters(t *testing.T) {
 	}
 	if st := mustStatus(t, srv2, idGone); st.State != "cancelled" {
 		t.Fatalf("restored campaign %s state %q, want cancelled", idGone, st.State)
-	}
-}
-
-// TestLeaseMapPruned pins the lease-map lifecycle: the daemon's lease →
-// campaign resolution map must not grow for the process lifetime — entries
-// die with their lease (expiry, accepted or rejected submission) and a
-// terminal campaign prunes whatever it still holds.
-func TestLeaseMapPruned(t *testing.T) {
-	campaign := quickCampaign(t, 2)
-	srv, hs, id := newTestServer(t, campaign, 50*time.Millisecond, 5)
-	ctx := context.Background()
-	cl := Client{BaseURL: hs.URL, Worker: "pruned"}
-
-	leases := func() int {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.leases)
-	}
-
-	// An expired lease's entry dies at the next sweep.
-	if wu, err := cl.Lease(ctx); err != nil || wu == nil {
-		t.Fatalf("lease: %v %v", wu, err)
-	}
-	time.Sleep(80 * time.Millisecond)
-	mustStatus(t, srv, id) // any handler sweeps expiry
-	if n := leases(); n != 0 {
-		t.Fatalf("%d lease entries after expiry sweep, want 0", n)
-	}
-
-	// Accepted submissions release their entries as the campaign drains,
-	// and the terminal campaign leaves the map empty.
-	for {
-		wu, err := cl.Lease(ctx)
-		if errors.Is(err, ErrCampaignDone) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wu == nil {
-			continue
-		}
-		if res, err := cl.Submit(ctx, wu, stubShard(t, campaign, wu.ShardIndex)); err != nil || !res.Accepted {
-			t.Fatalf("submit: res=%+v err=%v", res, err)
-		}
-	}
-	select {
-	case <-srv.Done(id):
-	default:
-		t.Fatal("campaign not done after draining")
-	}
-	if n := leases(); n != 0 {
-		t.Fatalf("%d lease entries after the campaign completed, want 0", n)
 	}
 }
 
@@ -657,15 +646,6 @@ func TestCancelPersistsAcrossRestart(t *testing.T) {
 	if st.State != "cancelled" {
 		t.Fatalf("restarted campaign state %q, want cancelled", st.State)
 	}
-	// And a fresh one-shot run of the same campaign starts over rather than
-	// adopting the cancelled corpse.
-	id2, adopted, err := srv2.AdoptOrSubmit(campaign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adopted || id2 == id {
-		t.Fatalf("AdoptOrSubmit adopted the cancelled campaign %s", id2)
-	}
 }
 
 // TestWorkerFailureBudgetResetsOnContact pins the flaky-network fix: the
@@ -704,24 +684,131 @@ func TestWorkerFailureBudgetResetsOnContact(t *testing.T) {
 	}
 }
 
-// TestCoordinatorLoadSmoke is the CI load gate: ~50 concurrent fake workers
-// hammer one journaled daemon; the harness itself fails the run if any lease
-// double-resolves or the /metrics counters do not reconcile with the
-// journal.
+// TestCoordinatorLoadSmoke is the load gate: 50 concurrent fake workers
+// drain one journaled, token-guarded daemon over real HTTP with fabricated
+// shards, and three views of the run must reconcile — the shards the
+// clients saw accepted (each exactly once), the server's counters, and the
+// journal's records.
 func TestCoordinatorLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load smoke skipped in -short")
 	}
-	res, err := LoadSmoke(LoadSmokeOptions{Workers: 50, Shards: 64, WorkerToken: "smoke"})
+	const workers, shards = 50, 64
+	dir := t.TempDir()
+	// C(8,4) = 70 combos over 64 shards: nearly every lease carries work.
+	pool := []string{"mcf", "omnetpp", "soplex", "gcc", "perlbench", "bzip2", "libquantum", "hmmer"}
+	campaign, err := NewCampaign("fig10", true, 0, pool, "", shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("load smoke: %d workers, %d shards, %.0f lease req/s, lease p99 %.0fµs, submit p99 %.0fµs, journal %d B",
-		res.Workers, res.Shards, res.LeasesPerSec, res.LeaseP99Micros, res.SubmitP99Micros, res.JournalBytes)
-	if res.LeasesPerSec <= 0 || res.JournalShardRecords != res.Shards {
-		t.Fatalf("implausible smoke result: %+v", res)
+	srv, err := NewServer(ServerOptions{StateDir: dir, LeaseTimeout: time.Minute, MaxAttempts: 3,
+		WorkerToken: "smoke", AdminToken: "smoke"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Counters.LeasesGranted < int64(res.Shards) {
-		t.Fatalf("%d leases granted for %d shards", res.Counters.LeasesGranted, res.Shards)
+	defer srv.Close()
+	id, err := srv.SubmitCampaign(campaign)
+	if err != nil {
+		t.Fatal(err)
 	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	fabricated := make([]experiments.Shard, shards)
+	for i := range fabricated {
+		fabricated[i] = stubShard(t, campaign, i)
+	}
+
+	accepted := make([][]int, workers) // shard indices each client saw accepted
+	errs := make([]error, workers)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var wg sync.WaitGroup
+	for wi := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := Client{BaseURL: hs.URL, Worker: fmt.Sprintf("smoke-%d", wi), Token: "smoke"}
+			for ctx.Err() == nil {
+				wu, err := cl.Lease(ctx)
+				if errors.Is(err, ErrCampaignDone) {
+					return
+				}
+				if err != nil {
+					errs[wi] = err
+					return
+				}
+				if wu == nil {
+					time.Sleep(time.Millisecond) // everything is leased out
+					continue
+				}
+				res, err := cl.Submit(ctx, wu, fabricated[wu.ShardIndex])
+				if err != nil {
+					errs[wi] = err
+					return
+				}
+				if res.Accepted {
+					accepted[wi] = append(accepted[wi], wu.ShardIndex)
+				}
+				if res.Done {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	acceptedBy := map[int]int{}
+	for wi := range workers {
+		if errs[wi] != nil {
+			t.Fatalf("load worker %d: %v", wi, errs[wi])
+		}
+		for _, idx := range accepted[wi] {
+			acceptedBy[idx]++
+		}
+	}
+	for idx, n := range acceptedBy {
+		if n != 1 {
+			t.Fatalf("shard %d was accepted %d times — lease double-resolved", idx, n)
+		}
+	}
+	if len(acceptedBy) != shards {
+		t.Fatalf("%d shards accepted, campaign has %d", len(acceptedBy), shards)
+	}
+	select {
+	case <-srv.Done(id):
+	default:
+		t.Fatalf("fleet drained but campaign %s is not done", id)
+	}
+	if err := srv.Err(id); err != nil {
+		t.Fatal(err)
+	}
+
+	ctr := srv.CountersSnapshot()
+	if ctr.SubmitsAccepted != shards || ctr.LeasesGranted < shards {
+		t.Fatalf("counters %+v: want %d accepted submits and at least as many leases", ctr, shards)
+	}
+	recs, err := ReadJournal(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled, campaignRecs := map[int]int{}, 0
+	for _, rec := range recs {
+		switch rec.Kind {
+		case recordShard:
+			journaled[rec.Shard.Index]++
+		case recordCampaign:
+			campaignRecs++
+		}
+	}
+	for idx, n := range journaled {
+		if n != 1 {
+			t.Fatalf("journal holds %d records for shard %d", n, idx)
+		}
+	}
+	if int64(len(journaled)) != ctr.SubmitsAccepted || int64(campaignRecs) != ctr.CampaignsSubmitted {
+		t.Fatalf("journal holds %d shard and %d campaign records, counters claim %d accepted and %d submitted",
+			len(journaled), campaignRecs, ctr.SubmitsAccepted, ctr.CampaignsSubmitted)
+	}
+	t.Logf("load smoke: %d workers drained %d shards with %d leases (%d empty polls), journal %d B",
+		workers, shards, ctr.LeasesGranted, ctr.EmptyPolls, srv.JournalSize())
 }

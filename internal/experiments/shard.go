@@ -225,7 +225,7 @@ func decodeShard(data []byte) (Shard, error) {
 // ShardMerger folds shards into a campaign report one at a time, in any
 // arrival order, with the same validation MergeShards applies in bulk. It
 // is the streaming half of the protocol: the distributed coordinator Adds
-// each accepted submission as it lands and serves Partial() from /status,
+// each accepted submission as it lands and serves Partial() in a status,
 // and once Complete() the Report() is — by construction — the same
 // reduction a single-process Sweep performs. Not safe for concurrent use;
 // callers serialize Adds.
@@ -352,7 +352,7 @@ func (m *ShardMerger) Complete() bool {
 }
 
 // Partial reduces whatever has been accepted so far into an improvement
-// report over the covered combos — the streaming view /status serves while
+// report over the covered combos — the streaming view a status serves while
 // a campaign is in flight. Mixes reflects the covered count, so a partial
 // report is visibly partial. Once Complete, Partial is the final report.
 func (m *ShardMerger) Partial() ImprovementReport {

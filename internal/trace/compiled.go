@@ -66,11 +66,27 @@ const (
 	// a "frame" is just the whole file and the independence that justifies
 	// framing is gone, so a larger value only appears on corrupt input.
 	maxFrameRuns = 64 << 20
+
+	// deflateMaxRatio is DEFLATE's ceiling on decompressed bytes per
+	// compressed byte (a 258-byte match coded in two bits): a frame whose
+	// records need more is corrupt before a byte of it is inflated.
+	deflateMaxRatio = 1032
+
+	// readChunkBytes bounds how far a framed read allocates ahead of the
+	// bytes it has read, so a count or length that lies about the stream
+	// costs at most one chunk, not what it claims. A default frame (1 MiB
+	// of records) compresses to 80–150 KiB, so it is read in one chunk.
+	readChunkBytes = 256 << 10
 )
 
 // ErrNotCompiled reports a stream that is not a v2 compiled trace (wrong
 // magic or version, or a v1 capture, which the error names as one).
 var ErrNotCompiled = errors.New("trace: not a compiled (v2) trace")
+
+// ErrCorrupt reports a compiled trace whose payload does not hold what its
+// header claims: a truncated index, frame or record array, a frame too
+// short for its records, a torn DEFLATE stream, or trailing bytes.
+var ErrCorrupt = errors.New("trace: corrupt compiled payload")
 
 // Format identifies a trace container.
 type Format int
@@ -421,8 +437,8 @@ type frameDecoder struct {
 }
 
 // decode inflates data into exactly len(dst) records. Short frames, long
-// frames and torn DEFLATE streams all error — a frame must account for its
-// record count precisely.
+// frames and torn DEFLATE streams all error with ErrCorrupt — a frame must
+// account for its record count precisely, and its stream must end cleanly.
 func (d *frameDecoder) decode(dst []Run, data []byte) error {
 	d.src.Reset(data)
 	if d.fr == nil {
@@ -438,10 +454,13 @@ func (d *frameDecoder) decode(dst []Run, data []byte) error {
 		raw = d.scratch[:len(dst)*runSize]
 	}
 	if _, err := io.ReadFull(d.fr, raw); err != nil {
-		return fmt.Errorf("truncated frame: %w", err)
+		return fmt.Errorf("%w: truncated frame: %w", ErrCorrupt, err)
 	}
-	if n, _ := d.fr.Read(d.extra[:]); n != 0 {
-		return errors.New("frame decompresses past its record count")
+	switch n, err := d.fr.Read(d.extra[:]); {
+	case n != 0:
+		return fmt.Errorf("%w: frame decompresses past its record count", ErrCorrupt)
+	case err != io.EOF:
+		return fmt.Errorf("%w: torn frame stream: %w", ErrCorrupt, err)
 	}
 	if !ok {
 		decodeRuns(dst, raw)
@@ -449,26 +468,55 @@ func (d *frameDecoder) decode(dst []Run, data []byte) error {
 	return nil
 }
 
-// readFrameIndex reads the frame index that follows a framed header: the
-// compressed byte length of each frame, each refused past what a DEFLATE
-// stream of a full frame can need.
+// readFrameIndex reads the frame index that follows a framed header, in
+// chunks: the compressed byte length of each frame, each refused past what
+// a DEFLATE stream of a full frame can need or short of what its records
+// need at DEFLATE's best ratio.
 func readFrameIndex(r io.Reader, h CompiledHeader) ([]int, error) {
-	index := make([]byte, 4*int(h.FrameCount))
-	if _, err := io.ReadFull(r, index); err != nil {
-		return nil, fmt.Errorf("trace: frame index truncated: %w", err)
-	}
-	lens := make([]int, h.FrameCount)
+	var lens []int
+	var chunk []byte
 	frameRuns := uint64(h.FrameRuns)
-	for i := range lens {
-		n := binary.LittleEndian.Uint32(index[4*i:])
-		// A DEFLATE stream of an incompressible 16·frameRuns-byte frame is
-		// bounded by stored-block overhead: ~5 bytes per 64 KiB plus header.
-		if max := frameRuns*runSize + frameRuns/2 + 64; uint64(n) > max {
-			return nil, fmt.Errorf("trace: frame %d claims %d compressed bytes (cap %d)", i, n, max)
+	for len(lens) < int(h.FrameCount) {
+		var err error
+		if chunk, err = readGrow(r, chunk, 4*min(int(h.FrameCount)-len(lens), readChunkBytes/4)); err != nil {
+			return nil, fmt.Errorf("%w: frame index truncated: %w", ErrCorrupt, err)
 		}
-		lens[i] = int(n)
+		for j := 0; j < len(chunk); j += 4 {
+			i, n := len(lens), uint64(binary.LittleEndian.Uint32(chunk[j:]))
+			// A DEFLATE stream of an incompressible 16·frameRuns-byte frame is
+			// bounded by stored-block overhead: ~5 bytes per 64 KiB plus header.
+			if max := frameRuns*runSize + frameRuns/2 + 64; n > max {
+				return nil, fmt.Errorf("%w: frame %d claims %d compressed bytes (cap %d)", ErrCorrupt, i, n, max)
+			}
+			if lo, hi := h.frameBounds(i); (hi-lo)*runSize > deflateMaxRatio*n {
+				return nil, fmt.Errorf("%w: frame %d claims %d records in %d compressed bytes", ErrCorrupt, i, hi-lo, n)
+			}
+			lens = append(lens, int(n))
+		}
 	}
 	return lens, nil
+}
+
+// readGrow reads exactly n bytes from r into buf's backing array (reused
+// when large enough), growing it at most readChunkBytes, or twice what has
+// been read, ahead of the bytes read: a length that lies about the stream
+// fails after allocating little more than the bytes that exist.
+func readGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		k := min(n-len(buf), readChunkBytes)
+		if cap(buf)-len(buf) < k {
+			grown := make([]byte, len(buf), min(n, max(2*len(buf), len(buf)+k)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // readChunkRuns bounds the incremental allocation granularity of the
@@ -516,8 +564,8 @@ func ReadCompiled(r io.Reader) (*CompiledTrace, error) {
 			}
 		}
 		if err != nil {
-			return nil, fmt.Errorf("trace: compiled payload truncated (%d of %d records): %w",
-				uint64(base), h.MemRefs, err)
+			return nil, fmt.Errorf("%w: payload truncated (%d of %d records): %w",
+				ErrCorrupt, uint64(base), h.MemRefs, err)
 		}
 		remaining -= n
 	}
@@ -528,29 +576,30 @@ func ReadCompiled(r io.Reader) (*CompiledTrace, error) {
 }
 
 // readFramed decodes the framed container: frame index, then all frames into
-// memory, then parallel inflate straight into the final run slice.
+// memory, then parallel inflate straight into the final run slice. The runs
+// are allocated only once every frame's bytes are in hand, which the index
+// checks bound to DEFLATE's ratio of the records they claim.
 func readFramed(r io.Reader, h CompiledHeader) (*CompiledTrace, error) {
 	lens, err := readFrameIndex(r, h)
 	if err != nil {
 		return nil, err
 	}
 	frames := len(lens)
+	// Frames are read sequentially (r need not seek) but inflate in parallel.
+	data := make([][]byte, frames)
+	for i, n := range lens {
+		if data[i], err = readGrow(r, nil, n); err != nil {
+			return nil, fmt.Errorf("%w: frame %d truncated: %w", ErrCorrupt, i, err)
+		}
+	}
+	if err := expectEOF(r); err != nil {
+		return nil, err
+	}
 	ct := &CompiledTrace{
 		Runs:       make([]Run, h.MemRefs),
 		Tail:       h.Tail,
 		instr:      h.Instr,
 		sampleRate: h.SampleRate,
-	}
-	// Frames are read sequentially (r need not seek) but inflate in parallel.
-	data := make([][]byte, frames)
-	for i, n := range lens {
-		data[i] = make([]byte, n)
-		if _, err := io.ReadFull(r, data[i]); err != nil {
-			return nil, fmt.Errorf("trace: frame %d truncated: %w", i, err)
-		}
-	}
-	if err := expectEOF(r); err != nil {
-		return nil, err
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > frames {
@@ -605,7 +654,7 @@ func validateCounts(ct *CompiledTrace, h CompiledHeader) (*CompiledTrace, error)
 	}
 	instr += ct.Tail
 	if instr != h.Instr {
-		return nil, fmt.Errorf("trace: compiled header claims %d instructions, payload sums to %d", h.Instr, instr)
+		return nil, fmt.Errorf("%w: header claims %d instructions, payload sums to %d", ErrCorrupt, h.Instr, instr)
 	}
 	return ct, nil
 }
@@ -615,7 +664,7 @@ func validateCounts(ct *CompiledTrace, h CompiledHeader) (*CompiledTrace, error)
 func expectEOF(r io.Reader) error {
 	var b [1]byte
 	if n, _ := r.Read(b[:]); n != 0 {
-		return errors.New("trace: trailing bytes after compiled payload")
+		return fmt.Errorf("%w: trailing bytes after the payload", ErrCorrupt)
 	}
 	return nil
 }

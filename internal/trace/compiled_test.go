@@ -3,9 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
-
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -419,5 +420,98 @@ func TestReadCompiledLyingHeader(t *testing.T) {
 	binary.LittleEndian.PutUint64(b[16:24], 1<<61) // instr, self-consistent
 	if _, err := ReadCompiled(bytes.NewReader(b)); err == nil {
 		t.Fatal("lying header accepted")
+	}
+}
+
+// lyingFramed builds a framed file of header plus index and no frame bytes.
+func lyingFramed(memRefs uint64, frameRuns, frameCount uint32, index ...uint32) []byte {
+	var hdr [compiledHeaderSize]byte
+	CompiledHeader{Framed: true, SampleRate: 1, Instr: memRefs, MemRefs: memRefs,
+		FrameRuns: frameRuns, FrameCount: frameCount}.encode(&hdr)
+	b := append([]byte(nil), hdr[:]...)
+	for _, n := range index {
+		b = binary.LittleEndian.AppendUint32(b, n)
+	}
+	return b
+}
+
+// lyingFramedFiles are framed files whose headers claim far more than their
+// bytes hold; they also seed FuzzCompiledDecode.
+var lyingFramedFiles = []struct {
+	name string
+	data []byte
+}{
+	// 60 bytes: one frame of 4 Mi records, 1 MiB of which the index claims.
+	{"4Mi records in one frame", lyingFramed(4<<20, 4<<20, 1, 1<<20)},
+	// 2^32−1 one-record frames, and not one byte of their index.
+	{"2^32-1 frames", lyingFramed(1<<32-1, 1, 1<<32-1)},
+	// One frame of the largest geometry a header may declare.
+	{"one 64Mi-run frame", lyingFramed(64<<20, 64<<20, 1, 2<<20)},
+	// The same frame claiming fewer compressed bytes than DEFLATE's 1032:1
+	// ratio allows for its records.
+	{"frame past DEFLATE's ratio", lyingFramed(64<<20, 64<<20, 1, 1000)},
+}
+
+// TestFramedReadBoundedByBytes: a framed file whose header claims far more
+// than its bytes hold fails with ErrCorrupt, through ReadCompiled and
+// through the frame stream, having allocated less than 1 MiB — not the
+// index, runs or frame bytes the header claims.
+func TestFramedReadBoundedByBytes(t *testing.T) {
+	for _, tc := range lyingFramedFiles {
+		allocs := func(read func() error) {
+			t.Helper()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %v, want ErrCorrupt", tc.name, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("%s: allocated %d bytes for a %d-byte file", tc.name, grew, len(tc.data))
+			}
+		}
+		allocs(func() error {
+			_, err := ReadCompiled(bytes.NewReader(tc.data))
+			return err
+		})
+		allocs(func() error {
+			fs, err := NewFrameStreamReplay(bytes.NewReader(tc.data), false, 0)
+			if err != nil {
+				return err
+			}
+			fs.NextRun(1)
+			return fs.Err()
+		})
+	}
+}
+
+// TestFramedTornTrailerRefused: XOR 0xA5 over the last 4 bytes of a framed
+// file tears the last frame's DEFLATE stream after its final record — the
+// closing empty stored block's LEN/NLEN stay complementary and claim 42,405
+// missing bytes — so every record still inflates; ReadCompiled and the frame
+// stream must both refuse the file.
+func TestFramedTornTrailerRefused(t *testing.T) {
+	ct := captureBench(t, "mcf", 13, 40_000)
+	var framed bytes.Buffer
+	if err := WriteCompiledFrames(&framed, ct, 512, 0); err != nil {
+		t.Fatal(err)
+	}
+	b := framed.Bytes()
+	for i := len(b) - 4; i < len(b); i++ {
+		b[i] ^= 0xA5
+	}
+	if _, err := ReadCompiled(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadCompiled of a torn trailer: %v, want ErrCorrupt", err)
+	}
+	fs, err := NewFrameStreamReplay(bytes.NewReader(b), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= len(ct.Runs) && fs.Err() == nil; i++ {
+		fs.NextRun(1 << 30)
+	}
+	if !errors.Is(fs.Err(), ErrCorrupt) {
+		t.Fatalf("frame stream of a torn trailer: %v, want ErrCorrupt", fs.Err())
 	}
 }

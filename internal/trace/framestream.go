@@ -74,9 +74,21 @@ func (fs *FrameStreamReplay) Err() error { return fs.err }
 func (fs *FrameStreamReplay) Header() CompiledHeader { return fs.hdr }
 
 // inflateNext loads frame fs.frame into the run buffer. Frames are read in
-// order, so only frame 0 seeks.
+// order, so only frame 0 seeks. The run buffer is sized only once the
+// frame's bytes are in hand.
 func (fs *FrameStreamReplay) inflateNext() {
 	i := fs.frame
+	if i == 0 {
+		if _, err := fs.src.Seek(fs.dataStart, io.SeekStart); err != nil {
+			fs.fail(fmt.Errorf("trace: seeking frame 0: %w", err))
+			return
+		}
+	}
+	var err error
+	if fs.cbuf, err = readGrow(fs.src, fs.cbuf, fs.lens[i]); err != nil {
+		fs.fail(fmt.Errorf("%w: frame %d truncated: %w", ErrCorrupt, i, err))
+		return
+	}
 	lo, hi := fs.hdr.frameBounds(i)
 	n := int(hi - lo)
 	if cap(fs.runs) < n {
@@ -84,20 +96,6 @@ func (fs *FrameStreamReplay) inflateNext() {
 	}
 	fs.runs = fs.runs[:n]
 	fs.pos = 0
-	if cap(fs.cbuf) < fs.lens[i] {
-		fs.cbuf = make([]byte, fs.lens[i])
-	}
-	fs.cbuf = fs.cbuf[:fs.lens[i]]
-	if i == 0 {
-		if _, err := fs.src.Seek(fs.dataStart, io.SeekStart); err != nil {
-			fs.fail(fmt.Errorf("trace: seeking frame 0: %w", err))
-			return
-		}
-	}
-	if _, err := io.ReadFull(fs.src, fs.cbuf); err != nil {
-		fs.fail(fmt.Errorf("trace: frame %d truncated: %w", i, err))
-		return
-	}
 	if err := fs.dec.decode(fs.runs, fs.cbuf); err != nil {
 		fs.fail(fmt.Errorf("trace: frame %d: %w", i, err))
 		return

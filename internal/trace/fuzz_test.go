@@ -89,7 +89,8 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // (lying headers), and anything ReadCompiled accepts must re-encode to a
 // decodable trace with the same fingerprint. Seeds cover the documented
 // corruption classes: bad magic/version, header count mismatch, corrupt
-// frame index, truncated frame.
+// frame index, truncated frame, and framed headers claiming far more
+// frames, runs or frame bytes than the file holds.
 func FuzzCompiledDecode(f *testing.F) {
 	seedTrace := &CompiledTrace{
 		Runs:  []Run{{Skip: 2, Line: 100}, {Skip: 0, Line: 101}, {Skip: 7, Line: 4}},
@@ -122,6 +123,9 @@ func FuzzCompiledDecode(f *testing.F) {
 		binary.LittleEndian.PutUint64(b[16:24], 1<<62)
 		binary.LittleEndian.PutUint64(b[24:32], 1<<61)
 	}))
+	for _, lying := range lyingFramedFiles[:3] { // headers claiming far more than the file holds
+		f.Add(lying.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := ReadCompiledHeader(bytes.NewReader(data)); err != nil {
