@@ -97,13 +97,17 @@ tracecheck:
 # two-pass oracle (seed corpus of the differential fuzz target); the monitor
 # quantum and the per-switch capture stay allocation-free; every graph
 # policy reproduces its recorded decisions on a seeded snapshot corpus, on
-# the allocating and the scratch path alike (TestPolicyDecisionsGolden).
+# the allocating and the scratch path alike (TestPolicyDecisionsGolden); the
+# row-scan interference-graph build equals a brute-force reference and the
+# pairwise Builder build on seeded view sets and the fuzz seed corpus, on
+# one to four workers alike, and a warm Scratch decision allocates nothing
+# at 4 and 1024 threads. Every alternative is a full anchored name.
 sigcheck:
-	$(call gate,./internal/bloom,TestLazy|TestLazyCaptureParityPaperGeometry|TestSignatureCodecLazyMaterialization|TestSignatureClone|TestSignatureRelease|TestCaptureSteadyStateAllocs)
-	$(call gate,./internal/bitvec,TestXorAndCountMatchesNaive|FuzzXorAndCount)
-	$(call gate,./internal/alloc,TestPolicyDecisionsGolden)
-	$(call gate,./internal/monitor,TestMonitorSteadyStateAllocs|TestObserveScratchMatchesAllocate)
-	$(call gate,./internal/experiments,TestCampaignGolden)
+	$(call gate,./internal/bloom,^TestLazyCaptureParityRandomSchedules$$|^TestLazyCaptureParityPaperGeometry$$|^TestLazyMaterializeSeesCaptureTimeFilters$$|^TestLazyMemoAcrossSwitches$$|^TestSignatureCodecLazyMaterialization$$|^TestSignatureClone$$|^TestSignatureCloneBeforeMaterialize$$|^TestSignatureReleaseRecycles$$|^TestCaptureSteadyStateAllocs$$)
+	$(call gate,./internal/bitvec,^TestXorAndCountMatchesNaive$$|^FuzzXorAndCount$$)
+	$(call gate,./internal/alloc,^TestPolicyDecisionsGolden$$|^TestColumnarBuildMatchesOracle$$|^TestColumnarBuildWorkerInvariance$$|^FuzzColumnarBuild$$|^TestScratchDecisionZeroAllocs$$)
+	$(call gate,./internal/monitor,^TestMonitorSteadyStateAllocs$$|^TestObserveScratchMatchesAllocate$$)
+	$(call gate,./internal/experiments,^TestCampaignGolden$$)
 
 # The coordinator-as-a-service contract, uncached: journal recovery (a tail
 # torn at EVERY byte offset replays cleanly; mid-file damage is a typed
@@ -119,12 +123,13 @@ sigcheck:
 # /metrics shard counts equal to a scan, oversized request bodies refused
 # with 413 and no state change, a shard with a malformed outcome refused
 # with 422 before it reaches the journal, every request naming its campaign
-# (no single-campaign views or fallbacks), and 16 drained campaigns serving
+# (no single-campaign views or fallbacks), 16 drained campaigns serving
 # their list, status, report and /metrics bytes as recorded (before and
-# after a restart, with late and replayed duplicate shards). Every
-# alternative is a full anchored name.
+# after a restart, with late and replayed duplicate shards), and a restarted
+# daemon reporting every campaign's age from its journaled submission time.
+# Every alternative is a full anchored name.
 servicecheck:
-	$(call gate,./internal/coordctl,^TestJournalTornTailAtEveryOffset$$|^TestJournalMidFileCorruption$$|^TestJournalDuplicateShardReplay$$|^TestJournalAppendAfterRecovery$$|^TestServiceRestartResume$$|^TestCoordinatorAuth$$|^TestAdminTokenOnlyGuardsWorkerPlane$$|^TestCoordinatorTLS$$|^TestCampaignAPI$$|^TestCancelPersistsAcrossRestart$$|^TestWorkerFailureBudgetResetsOnContact$$|^TestCoordinatorLoadSmoke$$|^TestLeaseTableMatchesScan$$|^TestMetricsShardCountsMatchScan$$|^TestOversizedBodiesRefused$$|^TestMalformedShardRefusedBeforeJournal$$|^TestRequestsNameTheirCampaign$$|^TestDrainedCampaignsMatchGolden$$)
+	$(call gate,./internal/coordctl,^TestJournalTornTailAtEveryOffset$$|^TestJournalMidFileCorruption$$|^TestJournalDuplicateShardReplay$$|^TestJournalAppendAfterRecovery$$|^TestServiceRestartResume$$|^TestCoordinatorAuth$$|^TestAdminTokenOnlyGuardsWorkerPlane$$|^TestCoordinatorTLS$$|^TestCampaignAPI$$|^TestCancelPersistsAcrossRestart$$|^TestWorkerFailureBudgetResetsOnContact$$|^TestCoordinatorLoadSmoke$$|^TestLeaseTableMatchesScan$$|^TestMetricsShardCountsMatchScan$$|^TestOversizedBodiesRefused$$|^TestMalformedShardRefusedBeforeJournal$$|^TestRequestsNameTheirCampaign$$|^TestDrainedCampaignsMatchGolden$$|^TestRestartKeepsCampaignAge$$)
 
 # The churn contract, uncached: incremental insert/remove/age on the sparse
 # graph stays parity-exact with a fresh Builder build (fuzz seed corpus +
@@ -137,16 +142,16 @@ servicecheck:
 # population stays small, lazy aging matches eager decay, and a seeded
 # arrival/departure campaign — both Poisson and trace modes, including the
 # drift-triggered rebuild fallback — replays byte-identically. The
-# experiments line's TestChurn alternative also matches TestChurnGolden
-# (recorded campaign checksums), TestChurnTopPartnersMatchesSelection (the
-# partner window against a selection-sort oracle over alloc.PairWeight),
-# TestChurnScoreIndexMirrorsViews (the per-core score index equals the
-# views after every campaign event) and TestChurnTopPartnersZeroAllocs.
+# experiments line also runs TestChurnGolden (recorded campaign checksums),
+# TestChurnTopPartnersMatchesSelection (the partner window against a
+# selection-sort oracle over alloc.PairWeight), TestChurnScoreIndexMirrorsViews
+# (the per-core score index equals the views after every campaign event) and
+# TestChurnTopPartnersZeroAllocs. Every alternative is a full anchored name.
 churncheck:
-	$(call gate,./internal/graph,TestInsertNode|TestRemoveNode|TestDriftCountersAndCompact|TestCompactInPlace|TestRepairTiesToSmallerGroup|TestInsertAndRepair|TestRemoveAndRepairRestoresEnvelope|TestChurnInterleaved|FuzzPartition)
-	$(call gate,./internal/monitor,TestSmoothShrinkThenGrow|TestForget|TestAger)
-	$(call gate,./internal/kernel,TestSnapshotterShrinksAfterBurst|TestSnapshotterSteadyStateAllocs)
-	$(call gate,./internal/experiments,TestChurn)
+	$(call gate,./internal/graph,^TestInsertNodeMatchesFreshBuild$$|^TestRemoveNodeMatchesFreshBuild$$|^TestInsertNodeValidation$$|^TestDriftCountersAndCompact$$|^TestCompactInPlace$$|^TestRepairTiesToSmallerGroup$$|^TestInsertAndRepair$$|^TestRemoveAndRepairRestoresEnvelope$$|^TestChurnInterleaved$$|^FuzzPartition$$)
+	$(call gate,./internal/monitor,^TestSmoothShrinkThenGrow$$|^TestForget$$|^TestAgerRefreshBlendsAndDecays$$|^TestAgerLazyMatchesEager$$|^TestAgerChurn$$|^TestAgerSteadyStateAllocs$$)
+	$(call gate,./internal/kernel,^TestSnapshotterShrinksAfterBurst$$|^TestSnapshotterSteadyStateAllocs$$)
+	$(call gate,./internal/experiments,^TestChurnDeterministic$$|^TestChurnPoissonCampaign$$|^TestChurnTraceMode$$|^TestChurnRebuildFallback$$|^TestChurnObserverDoesNotChangeReport$$|^TestChurnGolden$$|^TestChurnTopPartnersMatchesSelection$$|^TestChurnScoreIndexMirrorsViews$$|^TestChurnTopPartnersZeroAllocs$$)
 
 # One iteration of every benchmark: catches bit-rot in the bench suite (and
 # regenerates each figure once) without committing to real measurement time.

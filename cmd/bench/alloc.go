@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 
 	"symbiosched/internal/alloc"
 	"symbiosched/internal/experiments"
@@ -10,15 +11,18 @@ import (
 )
 
 // The allocator layer: how long one allocation decision takes as the thread
-// count grows. Two paths per P:
+// count grows. Per P:
 //
 //   - sparse: the top-m sparse build + hierarchical partition every graph
-//     policy runs.
+//     policy runs, split into its two halves:
+//   - build: the row-scan interference-graph build alone;
+//   - partition: the hierarchical partition of the built graph alone.
 //   - repair: the incremental path — 8 signature deltas applied with
 //     UpdateWeight, then Repair. The steady-state per-quantum cost once a
 //     partition exists.
 //
-// Each point's checksum hashes the canonical decision.
+// The build point's checksum hashes the graph's rows and weight bits; the
+// others hash the canonical decision.
 
 // allocPs is the P-sweep; k = P/16 cores keeps the per-core load constant.
 var allocPs = []int{64, 256, 1024, 4096}
@@ -29,11 +33,33 @@ func runAlloc(reps int) []Point {
 		k := p / 16
 		views := experiments.SynthAllocViews(p, k)
 		cell := fmt.Sprintf("P=%d k=%d", p, k)
+		built := alloc.SparseInterferenceGraph(views)
 		pts = append(pts,
 			measure("alloc", "sparse "+cell, reps, decision(func() alloc.Mapping { return sparseDecision(views, k) })),
+			measure("alloc", "build "+cell, reps, buildTrial(views)),
+			measure("alloc", "partition "+cell, reps, decision(func() alloc.Mapping { return partition(built, k) })),
 			measure("alloc", "repair "+cell, reps, repairTrial(views, k)))
 	}
 	return pts
+}
+
+// buildTrial times the interference-graph build alone; its checksum hashes
+// every row's neighbor ids and weight bits.
+func buildTrial(views []kernel.View) trial {
+	return func() (func(), func() string) {
+		var g *graph.Sparse
+		return func() { g = alloc.SparseInterferenceGraph(views) }, func() string {
+			d := newDigest()
+			for i := 0; i < g.Len(); i++ {
+				cols, wts := g.Row(i)
+				d.put(uint64(i), uint64(len(cols)))
+				for x, j := range cols {
+					d.put(uint64(j), math.Float64bits(wts[x]))
+				}
+			}
+			return d.String()
+		}
+	}
 }
 
 // decision is the trial that times one allocation decision.
@@ -48,8 +74,13 @@ func decision(decide func() alloc.Mapping) trial {
 // it: the graph policies' decision, and the full rebuild that churn's
 // incremental edits avoid.
 func sparseDecision(views []kernel.View, k int) alloc.Mapping {
-	m := make(alloc.Mapping, len(views))
-	for core, grp := range alloc.SparseInterferenceGraph(views).PartitionK(k) {
+	return partition(alloc.SparseInterferenceGraph(views), k)
+}
+
+// partition cuts g into k balanced groups, as a mapping.
+func partition(g *graph.Sparse, k int) alloc.Mapping {
+	m := make(alloc.Mapping, g.Len())
+	for core, grp := range g.PartitionK(k) {
 		for _, t := range grp {
 			m[t] = core
 		}

@@ -286,14 +286,15 @@ func currentPlacement(views []kernel.View, cores int) (Mapping, bool) {
 	return m, true
 }
 
-// Scratch holds the reusable state of a graph-policy decision: the top-m
-// builder, the interference graph it rebuilds in place, the partitioner's
-// arena, and the assignment and mapping buffers. The zero value is ready to
-// use; one Scratch serves one caller at a time (calls must not interleave).
-// A monitor that decides every period on one Scratch allocates nothing
-// once warm.
+// Scratch holds the reusable state of a graph-policy decision: the row
+// scan's selection buffers and worker scratch, the interference graph it
+// rebuilds in place, the partitioner's arena, and the assignment and
+// mapping buffers. The zero value is ready to use; one Scratch serves one
+// caller at a time (calls must not interleave) and must not be copied once
+// used. A monitor that decides every period on one Scratch allocates
+// nothing once warm.
 type Scratch struct {
-	b       graph.Builder
+	scan    rowScan
 	g       graph.Sparse
 	part    graph.Partitioner
 	assign  []int32
@@ -318,7 +319,7 @@ type ScratchPolicy interface {
 // "the default schedules with which the processes began execution"; an
 // arbitrary tie-break would instead reshuffle them randomly.
 func (s *Scratch) decide(views []kernel.View, cores int, weighted bool, override func(i, j int) (float64, bool)) Mapping {
-	buildSparseGraph(&s.b, &s.g, views, weighted, override)
+	buildSparseGraph(&s.scan, &s.g, views, weighted, override, scanWorkers(len(views)))
 	if s.g.TotalWeight() == 0 {
 		if cur, ok := currentPlacement(views, cores); ok {
 			return cur

@@ -30,6 +30,11 @@ func (p TwoPhase) Allocate(views []kernel.View, cores int) Mapping {
 // AllocateScratch implements ScratchPolicy: the weighted interference graph
 // with the phase-2 edge adjustments applied during the build.
 func (TwoPhase) AllocateScratch(views []kernel.View, cores int, s *Scratch) Mapping {
+	return s.decide(views, cores, true, twoPhaseOverride(views, cores))
+}
+
+// twoPhaseOverride is TwoPhase's edge adjustment for buildSparseGraph.
+func twoPhaseOverride(views []kernel.View, cores int) func(i, j int) (float64, bool) {
 	// Pin weight: exceed the sum of every directed term so the MIN-CUT can
 	// never profit from splitting a pinned pair. Computed per core label in
 	// O(n·N) rather than enumerating pairs.
@@ -88,7 +93,7 @@ func (TwoPhase) AllocateScratch(views []kernel.View, cores int, s *Scratch) Mapp
 
 	// Phase 2 edge adjustment (Fig 8b): same group → pin, different group →
 	// no edge; inter-process edges keep their weighted-graph weights.
-	return s.decide(views, cores, true, func(i, j int) (float64, bool) {
+	return func(i, j int) (float64, bool) {
 		if views[i].ProcID != views[j].ProcID || group[i] < 0 {
 			return 0, false
 		}
@@ -96,5 +101,5 @@ func (TwoPhase) AllocateScratch(views []kernel.View, cores int, s *Scratch) Mapp
 			return pin, true
 		}
 		return 0, true
-	})
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"time"
 
 	"symbiosched/internal/experiments"
 )
@@ -47,6 +48,11 @@ type JournalRecord struct {
 	// campaign restarts even when its trace directory has moved or changed
 	// since — the journal, not the environment, is the source of truth.
 	Combos int `json:"combos,omitempty"`
+	// Submitted is when the campaign was accepted (kind "campaign" only).
+	// Replay restores it, so a restarted daemon reports a campaign's age
+	// from its submission, not from the restart. Journals written before
+	// the field existed replay with the restart's clock.
+	Submitted time.Time `json:"submitted,omitzero"`
 	// Shard is the accepted shard, outcomes included (kind "shard" only) —
 	// the journal is the durable copy of the merge, not just an index of it.
 	Shard *experiments.Shard `json:"shard,omitempty"`

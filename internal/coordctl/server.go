@@ -171,7 +171,7 @@ func (s *Server) replay(recs []JournalRecord) error {
 				s.opts.Logger.Warn("journal: duplicate campaign record skipped", "campaign", rec.Campaign)
 				continue
 			}
-			if _, err := s.registerCampaign(rec.Campaign, *rec.Spec, rec.Combos); err != nil {
+			if _, err := s.registerCampaign(rec.Campaign, *rec.Spec, rec.Combos, rec.Submitted); err != nil {
 				return fmt.Errorf("coordctl: replaying campaign %s: %w", rec.Campaign, err)
 			}
 			if n, err := strconv.Atoi(strings.TrimPrefix(rec.Campaign, "c")); err == nil && n > s.seq {
@@ -219,7 +219,9 @@ func (s *Server) replay(recs []JournalRecord) error {
 // as the campaign's combination-space size — the replay path, where the
 // journaled value must win over whatever the trace directory looks like
 // now; combos <= 0 resolves it from the live pool (the submission path).
-func (s *Server) registerCampaign(id string, c Campaign, combos int) (*campaignState, error) {
+// start is the submission time its elapsed time counts from; the zero time
+// means now.
+func (s *Server) registerCampaign(id string, c Campaign, combos int, start time.Time) (*campaignState, error) {
 	if c.PoolHash == "" || c.ConfigHash == "" {
 		return nil, fmt.Errorf("coordctl: campaign fingerprints missing (build the campaign with NewCampaign)")
 	}
@@ -235,13 +237,16 @@ func (s *Server) registerCampaign(id string, c Campaign, combos int) (*campaignS
 	if c.ShardTotal > combos {
 		return nil, fmt.Errorf("coordctl: %d shards over %d combos leaves empty shards", c.ShardTotal, combos)
 	}
+	if start.IsZero() {
+		start = s.opts.Clock()
+	}
 	cs := &campaignState{
 		id:     id,
 		c:      c,
 		combos: combos,
 		table:  newLeaseTable(id, c.ShardTotal, s.opts.LeaseTimeout, s.opts.MaxAttempts),
 		merger: experiments.NewShardMerger(),
-		start:  s.opts.Clock(),
+		start:  start,
 		state:  "running",
 		done:   make(chan struct{}),
 	}
@@ -282,12 +287,13 @@ func (s *Server) submitCampaign(c Campaign) (id string, combos int, err error) {
 	defer s.mu.Unlock()
 	id = fmt.Sprintf("c%d", s.seq+1)
 	preCorpora := len(s.corpora)
-	cs, err := s.registerCampaign(id, c, 0)
+	cs, err := s.registerCampaign(id, c, 0, time.Time{})
 	if err != nil {
 		return "", 0, err
 	}
 	if s.journal != nil {
-		if err := s.journal.Append(JournalRecord{Kind: recordCampaign, Campaign: id, Spec: &c, Combos: cs.combos}); err != nil {
+		rec := JournalRecord{Kind: recordCampaign, Campaign: id, Spec: &c, Combos: cs.combos, Submitted: cs.start}
+		if err := s.journal.Append(rec); err != nil {
 			delete(s.campaigns, id)
 			s.order = s.order[:len(s.order)-1]
 			s.running = s.running[:len(s.running)-1]

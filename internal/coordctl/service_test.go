@@ -482,6 +482,81 @@ func TestReplayDoesNotInflateCounters(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsCampaignAge: a campaign's submission time is journaled,
+// so a daemon restarted over its journal reports every restored campaign's
+// elapsed time from its submission. Under a clock that steps one second per
+// reading, each restored campaign (running, done and cancelled) must read
+// at least the age it had before the restart.
+func TestRestartKeepsCampaignAge(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		now = now.Add(time.Second)
+		return now
+	}
+	dir := t.TempDir()
+	opts := ServerOptions{StateDir: dir, Clock: clock, Logger: testLogger(t)}
+	srv, err := NewServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := quickCampaign(t, 1)
+	idDone, err := srv.SubmitCampaign(finished)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	ctx := context.Background()
+	cl := Client{BaseURL: hs.URL, Worker: "once"}
+	wu, err := cl.Lease(ctx)
+	if err != nil || wu == nil {
+		t.Fatalf("lease: %v %v", wu, err)
+	}
+	if res, err := cl.Submit(ctx, wu, stubShard(t, finished, wu.ShardIndex)); err != nil || !res.Accepted {
+		t.Fatalf("submit: res=%+v err=%v", res, err)
+	}
+	hs.Close()
+	idGone, err := srv.SubmitCampaign(quickCampaign(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CancelCampaign(idGone); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SubmitCampaign(quickCampaign(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	now = now.Add(time.Hour) // every campaign is now older than a replay takes
+	mu.Unlock()
+	before := srv.Campaigns()
+	srv.Close()
+
+	srv2, err := NewServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	after := srv2.Campaigns()
+	if len(after) != len(before) {
+		t.Fatalf("restarted daemon lists %d campaigns, want %d", len(after), len(before))
+	}
+	for i, b := range before {
+		a := after[i]
+		if a.ID != b.ID || a.State != b.State {
+			t.Fatalf("restored campaign %s %s, want %s %s", a.ID, a.State, b.ID, b.State)
+		}
+		if a.ElapsedSeconds < b.ElapsedSeconds {
+			t.Errorf("campaign %s (%s): %.0f s elapsed after the restart, %.0f s before", a.ID, a.State, a.ElapsedSeconds, b.ElapsedSeconds)
+		}
+	}
+	if before[0].ID != idDone || before[0].State != "done" || before[1].ID != idGone || before[1].State != "cancelled" {
+		t.Fatalf("campaigns before the restart %+v, want %s done and %s cancelled first", before, idDone, idGone)
+	}
+}
+
 // TestCoordinatorTLS covers the encrypted deployment: a worker trusting the
 // daemon's (self-signed) certificate via TLSConfigFromCA talks normally; a
 // worker without the CA refuses the connection.

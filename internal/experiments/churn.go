@@ -52,7 +52,7 @@ type ChurnConfig struct {
 	// Schedule is the trace-mode event list (must be sorted by Quantum).
 	Schedule []ChurnEvent
 	// TopM bounds an arrival's initial neighbor set, mirroring the
-	// builder's top-m sparsification. 0 defaults to 16.
+	// interference-graph build's top-m sparsification. 0 defaults to 16.
 	TopM int
 	// RefreshFrac is the fraction of the live population re-profiled per
 	// quantum through the Ager (round-robin). Alpha and Decay are the
@@ -137,7 +137,7 @@ type churnCampaign struct {
 	cursor   int // round-robin refresh position
 	missBase int // misses accumulated before the last rebuild reset drift
 	touch    [1]int
-	window   partnerWindow
+	window   graph.TopM // topPartners' selection; only positive scores enter
 	// spare holds departed threads' Symbiosis and Overlap vectors, which
 	// newView reuses so an arrival allocates no view storage.
 	spare [][]int32
@@ -266,9 +266,10 @@ func (cc *churnCampaign) vector() []int32 {
 	return make([]int32, cc.cfg.Cores)
 }
 
-// rebuild is the fallback path: a fresh top-m build over the current
-// population (dead slots carry signatureless views and so produce no
-// edges), a fresh multilevel partition, fresh staleness clocks.
+// rebuild is the fallback path: a fresh top-m build over the current id
+// space, a fresh multilevel partition, fresh staleness clocks. Dead slots
+// carry signatureless views on core 0, which still score d(j→core 0)
+// against every live j, so they get edges until RemoveNode drops them.
 func (cc *churnCampaign) rebuild() {
 	cc.g, cc.pt, cc.ag = nil, nil, nil // collectable while the new graph builds
 	g := alloc.SparseInterferenceGraph(cc.views)
@@ -360,54 +361,25 @@ func (cc *churnCampaign) oldest() int {
 
 // topPartners selects the TopM heaviest interference partners of view (a
 // live view in store's shape) among the live population, heaviest first and
-// ties to the smaller id — the arrival-time equivalent of the builder's
-// top-m sparsification — in one O(P) pass over the score index. Both terms
-// of a pair weight are int32 overlaps, so their integer sum converts to
-// exactly the float64 alloc.PairWeight returns. Ids arrive ascending, so a
+// ties to the smaller id — the arrival-time equivalent of the allocator's
+// top-m row scan — in one O(P) pass over the score index. Both terms of a
+// pair weight are int32 overlaps, so their integer sum converts to exactly
+// the float64 alloc.PairWeight returns. Ids arrive ascending, so a
 // candidate that does not beat the window's floor loses to every partner
-// in it and costs one comparison.
+// in it and costs one comparison; the window's Admit, a call of its own,
+// leaves the scan loop few enough values to keep in registers.
 func (cc *churnCampaign) topPartners(view *kernel.View) ([]int32, []float64) {
 	w := &cc.window
-	w.m, w.nbrs, w.wts = cc.cfg.TopM, w.nbrs[:0], w.wts[:0]
+	w.Reset(cc.cfg.TopM, 0)
 	row, last := view.Overlap, cc.lastCore
 	col := cc.cols[view.LastCore][:len(last)]
 	var floor int64
 	for u, c := range last {
 		if s := int64(row[c]) + int64(col[u]); s > floor {
-			floor = w.admit(int32(u), s)
+			floor = int64(w.Admit(int32(u), float64(s)))
 		}
 	}
-	return w.nbrs, w.wts
-}
-
-// partnerWindow holds the best <= m partners seen so far, heaviest first
-// and ties to the one seen first. Its slices are reused across selections.
-type partnerWindow struct {
-	m    int
-	nbrs []int32
-	wts  []float64
-}
-
-// admit places partner u of score s > 0, evicting the last partner when
-// the window is full, and returns the window's floor: the score a later
-// candidate must beat to enter, 0 until the window is full. Admissions are
-// rare next to rejections; as a call of its own (too large to inline), it
-// leaves topPartners' scan loop few enough values to keep in registers.
-func (w *partnerWindow) admit(u int32, s int64) int64 {
-	wt, k := float64(s), len(w.nbrs)
-	if k == w.m {
-		k-- // evict the last entry
-	} else {
-		w.nbrs, w.wts = append(w.nbrs, 0), append(w.wts, 0)
-	}
-	for ; k > 0 && w.wts[k-1] < wt; k-- {
-		w.nbrs[k], w.wts[k] = w.nbrs[k-1], w.wts[k-1]
-	}
-	w.nbrs[k], w.wts[k] = u, wt
-	if len(w.nbrs) < w.m {
-		return 0
-	}
-	return int64(w.wts[w.m-1])
+	return w.Kept()
 }
 
 // refresh re-profiles a RefreshFrac slice of the live population through the

@@ -2,12 +2,13 @@
 // balanced MIN-CUT partitioning used by the paper's interference-graph
 // allocation algorithms (§3.3.2, §3.3.3).
 //
-// A graph is a CSR adjacency (Sparse) built through Builder, which keeps
-// each node's top-m heaviest neighbors: O(P·m) memory at any scale, and the
-// complete graph whenever P ≤ m+1. One partitioner (multilevel.go) makes
-// every decision. The paper uses an SDP solver for MIN-CUT; at the paper's
-// problem sizes (4 processes, or 16 threads) exact enumeration is cheap and
-// strictly better, so a node set of at most 20 nodes is bisected exactly.
+// A graph is a CSR adjacency (Sparse) built from each node's top-m heaviest
+// neighbors (BuildKeptInto, fed by a TopM row scan or by Builder's heaps):
+// O(P·m) memory at any scale, and the complete graph whenever P ≤ m+1.
+// One partitioner (multilevel.go) makes every decision. The paper uses an
+// SDP solver for MIN-CUT; at the paper's problem sizes (4 processes, or 16
+// threads) exact enumeration is cheap and strictly better, so a node set of
+// at most 20 nodes is bisected exactly.
 // Larger sets are coarsened by heavy-edge matching, split, and refined on
 // the way back up. PartitionK applies hierarchical bisection for more than
 // two cores, exactly as §3.3.2 prescribes ("first divide into two groups
@@ -24,12 +25,13 @@ import (
 
 // Sparse is a weighted undirected graph in compressed-sparse-row form. Rows
 // are neighbor lists sorted by node id; every edge appears in both endpoint
-// rows with the same weight. A freshly built graph is packed (see Builder),
-// but the structure is mutable under churn: edge weights change via
-// UpdateWeight, and whole nodes arrive and depart via InsertNode/RemoveNode
-// (churn.go) — each row carries independent start/end/limit bounds so it can
-// grow into slack in place or relocate to tail storage, leaving abandoned
-// slots that Compact reclaims lazily and Drift makes observable.
+// rows with the same weight. A freshly built graph is packed (see
+// BuildKeptInto), but the structure is mutable under churn: edge weights
+// change via UpdateWeight, and whole nodes arrive and depart via
+// InsertNode/RemoveNode (churn.go) — each row carries independent
+// start/end/limit bounds so it can grow into slack in place or relocate to
+// tail storage, leaving abandoned slots that Compact reclaims lazily and
+// Drift makes observable.
 type Sparse struct {
 	n     int     // node-id space, including tombstoned slots
 	alive int     // nodes not tombstoned by RemoveNode
@@ -207,24 +209,18 @@ func (s *Sparse) CutK(assign []int32) float64 {
 	return sum / 2
 }
 
-// builderEdge is one candidate edge as seen from one endpoint.
-type builderEdge struct {
-	to int32
-	w  float64
-}
-
-// Builder accumulates a sparse interference graph one edge at a time,
-// keeping at most topM candidates per node — O(P·m) memory however many
-// pairs the monitor offers, which is the point: the caller streams the
-// (inherently all-pairs) interference terms through Add and never
-// materializes the dense matrix.
+// Builder accumulates a sparse interference graph one offered edge at a
+// time, keeping at most topM candidates per node in a bounded heap — O(P·m)
+// memory however many pairs are offered, at two heap offers per pair. It is
+// the constructor the graph tests use and the pairwise oracle of the
+// allocator's row-scan build, which selects each row's top m itself and
+// emits the graph through BuildKeptInto.
 //
-// Sparsification is per-endpoint top-m under the strict order (weight,
-// then smaller neighbor id wins ties); an edge survives into the built
-// graph when either endpoint retains it, the standard symmetrization that
-// keeps the graph connected enough for partitioning. The retained set
-// depends only on the multiset of offered edges, not on Add order, so
-// builds are deterministic.
+// Sparsification is per-endpoint top-m under edgeLess (weight, then smaller
+// neighbor id wins ties); an edge survives into the built graph when either
+// endpoint retains it, the standard symmetrization that keeps the graph
+// connected enough for partitioning. The retained set depends only on the
+// multiset of offered edges, not on Add order, so builds are deterministic.
 //
 // Add records final weights, it does not accumulate duplicates (a pair
 // evicted from a full top-m heap cannot be found again to sum into): when
@@ -233,10 +229,9 @@ type builderEdge struct {
 // copies at both endpoints agree and Build's per-row dedup keeps the
 // maximum deterministically.
 type Builder struct {
-	n      int
-	topM   int
-	rows   [][]builderEdge // per-node bounded min-heap on (w, -id)
-	sorter rowSorter       // reused by BuildInto's per-row sort
+	n    int
+	topM int
+	rows [][]Edge // per-node bounded min-heap under edgeLess
 }
 
 // NewBuilder returns a builder for n nodes keeping the top topM neighbors
@@ -245,7 +240,7 @@ func NewBuilder(n, topM int) *Builder {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative size %d", n))
 	}
-	return &Builder{n: n, topM: topM, rows: make([][]builderEdge, n)}
+	return &Builder{n: n, topM: topM, rows: make([][]Edge, n)}
 }
 
 // Reset clears the builder for reuse on n nodes, keeping row capacity.
@@ -254,7 +249,7 @@ func (b *Builder) Reset(n, topM int) {
 		panic(fmt.Sprintf("graph: negative size %d", n))
 	}
 	if cap(b.rows) < n {
-		b.rows = make([][]builderEdge, n)
+		b.rows = make([][]Edge, n)
 	}
 	b.rows = b.rows[:n]
 	for i := range b.rows {
@@ -266,17 +261,6 @@ func (b *Builder) Reset(n, topM int) {
 // Len returns the node count.
 func (b *Builder) Len() int { return b.n }
 
-// edgeLess orders candidate edges for eviction: lower weight first, and
-// among equal weights the larger neighbor id — so the survivors of a full
-// heap are the heaviest edges with ties resolved toward smaller ids,
-// independent of insertion order.
-func edgeLess(a, e builderEdge) bool {
-	if a.w != e.w {
-		return a.w < e.w
-	}
-	return a.to > e.to
-}
-
 // Add offers the undirected edge {i,j} with final weight w. Zero-weight
 // edges and self-edges are ignored.
 func (b *Builder) Add(i, j int, w float64) {
@@ -286,11 +270,11 @@ func (b *Builder) Add(i, j int, w float64) {
 	if i == j || w == 0 {
 		return
 	}
-	b.push(i, builderEdge{to: int32(j), w: w})
-	b.push(j, builderEdge{to: int32(i), w: w})
+	b.push(i, Edge{To: int32(j), W: w})
+	b.push(j, Edge{To: int32(i), W: w})
 }
 
-func (b *Builder) push(i int, e builderEdge) {
+func (b *Builder) push(i int, e Edge) {
 	row := b.rows[i]
 	if b.topM > 0 && len(row) >= b.topM {
 		if !edgeLess(row[0], e) {
@@ -338,31 +322,26 @@ func (b *Builder) Build() *Sparse {
 }
 
 // BuildInto is Build assembling the graph in dst, reusing dst's storage
-// where its capacity allows: a caller that rebuilds a graph of stable size
-// every period (the monitor's allocation scratch) allocates nothing once
-// warm. Whatever dst held before, churn state included, is discarded.
+// where its capacity allows (see BuildKeptInto): each heap is sorted by
+// neighbor id, repeated offers of one pair are deduplicated down to the
+// heaviest copy, and the rows go to BuildKeptInto.
 func (b *Builder) BuildInto(dst *Sparse) {
-	n := b.n
-	// Mark survivors: an edge {i,j} survives if either endpoint kept it.
-	// Sort each row by id so union-merging and CSR emission are one pass,
-	// and dedup repeated offers of one pair down to the heaviest copy.
-	for i := range b.rows {
-		row := b.rows[i]
-		slices.SortFunc(row, func(x, y builderEdge) int {
-			if x.to != y.to {
-				return int(x.to - y.to)
+	for i, row := range b.rows {
+		slices.SortFunc(row, func(x, y Edge) int {
+			if x.To != y.To {
+				return int(x.To - y.To)
 			}
 			switch {
-			case x.w > y.w:
+			case x.W > y.W:
 				return -1
-			case x.w < y.w:
+			case x.W < y.W:
 				return 1
 			}
 			return 0
 		})
 		w := 0
 		for r := range row {
-			if r > 0 && row[r].to == row[w-1].to {
+			if r > 0 && row[r].To == row[w-1].To {
 				continue
 			}
 			row[w] = row[r]
@@ -370,18 +349,31 @@ func (b *Builder) BuildInto(dst *Sparse) {
 		}
 		b.rows[i] = row[:w]
 	}
+	BuildKeptInto(dst, b.rows)
+}
+
+// BuildKeptInto assembles in dst the graph whose node i kept the edges
+// kept[i]: each row sorted by neighbor id, with no repeated neighbor, no
+// self-edge and no zero weight. An edge {i,j} survives when either endpoint
+// kept it, with the keeper's weight, and appears in both rows. dst's
+// storage is reused where its capacity allows, so a caller that rebuilds a
+// graph of stable size every period allocates nothing once warm; whatever
+// dst held before, churn state included, is discarded.
+//
+// Every row comes out sorted by id without a sort: node j's row is its own
+// kept edges merged with the union terms {i : j ∈ kept[i], i ∉ kept[j]},
+// which land in ascending i because the rows are visited in order.
+func BuildKeptInto(dst *Sparse, kept [][]Edge) {
+	n := len(kept)
 	// Row i's degree lands in rowPtr[i+1], then a prefix sum turns degrees
-	// into row starts. The count visits each surviving directed slot once:
-	// (i→j) from i's row, and (j→i) either from j's own row or, when j
-	// evicted the edge, as the union term — the kept() guard keeps an edge
-	// both endpoints retained from being counted twice.
+	// into row starts. An edge both endpoints kept is counted once per row.
 	rowPtr := growI32(dst.off[:cap(dst.off)], n+1)
 	clear(rowPtr)
-	for i, row := range b.rows {
+	for i, row := range kept {
+		rowPtr[i+1] += int32(len(row))
 		for _, e := range row {
-			rowPtr[i+1]++
-			if !b.kept(int(e.to), int32(i)) {
-				rowPtr[e.to+1]++
+			if !keeps(kept[e.To], int32(i)) {
+				rowPtr[e.To+1]++
 			}
 		}
 	}
@@ -390,30 +382,35 @@ func (b *Builder) BuildInto(dst *Sparse) {
 	}
 	slots := int(rowPtr[n])
 	col, wts := growI32(dst.col, slots), growF64(dst.wts, slots)
-	// end[i] is row i's emission cursor; once every edge is emitted it sits
-	// at the row's end, which is also its storage limit: a fresh build is
-	// fully packed, so the first structural insert into a row relocates it
-	// to tail storage with slack (see churn.go).
+	// Union terms go behind the room each row keeps for its own edges; end
+	// is their cursor and finishes at the row's end, which is also its
+	// storage limit: a fresh build is fully packed, so the first
+	// structural insert into a row relocates it to tail storage with slack
+	// (see churn.go).
 	end := growI32(dst.end, n)
-	copy(end, rowPtr[:n])
-	emit := func(i int, j int32, w float64) {
-		col[end[i]] = j
-		wts[end[i]] = w
-		end[i]++
+	for j, row := range kept {
+		end[j] = rowPtr[j] + int32(len(row))
 	}
-	for i, row := range b.rows {
+	for i, row := range kept {
 		for _, e := range row {
-			emit(i, e.to, e.w)
-			if !b.kept(int(e.to), int32(i)) {
-				emit(int(e.to), int32(i), e.w)
+			if !keeps(kept[e.To], int32(i)) {
+				col[end[e.To]], wts[end[e.To]] = int32(i), e.W
+				end[e.To]++
 			}
 		}
 	}
-	// Rows built from union terms are appended out of order; normalize.
-	for i := 0; i < n; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		b.sorter.col, b.sorter.wts = col[lo:hi], wts[lo:hi]
-		sort.Sort(&b.sorter)
+	// Merge each row's own edges in front of its union terms, in place: the
+	// write position stays behind the next unread union term.
+	for j, row := range kept {
+		p, u, hi := rowPtr[j], rowPtr[j]+int32(len(row)), rowPtr[j+1]
+		for _, e := range row {
+			for u < hi && col[u] < e.To {
+				col[p], wts[p] = col[u], wts[u]
+				p, u = p+1, u+1
+			}
+			col[p], wts[p] = e.To, e.W
+			p++
+		}
 	}
 	lim := growI32(dst.lim, n)
 	copy(lim, end)
@@ -426,12 +423,18 @@ func (b *Builder) BuildInto(dst *Sparse) {
 	}
 }
 
-// kept reports whether node i's retained row contains neighbor j (rows are
-// sorted by BuildInto before use).
-func (b *Builder) kept(i int, j int32) bool {
-	row := b.rows[i]
-	k := sort.Search(len(row), func(x int) bool { return row[x].to >= j })
-	return k < len(row) && row[k].to == j
+// keeps reports whether the id-sorted row contains neighbor j.
+func keeps(row []Edge, j int32) bool {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if row[h].To < j {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo < len(row) && row[lo].To == j
 }
 
 // rowSorter orders a neighbor list and its weights by node id.
