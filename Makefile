@@ -101,13 +101,16 @@ tracecheck:
 # row-scan interference-graph build equals a brute-force reference and the
 # pairwise Builder build on seeded view sets and the fuzz seed corpus, on
 # one to four workers alike, and a warm Scratch decision allocates nothing
-# at 4 and 1024 threads. Every alternative is a full anchored name.
+# at 4 and 1024 threads; Table 1, the fairness, quad-core and both Fig 3
+# pairwise studies reproduce their recorded user cycles, chosen mappings
+# and float64 bits at one worker and at three (TestStudiesGolden). Every
+# alternative is a full anchored name.
 sigcheck:
 	$(call gate,./internal/bloom,^TestLazyCaptureParityRandomSchedules$$|^TestLazyCaptureParityPaperGeometry$$|^TestLazyMaterializeSeesCaptureTimeFilters$$|^TestLazyMemoAcrossSwitches$$|^TestSignatureCodecLazyMaterialization$$|^TestSignatureClone$$|^TestSignatureCloneBeforeMaterialize$$|^TestSignatureReleaseRecycles$$|^TestCaptureSteadyStateAllocs$$)
 	$(call gate,./internal/bitvec,^TestXorAndCountMatchesNaive$$|^FuzzXorAndCount$$)
 	$(call gate,./internal/alloc,^TestPolicyDecisionsGolden$$|^TestColumnarBuildMatchesOracle$$|^TestColumnarBuildWorkerInvariance$$|^FuzzColumnarBuild$$|^TestScratchDecisionZeroAllocs$$)
 	$(call gate,./internal/monitor,^TestMonitorSteadyStateAllocs$$|^TestObserveScratchMatchesAllocate$$)
-	$(call gate,./internal/experiments,^TestCampaignGolden$$)
+	$(call gate,./internal/experiments,^TestCampaignGolden$$|^TestStudiesGolden$$)
 
 # The coordinator-as-a-service contract, uncached: journal recovery (a tail
 # torn at EVERY byte offset replays cleanly; mid-file damage is a typed
@@ -136,7 +139,9 @@ servicecheck:
 # shadow-map unit tests), Compact repacks in place without allocating or
 # changing a row, repair breaks equal-gain moves toward the smaller group
 # id, repaired partitions keep the ±1 balance envelope and exact cut
-# bookkeeping over the live population, the monitor's per-thread
+# bookkeeping over the live population, hierarchical 4-way MIN-CUT keeps its
+# recorded regret against an exhaustive balanced k-way optimum on 200
+# seeded 8-node graphs (TestPartitionK4Regret), the monitor's per-thread
 # state shrinks and regrows with the thread population (reused IDs inherit
 # nothing), the Snapshotter releases a burst's backing after the
 # population stays small, lazy aging matches eager decay, and a seeded
@@ -148,7 +153,7 @@ servicecheck:
 # (the per-core score index equals the views after every campaign event) and
 # TestChurnTopPartnersZeroAllocs. Every alternative is a full anchored name.
 churncheck:
-	$(call gate,./internal/graph,^TestInsertNodeMatchesFreshBuild$$|^TestRemoveNodeMatchesFreshBuild$$|^TestInsertNodeValidation$$|^TestDriftCountersAndCompact$$|^TestCompactInPlace$$|^TestRepairTiesToSmallerGroup$$|^TestInsertAndRepair$$|^TestRemoveAndRepairRestoresEnvelope$$|^TestChurnInterleaved$$|^FuzzPartition$$)
+	$(call gate,./internal/graph,^TestInsertNodeMatchesFreshBuild$$|^TestRemoveNodeMatchesFreshBuild$$|^TestInsertNodeValidation$$|^TestDriftCountersAndCompact$$|^TestCompactInPlace$$|^TestRepairTiesToSmallerGroup$$|^TestInsertAndRepair$$|^TestRemoveAndRepairRestoresEnvelope$$|^TestChurnInterleaved$$|^FuzzPartition$$|^TestPartitionK4Regret$$)
 	$(call gate,./internal/monitor,^TestSmoothShrinkThenGrow$$|^TestForget$$|^TestAgerRefreshBlendsAndDecays$$|^TestAgerLazyMatchesEager$$|^TestAgerChurn$$|^TestAgerSteadyStateAllocs$$)
 	$(call gate,./internal/kernel,^TestSnapshotterShrinksAfterBurst$$|^TestSnapshotterSteadyStateAllocs$$)
 	$(call gate,./internal/experiments,^TestChurnDeterministic$$|^TestChurnPoissonCampaign$$|^TestChurnTraceMode$$|^TestChurnRebuildFallback$$|^TestChurnObserverDoesNotChangeReport$$|^TestChurnGolden$$|^TestChurnTopPartnersMatchesSelection$$|^TestChurnScoreIndexMirrorsViews$$|^TestChurnTopPartnersZeroAllocs$$)

@@ -5,7 +5,6 @@ import (
 	"symbiosched/internal/bloom"
 	"symbiosched/internal/cache"
 	"symbiosched/internal/metrics"
-	"symbiosched/internal/workload"
 )
 
 // CanonicalMix is the mix used by the ablation studies: one cache destroyer,
@@ -51,14 +50,7 @@ func AblateSignature(c Config, label string, mutate func(*bloom.Config)) Ablatio
 	}
 	c.Signature = &sig
 
-	var mix []workload.Profile
-	for _, n := range CanonicalMix() {
-		p, err := workload.ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		mix = append(mix, p)
-	}
+	mix := profilesByName(CanonicalMix())
 	out := c.RunMix(mix, alloc.WeightedInterferenceGraph{}, c.candidatesFor(mix), nil)
 	var imps []float64
 	res := AblationResult{Label: label}

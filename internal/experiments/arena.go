@@ -128,65 +128,59 @@ func (a *simArena) machine(ec engine.Config, procs []*kernel.Process) *engine.Ma
 	return m
 }
 
-// virtConfig rewinds (or builds) the process set for a virtualized run,
-// re-attaches the per-instruction overhead factors that ResetWorkload
-// cleared, and returns the hypervisor-decorated engine configuration —
-// value-typed throughout, so the machine comes out of the arena cache. The
-// simulated system is bit-identical to virt.NewSystem's (same workload
-// build, same decoration, same config transform).
-func (a *simArena) virtConfig(c Config, profiles []workload.Profile, v *VirtSpec) ([]*kernel.Process, engine.Config) {
-	ov := v.Overhead.Normalized()
-	procs := a.workload(c, profiles)
-	ov.Decorate(procs)
-	return procs, ov.EngineConfig(c.EngineConfig(), c.Seed)
+// load rewinds (or builds) the job's process set and returns it with the
+// engine configuration of the job's machine. A virtualized job boots its
+// VMs as the hypervisor model prescribes: the guest threads carry the
+// overhead factor again (ResetWorkload clears it) and the configuration
+// gains the world-switch cost and the value-typed Dom0 descriptor, so the
+// machine still comes out of the arena cache.
+func (a *simArena) load(j *mixJob) ([]*kernel.Process, engine.Config) {
+	procs := a.workload(j.cfg, j.profiles)
+	ec := j.cfg.engineConfig(j.machine)
+	if j.virt != nil {
+		ov := j.virt.Overhead.Normalized()
+		ov.Decorate(procs)
+		ec = ov.EngineConfig(ec, j.cfg.Seed)
+	}
+	return procs, ec
 }
 
-// phase1 is Config.Phase1 running on the arena's reusable state (native and
-// virtualized both — the value-typed Dom0 descriptor keys like any other
-// config field).
-func (a *simArena) phase1(c Config, profiles []workload.Profile, policy alloc.Policy, v *VirtSpec) alloc.Mapping {
-	var procs []*kernel.Process
-	var ec engine.Config
-	if v != nil {
-		procs, ec = a.virtConfig(c, profiles, v)
-	} else {
-		procs = a.workload(c, profiles)
-		ec = c.EngineConfig()
-	}
+// phase1 reproduces §4.1 for the job on the arena's reusable state: run the
+// mix under the signature hardware from the default round-robin placement,
+// invoking the job's policy every MonitorPeriod and applying its decisions,
+// for Phase1Horizon cycles; return the majority mapping (thread-level,
+// canonical).
+func (a *simArena) phase1(j *mixJob) alloc.Mapping {
+	procs, ec := a.load(j)
 	m := a.machine(ec, procs)
 	m.DistributeRoundRobin()
-	mo := monitor.NewWithScratch(policy, &a.scratch)
+	mo := monitor.NewWithScratch(j.policy, &a.scratch)
 	m.Run(engine.RunOptions{
-		Horizon:       c.Phase1Horizon,
-		MonitorPeriod: c.MonitorPeriod,
+		Horizon:       j.cfg.Phase1Horizon,
+		MonitorPeriod: j.cfg.MonitorPeriod,
 		OnMonitor:     mo.Hook(),
 	})
 	maj := mo.Majority()
 	if maj == nil {
-		maj = alloc.RoundRobin{}.Allocate(make([]kernel.View, threadCount(profiles)), m.Cores())
+		// Degenerate horizon: fall back to the default placement.
+		maj = alloc.RoundRobin{}.Allocate(make([]kernel.View, threadCount(j.profiles)), m.Cores())
 	}
 	return maj.Canonical()
 }
 
-// runMapping is Config.RunMapping running on the arena's reusable state,
-// with the same phase-2 configuration (signature unit detached — neutral
-// for results in both the native and virtualized cases, since signature
-// events carry no timing cost and nothing reads Sig under a fixed mapping).
-func (a *simArena) runMapping(c Config, profiles []workload.Profile, aff []int, v *VirtSpec) MixResult {
-	var procs []*kernel.Process
-	var ec engine.Config
-	if v != nil {
-		procs, ec = a.virtConfig(c, profiles, v)
-	} else {
-		procs = a.workload(c, profiles)
-		ec = c.EngineConfig()
-	}
+// runMapping runs the job's mix to completion under a fixed thread-level
+// mapping on the arena's reusable state and returns per-process user times.
+// No policy ever reads a signature under a fixed mapping and signature
+// events carry no timing cost, so the unit stays detached: identical
+// results, no Bloom-filter maintenance on every L2 fill and evict.
+func (a *simArena) runMapping(j *mixJob, aff alloc.Mapping) MixResult {
+	procs, ec := a.load(j)
 	ec.DisableSignature = true
 	m := a.machine(ec, procs)
 	m.SetAffinities(aff)
 	res := m.Run(engine.RunOptions{})
 	out := MixResult{
-		Mapping:    alloc.Mapping(aff).Canonical(),
+		Mapping:    aff.Canonical(),
 		WallCycles: res.Cycles,
 		UserCycles: make([]uint64, 0, len(procs)),
 	}

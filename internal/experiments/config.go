@@ -35,7 +35,8 @@ type Config struct {
 	// Workers bounds the simulation fan-out (0 = GOMAXPROCS).
 	Workers int
 	// Signature, if non-nil, overrides the signature-unit configuration
-	// (used by the Fig 14 hash-function study and the ablation benches).
+	// (used by the Fig 14 hash-function study and the ablation benches, all
+	// on the Core 2 Duo, whose geometry it must match).
 	Signature *bloom.Config
 	// L2Replace overrides the shared L2's replacement policy (zero = LRU),
 	// for the robustness ablation: the signature scheme never touches the
@@ -64,7 +65,8 @@ type Config struct {
 	ShardIndex int
 	ShardTotal int
 	// OnTask, if set, observes every completed scheduler task (phase-1 runs
-	// and phase-2 candidate runs) for progress reporting and utilization
+	// and candidate runs, of every study: sweeps, Table 1, the fairness,
+	// quad-core and pairwise studies) for progress reporting and utilization
 	// analysis. It is called synchronously from the worker that executed
 	// the task, concurrently across workers — it must be safe for
 	// concurrent use and should return quickly.
@@ -103,11 +105,34 @@ func (c Config) Scale() workload.Scale {
 	return workload.Scale{Region: uint64(c.MachineDiv), Instr: c.InstrDiv}
 }
 
+// machine names the simulated machine a run executes on.
+type machine uint8
+
+const (
+	// coreDuo is the paper's evaluation machine: two cores sharing the L2.
+	coreDuo machine = iota
+	// xeon is the §2.3.1 baseline: a P4 Xeon SMP with private L2s.
+	xeon
+	// quadCore is the §3.3.2 extension: four cores sharing one L2.
+	quadCore
+)
+
 // EngineConfig returns the simulated machine: the paper's Core 2 Duo scaled
 // by MachineDiv.
-func (c Config) EngineConfig() engine.Config {
+func (c Config) EngineConfig() engine.Config { return c.engineConfig(coreDuo) }
+
+// engineConfig returns machine m scaled by MachineDiv, with the campaign's
+// L2 replacement policy and signature unit.
+func (c Config) engineConfig(m machine) engine.Config {
+	hier := cache.CoreDuoConfig()
+	switch m {
+	case xeon:
+		hier = cache.XeonSMPConfig()
+	case quadCore:
+		hier = cache.QuadCoreConfig()
+	}
 	ec := engine.Config{
-		Hierarchy:     cache.CoreDuoConfig().Scaled(c.MachineDiv),
+		Hierarchy:     hier.Scaled(c.MachineDiv),
 		QuantumCycles: c.Quantum,
 	}
 	ec.Hierarchy.L2.Replace = c.L2Replace
@@ -121,14 +146,6 @@ func (c Config) EngineConfig() engine.Config {
 		ec.Signature = sig
 	}
 	return ec
-}
-
-// XeonConfig returns the §2.3.1 baseline machine (private L2s) scaled.
-func (c Config) XeonConfig() engine.Config {
-	return engine.Config{
-		Hierarchy:     cache.XeonSMPConfig().Scaled(c.MachineDiv),
-		QuantumCycles: c.Quantum,
-	}
 }
 
 func (c Config) workers() int {

@@ -3,10 +3,7 @@ package experiments
 import (
 	"math"
 
-	"symbiosched/internal/engine"
-	"symbiosched/internal/kernel"
 	"symbiosched/internal/metrics"
-	"symbiosched/internal/workload"
 )
 
 // FairnessResult quantifies the fairness dimension the paper lists among its
@@ -66,51 +63,33 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sq)
 }
 
-// Fairness runs the canonical mix's candidate mappings, computing slowdowns
-// against standalone runs and the fairness index of each mapping, and marks
-// the mapping the weighted interference graph chooses.
+// Fairness runs the canonical mix's two-phase flow, computing each candidate
+// mapping's slowdowns against standalone runs and its fairness index, and
+// marks the mapping the weighted interference graph chooses. The mix and the
+// four standalone runs are one job set on the pool.
 func Fairness(c Config) FairnessResult {
 	names := CanonicalMix()
-	var mix []workload.Profile
-	for _, n := range names {
-		p, err := workload.ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		mix = append(mix, p)
-	}
-
-	// Standalone baselines.
-	standalone := make([]uint64, len(mix))
-	c.parallel(len(mix), func(i int) {
-		procs := kernel.Workload(mix[i:i+1], c.Seed, c.Scale())
-		m := engine.New(c.EngineConfig(), procs)
-		m.SetAffinities([]int{0})
-		m.Run(engine.RunOptions{})
-		standalone[i] = procs[0].CompletionUser()
-	})
-
-	chosen := c.Phase1(mix, mustPolicy(), nil)
-	cands := c.candidatesFor(mix)
+	mix := profilesByName(names)
+	jobs := append([]mixJob{{cfg: c, profiles: mix, policy: mustPolicy(), candidates: c.candidatesFor(mix)}},
+		soloJobs(c, coreDuo, mix)...)
+	outs := runMixJobs(c, jobs)
 
 	res := FairnessResult{Names: names}
-	rows := make([]FairnessRow, len(cands))
-	c.parallel(len(cands), func(i int) {
-		out := c.RunMapping(mix, cands[i], nil)
+	for i, cand := range outs[0].Candidates {
 		row := FairnessRow{
-			Mapping: cands[i],
-			Label:   MappingLabel(cands[i]),
-			Chosen:  cands[i].Key() == chosen.Key(),
+			Mapping: cand.Mapping,
+			Label:   MappingLabel(cand.Mapping),
+			Chosen:  i == outs[0].ChosenIdx,
 		}
 		var speeds []float64
-		for p, u := range out.UserCycles {
-			slow := float64(u) / math.Max(1, float64(standalone[p]))
+		for p, u := range cand.UserCycles {
+			standalone := outs[1+p].Candidates[0].UserCycles[0]
+			slow := float64(u) / math.Max(1, float64(standalone))
 			row.Slowdowns = append(row.Slowdowns, slow)
 			speeds = append(speeds, 1/slow)
 		}
 		row.Jain = JainIndex(speeds)
-		rows[i] = row
-	})
-	res.Rows = rows
+		res.Rows = append(res.Rows, row)
+	}
 	return res
 }

@@ -5,7 +5,6 @@ import (
 
 	"symbiosched/internal/alloc"
 	"symbiosched/internal/metrics"
-	"symbiosched/internal/workload"
 )
 
 // RepresentativeMixes returns the benchmark mixes the paper uses in its
@@ -89,20 +88,6 @@ func Figure13(c Config) Figure13Result {
 		res.Mixes = append(res.Mixes, mc)
 	}
 	return res
-}
-
-// profilesByName resolves benchmark names to profiles, panicking on unknown
-// names (the representative mixes are compiled in).
-func profilesByName(names []string) []workload.Profile {
-	mix := make([]workload.Profile, 0, len(names))
-	for _, n := range names {
-		prof, err := workload.ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		mix = append(mix, prof)
-	}
-	return mix
 }
 
 // meanImprovement averages the chosen-over-worst improvement across the

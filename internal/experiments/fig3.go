@@ -3,8 +3,7 @@ package experiments
 import (
 	"sort"
 
-	"symbiosched/internal/engine"
-	"symbiosched/internal/kernel"
+	"symbiosched/internal/alloc"
 	"symbiosched/internal/metrics"
 	"symbiosched/internal/workload"
 )
@@ -77,73 +76,49 @@ func (r Figure3Result) MaxDegradation() float64 {
 // the only interference is cache warm-up across context switches, so the
 // worst degradation stays small (paper: <10%).
 func Figure3a(c Config) Figure3Result {
-	return c.pairwise("P4 Xeon SMP, pair on one core", c.XeonConfig(), func(n int) []int {
-		aff := make([]int, n)
-		return aff // both processes on core 0
-	})
+	return c.pairwise("P4 Xeon SMP, pair on one core", xeon, alloc.Mapping{0, 0})
 }
 
 // Figure3b reproduces §2.3.2: all pairs on the Core 2 Duo's two cores
 // sharing the 4MB L2 — the destructive co-run case (paper: up to 67%,
 // worst pair mcf+libquantum).
 func Figure3b(c Config) Figure3Result {
-	return c.pairwise("Core 2 Duo, shared L2", c.EngineConfig(), func(n int) []int {
-		aff := make([]int, n)
-		for i := range aff {
-			aff[i] = i
-		}
-		return aff
-	})
+	return c.pairwise("Core 2 Duo, shared L2", coreDuo, alloc.Mapping{0, 1})
 }
 
-func (c Config) pairwise(machine string, ecfg engine.Config, affFor func(n int) []int) Figure3Result {
+// pairwise runs every benchmark of the pool alone on core 0 of machine m and
+// every unordered pair under pairAff until both complete once (with
+// restarts), as one job set on the pool, and folds the user times into
+// relative degradations.
+func (c Config) pairwise(name string, m machine, pairAff alloc.Mapping) Figure3Result {
 	pool := workload.SPEC2006()
-
-	// Standalone baselines: each benchmark alone on core 0.
-	standalone := make([]uint64, len(pool))
-	c.parallel(len(pool), func(i int) {
-		procs := kernel.Workload(pool[i:i+1], c.Seed, c.Scale())
-		m := engine.New(ecfg, procs)
-		m.SetAffinities([]int{0})
-		m.Run(engine.RunOptions{})
-		standalone[i] = procs[0].CompletionUser()
-	})
-
-	// All ordered pairs (i, j), i != j: benchmark i's time when paired
-	// with j. The pair runs until both complete once (with restarts).
-	type pairKey struct{ i, j int }
 	combos := Combinations(len(pool), 2)
-	paired := make(map[pairKey]uint64, len(combos)*2)
-	results := make([][2]uint64, len(combos))
-	c.parallel(len(combos), func(k int) {
-		i, j := combos[k][0], combos[k][1]
-		procs := kernel.Workload([]workload.Profile{pool[i], pool[j]}, c.Seed, c.Scale())
-		m := engine.New(ecfg, procs)
-		m.SetAffinities(affFor(2))
-		m.Run(engine.RunOptions{})
-		results[k] = [2]uint64{procs[0].CompletionUser(), procs[1].CompletionUser()}
-	})
-	for k, combo := range combos {
-		i, j := combo[0], combo[1]
-		paired[pairKey{i, j}] = results[k][0]
-		paired[pairKey{j, i}] = results[k][1]
+	jobs := soloJobs(c, m, pool)
+	for _, combo := range combos {
+		jobs = append(jobs, mixJob{cfg: c, machine: m,
+			profiles:   []workload.Profile{pool[combo[0]], pool[combo[1]]},
+			candidates: []alloc.Mapping{pairAff}})
 	}
+	outs := runMixJobs(c, jobs)
+	standalone := func(i int) float64 { return float64(outs[i].Candidates[0].UserCycles[0]) }
 
-	res := Figure3Result{Machine: machine}
-	res.Matrix = make([][]float64, len(pool))
+	res := Figure3Result{Machine: name, Matrix: make([][]float64, len(pool))}
 	for i, p := range pool {
 		res.Names = append(res.Names, p.Name)
 		res.Matrix[i] = make([]float64, len(pool))
+	}
+	for k, combo := range combos {
+		i, j := combo[0], combo[1]
+		u := outs[len(pool)+k].Candidates[0].UserCycles
+		res.Matrix[i][j] = float64(u[0])/standalone(i) - 1
+		res.Matrix[j][i] = float64(u[1])/standalone(j) - 1
+	}
+	for i, p := range pool {
 		worst := PairDegradation{Name: p.Name}
-		for j, q := range pool {
-			if i == j {
-				continue
-			}
-			d := float64(paired[pairKey{i, j}])/float64(standalone[i]) - 1
-			res.Matrix[i][j] = d
-			if d > worst.Degradation {
+		for j, d := range res.Matrix[i] {
+			if j != i && d > worst.Degradation {
 				worst.Degradation = d
-				worst.WorstWith = q.Name
+				worst.WorstWith = pool[j].Name
 			}
 		}
 		res.Rows = append(res.Rows, worst)

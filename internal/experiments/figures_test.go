@@ -50,8 +50,7 @@ func TestFigure5OccupancyTracksFootprintBetterThanMisses(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	c := Quick()
-	res := Table1(c)
+	res := table1Runs().res[0]
 	if len(res.Mappings) != 3 || len(res.Times) != 3 {
 		t.Fatalf("mappings = %d", len(res.Mappings))
 	}
@@ -205,9 +204,7 @@ func TestWithHash(t *testing.T) {
 }
 
 func TestQuadCoreExtension(t *testing.T) {
-	c := Quick()
-	c.CandidateLimit = 10
-	res := QuadCore(c, nil)
+	res := quadRuns().res[0]
 	if len(res.Names) != 8 {
 		t.Fatalf("names = %v", res.Names)
 	}
@@ -259,7 +256,7 @@ func TestJainIndex(t *testing.T) {
 }
 
 func TestFairnessStudy(t *testing.T) {
-	res := Fairness(Quick())
+	res := fairnessRuns().res[0]
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -338,7 +335,7 @@ func TestFigure3MatrixShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pairwise sweep is slow")
 	}
-	res := Figure3b(Quick())
+	res := fig3bRuns().res[0]
 	if len(res.Names) != 12 || len(res.Matrix) != 12 {
 		t.Fatalf("matrix shape %d×%d", len(res.Names), len(res.Matrix))
 	}

@@ -2,13 +2,8 @@ package experiments
 
 import (
 	"symbiosched/internal/alloc"
-	"symbiosched/internal/bloom"
 	"symbiosched/internal/cache"
-	"symbiosched/internal/engine"
-	"symbiosched/internal/kernel"
 	"symbiosched/internal/metrics"
-	"symbiosched/internal/monitor"
-	"symbiosched/internal/workload"
 )
 
 // QuadCoreResult is the §3.3.2 extension experiment: eight processes on a
@@ -16,25 +11,7 @@ import (
 // ("first divide into two groups using MIN-CUT and then apply MIN-CUT to
 // each group"). The candidate space is all 105 balanced 4-way groupings.
 type QuadCoreResult struct {
-	Names      []string
-	Chosen     alloc.Mapping
-	ChosenIdx  int
-	Candidates []MixResult
-}
-
-// ImprovementFor mirrors MixOutcome.ImprovementFor.
-func (r QuadCoreResult) ImprovementFor(i int) float64 {
-	worst := r.Candidates[0].UserCycles[i]
-	for _, c := range r.Candidates[1:] {
-		if c.UserCycles[i] > worst {
-			worst = c.UserCycles[i]
-		}
-	}
-	chosen := r.Candidates[r.ChosenIdx].UserCycles[i]
-	if worst == 0 {
-		return 0
-	}
-	return float64(worst-chosen) / float64(worst)
+	MixOutcome
 }
 
 // Table renders per-benchmark improvements of the chosen 4-way grouping.
@@ -54,52 +31,15 @@ func QuadCoreMix() []string {
 	return []string{"mcf", "omnetpp", "libquantum", "hmmer", "povray", "gobmk", "gcc", "bzip2"}
 }
 
-// quadEngineConfig builds the 4-core shared-L2 machine at the campaign's
-// scale with a signature unit sized for it.
-func (c Config) quadEngineConfig() engine.Config {
-	ec := engine.Config{
-		Hierarchy:     cache.QuadCoreConfig().Scaled(c.MachineDiv),
-		QuantumCycles: c.Quantum,
-	}
-	if c.SampleRate > 0 {
-		g := bloom.Geometry{Sets: ec.Hierarchy.L2.Sets(), Ways: ec.Hierarchy.L2.Ways}
-		sig := bloom.DefaultConfig(g, ec.Hierarchy.Cores)
-		sig.CounterBits = 8
-		sig.SampleRate = c.SampleRate
-		ec.Signature = sig
-	}
-	return ec
-}
-
-// QuadCore runs the full two-phase flow on the four-core machine.
+// QuadCore runs the full two-phase flow on the four-core machine, over
+// every balanced grouping or, with CandidateLimit, a deterministic sample
+// of them.
 func QuadCore(c Config, names []string) QuadCoreResult {
 	if names == nil {
 		names = QuadCoreMix()
 	}
-	var mix []workload.Profile
-	for _, n := range names {
-		p, err := workload.ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		mix = append(mix, p)
-	}
-	ec := c.quadEngineConfig()
-
-	// Phase 1 on the quad-core machine.
-	procs := kernel.Workload(mix, c.Seed, c.Scale())
-	m := engine.New(ec, procs)
-	m.DistributeRoundRobin()
-	mo := monitor.New(alloc.WeightedInterferenceGraph{})
-	m.Run(engine.RunOptions{
-		Horizon:       c.Phase1Horizon,
-		MonitorPeriod: c.MonitorPeriod,
-		OnMonitor:     mo.Hook(),
-	})
-	chosen := mo.Majority().Canonical()
-
-	res := QuadCoreResult{Names: names, Chosen: chosen, ChosenIdx: -1}
-	cands := EnumerateMappings(len(mix), ec.Hierarchy.Cores)
+	mix := profilesByName(names)
+	cands := EnumerateMappings(len(mix), cache.QuadCoreConfig().Cores)
 	if c.CandidateLimit > 0 && len(cands) > c.CandidateLimit {
 		step := len(cands) / c.CandidateLimit
 		var sampled []alloc.Mapping
@@ -108,26 +48,7 @@ func QuadCore(c Config, names []string) QuadCoreResult {
 		}
 		cands = sampled
 	}
-	for i, cand := range cands {
-		if cand.Key() == chosen.Key() {
-			res.ChosenIdx = i
-		}
-	}
-	if res.ChosenIdx < 0 {
-		cands = append(cands, chosen)
-		res.ChosenIdx = len(cands) - 1
-	}
-	res.Candidates = make([]MixResult, len(cands))
-	c.parallel(len(cands), func(i int) {
-		procs := kernel.Workload(mix, c.Seed, c.Scale())
-		m := engine.New(ec, procs)
-		m.SetAffinities(cands[i])
-		m.Run(engine.RunOptions{})
-		r := MixResult{Mapping: cands[i]}
-		for _, p := range procs {
-			r.UserCycles = append(r.UserCycles, p.CompletionUser())
-		}
-		res.Candidates[i] = r
-	})
-	return res
+	out := runMixJobs(c, []mixJob{{cfg: c, machine: quadCore, profiles: mix,
+		policy: alloc.WeightedInterferenceGraph{}, candidates: cands}})
+	return QuadCoreResult{out[0]}
 }

@@ -2,12 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"symbiosched/internal/alloc"
-	"symbiosched/internal/engine"
-	"symbiosched/internal/kernel"
-	"symbiosched/internal/monitor"
 	"symbiosched/internal/workload"
 )
 
@@ -53,22 +49,6 @@ func EnumerateMappings(n, cores int) []alloc.Mapping {
 	return out
 }
 
-// ExpandToThreads converts a process-level mapping into a thread-level
-// affinity vector: every thread of process p goes to procMap[p].
-func ExpandToThreads(procMap alloc.Mapping, procs []*kernel.Process) []int {
-	n := 0
-	for _, p := range procs {
-		n += len(p.Threads)
-	}
-	aff := make([]int, 0, n)
-	for i, p := range procs {
-		for range p.Threads {
-			aff = append(aff, procMap[i])
-		}
-	}
-	return aff
-}
-
 // MixResult holds the outcome of one mix under one mapping.
 type MixResult struct {
 	Mapping alloc.Mapping // thread-level, canonical
@@ -77,67 +57,33 @@ type MixResult struct {
 	WallCycles uint64
 }
 
-// RunMapping runs the given profiles to completion under a fixed
-// thread-level mapping on a fresh machine and returns per-process user
-// times. If virt is non-nil the workloads run encapsulated in VMs.
-func (c Config) RunMapping(profiles []workload.Profile, aff []int, v *VirtSpec) MixResult {
-	var procs []*kernel.Process
-	var m *engine.Machine
-	if v != nil {
-		sys := v.newSystem(c, profiles)
-		procs = sys.Machine.Processes()
-		m = sys.Machine
-	} else {
-		procs = kernel.Workload(profiles, c.Seed, c.Scale())
-		ec := c.EngineConfig()
-		// Phase 2 runs under a fixed mapping to completion: no policy ever
-		// reads a signature, so the unit stays detached (identical results,
-		// no Bloom-filter maintenance on every L2 fill/evict).
-		ec.DisableSignature = true
-		m = engine.New(ec, procs)
-	}
-	m.SetAffinities(aff)
-	res := m.Run(engine.RunOptions{})
-	out := MixResult{
-		Mapping:    alloc.Mapping(aff).Canonical(),
-		WallCycles: res.Cycles,
-	}
-	for _, p := range procs {
-		out.UserCycles = append(out.UserCycles, p.CompletionUser())
-	}
-	return out
-}
-
-// Phase1 reproduces §4.1: run the mix under the signature hardware from the
-// default round-robin placement, invoking the policy every MonitorPeriod and
-// applying its decisions, for Phase1Horizon cycles; return the majority
-// mapping (thread-level, canonical).
+// Phase1 runs the §4.1 signature-gathering phase for the mix on the Core
+// 2 Duo (see simArena.phase1) and returns the majority mapping
+// (thread-level, canonical). If v is non-nil the workloads run encapsulated
+// in VMs.
 func (c Config) Phase1(profiles []workload.Profile, policy alloc.Policy, v *VirtSpec) alloc.Mapping {
-	var m *engine.Machine
-	if v != nil {
-		m = v.newSystem(c, profiles).Machine
-	} else {
-		procs := kernel.Workload(profiles, c.Seed, c.Scale())
-		m = engine.New(c.EngineConfig(), procs)
-	}
-	m.DistributeRoundRobin()
-	mo := monitor.New(policy)
-	m.Run(engine.RunOptions{
-		Horizon:       c.Phase1Horizon,
-		MonitorPeriod: c.MonitorPeriod,
-		OnMonitor:     mo.Hook(),
-	})
-	maj := mo.Majority()
-	if maj == nil {
-		// Degenerate horizon: fall back to the default placement.
-		maj = alloc.RoundRobin{}.Allocate(make([]kernel.View, threadCount(profiles)), m.Cores())
-	}
-	return maj.Canonical()
+	a := getArena()
+	defer putArena(a)
+	return a.phase1(&mixJob{cfg: c, profiles: profiles, policy: policy, virt: v})
 }
 
 // mustPolicy returns the paper's best algorithm (the default for studies
 // that do not compare policies).
 func mustPolicy() alloc.Policy { return alloc.WeightedInterferenceGraph{} }
+
+// profilesByName resolves benchmark names to profiles, panicking on unknown
+// names (every study's mixes are compiled in).
+func profilesByName(names []string) []workload.Profile {
+	mix := make([]workload.Profile, 0, len(names))
+	for _, n := range names {
+		prof, err := workload.ByName(n)
+		if err != nil {
+			panic(err)
+		}
+		mix = append(mix, prof)
+	}
+	return mix
+}
 
 func threadCount(profiles []workload.Profile) int {
 	n := 0
@@ -215,39 +161,6 @@ func (c Config) RunMix(profiles []workload.Profile, policy alloc.Policy, candida
 		candidates: candidates,
 		virt:       v,
 	}})[0]
-}
-
-// parallel runs fn(0..n-1) across the configured worker pool. It remains the
-// right tool for the flat, non-spawning loops (pairwise studies, candidate
-// scans in Table 1 / fairness / quad-core); everything that used to nest a
-// RunMix inside it now goes through the work-stealing scheduler instead.
-func (c Config) parallel(n int, fn func(i int)) {
-	workers := c.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // Combinations returns all k-subsets of {0..n-1} in lexicographic order.

@@ -85,9 +85,11 @@ func TestConfigScales(t *testing.T) {
 	if q.MachineDiv != 64 {
 		t.Fatalf("quick div %d", q.MachineDiv)
 	}
-	xc := q.XeonConfig()
-	if xc.Hierarchy.SharedL2 {
+	if xc := q.engineConfig(xeon); xc.Hierarchy.SharedL2 {
 		t.Fatal("Xeon config must have private L2s")
+	}
+	if qc := q.engineConfig(quadCore); !qc.Hierarchy.SharedL2 || qc.Hierarchy.Cores != 4 {
+		t.Fatalf("quad-core config: %d cores, shared L2 %v", qc.Hierarchy.Cores, qc.Hierarchy.SharedL2)
 	}
 }
 
@@ -105,10 +107,9 @@ func mixProfiles(t testing.TB, names ...string) []workload.Profile {
 }
 
 func TestRunMappingDeterministic(t *testing.T) {
-	c := Quick()
-	mix := mixProfiles(t, "povray", "gobmk")
-	a := c.RunMapping(mix, []int{0, 1}, nil)
-	b := c.RunMapping(mix, []int{0, 1}, nil)
+	job := mixJob{cfg: Quick(), profiles: mixProfiles(t, "povray", "gobmk")}
+	a := freshRun(job, alloc.Mapping{0, 1})
+	b := freshRun(job, alloc.Mapping{0, 1})
 	for i := range a.UserCycles {
 		if a.UserCycles[i] != b.UserCycles[i] {
 			t.Fatalf("nondeterministic run: %v vs %v", a.UserCycles, b.UserCycles)
@@ -175,24 +176,6 @@ func TestCandidatesForMultithreaded(t *testing.T) {
 		if len(m) != 16 {
 			t.Fatalf("thread mapping %v wrong length", m)
 		}
-	}
-}
-
-func TestParallelCoversAll(t *testing.T) {
-	c := Quick()
-	c.Workers = 4
-	hits := make([]int, 100)
-	c.parallel(100, func(i int) { hits[i]++ })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d run %d times", i, h)
-		}
-	}
-	// Serial path.
-	c.Workers = 1
-	c.parallel(3, func(i int) { hits[i]++ })
-	if hits[0] != 2 {
-		t.Fatal("serial path skipped work")
 	}
 }
 

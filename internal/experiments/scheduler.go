@@ -12,8 +12,9 @@ import (
 // up to workers² goroutines and serialised every mix behind its slowest
 // candidate). All simulation work is now expressed as a flat task graph —
 // one phase-1 task per mix that, on completion, spawns one independent
-// phase-2 task per candidate mapping — executed by a single bounded
-// work-stealing pool: per-worker deques, LIFO owner pop (cache-warm,
+// phase-2 task per candidate mapping, and one root task per run for jobs
+// with no phase 1 (standalone and pairwise runs) — executed by a single
+// bounded work-stealing pool: per-worker deques, LIFO owner pop (cache-warm,
 // depth-first into the freshly spawned candidates of the mix the worker just
 // profiled, which also keeps its simulation arena hot), FIFO steal (oldest
 // task, the widest remaining subtree). Determinism is by construction, not
@@ -28,8 +29,9 @@ const (
 	// TaskPhase1 is a signature-gathering run (§4.1) for one mix; it spawns
 	// the mix's candidate tasks when it completes.
 	TaskPhase1 TaskKind = iota
-	// TaskCandidate is one phase-2 run-to-completion of a mix under one
-	// candidate mapping.
+	// TaskCandidate is one run-to-completion of a mix under one candidate
+	// mapping: a phase-2 run, or a run of a job with no phase 1 (the
+	// standalone and pairwise baselines).
 	TaskCandidate
 )
 

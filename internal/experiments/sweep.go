@@ -19,10 +19,6 @@ type VirtSpec struct {
 // DefaultVirt returns the default Xen-era cost model spec.
 func DefaultVirt() *VirtSpec { return &VirtSpec{Overhead: virt.DefaultOverhead()} }
 
-func (v *VirtSpec) newSystem(c Config, profiles []workload.Profile) *virt.System {
-	return virt.NewSystem(c.EngineConfig(), profiles, c.Seed, c.Scale(), v.Overhead)
-}
-
 // BenchStats accumulates the per-benchmark improvements across all mixes
 // containing the benchmark — the Fig 10/11/12 bar pairs. Oracle holds the
 // corresponding perfect-hindsight ceilings.

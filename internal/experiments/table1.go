@@ -5,7 +5,6 @@ import (
 
 	"symbiosched/internal/alloc"
 	"symbiosched/internal/metrics"
-	"symbiosched/internal/workload"
 )
 
 // Table1Result reproduces Table 1: the user times of the canonical
@@ -58,28 +57,17 @@ func MappingLabel(m alloc.Mapping) string {
 	return label
 }
 
-// Table1 runs the canonical mix under every mapping and the two-phase flow.
+// Table1 runs the two-phase flow on the canonical mix, with Table 1's three
+// mappings as the candidates.
 func Table1(c Config) Table1Result {
 	names := []string{"povray", "gobmk", "libquantum", "hmmer"}
-	var mix []workload.Profile
-	for _, n := range names {
-		p, err := workload.ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		mix = append(mix, p)
-	}
-	res := Table1Result{Names: names}
-	res.Mappings = EnumerateMappings(4, 2)
-	for _, m := range res.Mappings {
+	res := Table1Result{Names: names, Mappings: EnumerateMappings(4, 2)}
+	out := c.RunMix(profilesByName(names), alloc.WeightedInterferenceGraph{}, res.Mappings, nil)
+	for i, m := range res.Mappings {
 		res.Labels = append(res.Labels, MappingLabel(m))
+		res.Times = append(res.Times, out.Candidates[i].UserCycles)
 	}
-	res.Times = make([][]uint64, len(res.Mappings))
-	c.parallel(len(res.Mappings), func(i int) {
-		out := c.RunMapping(mix, res.Mappings[i], nil)
-		res.Times[i] = out.UserCycles
-	})
-	res.Chosen = c.Phase1(mix, alloc.WeightedInterferenceGraph{}, nil)
+	res.Chosen = out.Chosen
 	res.ChosenLabel = MappingLabel(res.Chosen)
 	return res
 }

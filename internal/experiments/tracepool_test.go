@@ -106,9 +106,9 @@ func TestTracePoolFromDir(t *testing.T) {
 }
 
 // TestTraceMixMatchesSyntheticPlumbing runs a trace-driven mix end to end
-// through RunMapping and the arena path: deterministic across repeats, and
-// the arena (which rewinds replay cursors in place) must reproduce the fresh
-// result exactly — the Rewind contract for both replay flavours, the shared
+// through the fresh reference (freshRun) and the arena path: deterministic
+// across repeats, and the arena (which rewinds replay cursors in place) must
+// reproduce the fresh result exactly — the Rewind contract for both replay flavours, the shared
 // compiled cursor and the frame-streaming one.
 func TestTraceMixMatchesSyntheticPlumbing(t *testing.T) {
 	dir := t.TempDir()
@@ -118,10 +118,11 @@ func TestTraceMixMatchesSyntheticPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Quick()
-	aff := []int{0, 1, 0, 1}
+	aff := alloc.Mapping{0, 1, 0, 1}
+	job := mixJob{cfg: c, profiles: pool}
 
-	want := c.RunMapping(pool, aff, nil)
-	if got := c.RunMapping(pool, aff, nil); !reflect.DeepEqual(got, want) {
+	want := freshRun(job, aff)
+	if got := freshRun(job, aff); !reflect.DeepEqual(got, want) {
 		t.Fatalf("trace mix not deterministic: %+v vs %+v", got, want)
 	}
 	for _, u := range want.UserCycles {
@@ -133,7 +134,7 @@ func TestTraceMixMatchesSyntheticPlumbing(t *testing.T) {
 	a := getArena()
 	defer putArena(a)
 	for round := 0; round < 3; round++ {
-		if got := a.runMapping(c, pool, aff, nil); !reflect.DeepEqual(got, want) {
+		if got := a.runMapping(&job, aff); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: arena %+v, fresh %+v", round, got, want)
 		}
 	}
@@ -149,7 +150,8 @@ func TestTraceMixMatchesSyntheticPlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.RunMapping(streaming, aff, nil)
+	stream := mixJob{cfg: c, profiles: streaming}
+	got := freshRun(stream, aff)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streaming pool diverged from compiled: %+v vs %+v", got, want)
 	}
@@ -158,7 +160,7 @@ func TestTraceMixMatchesSyntheticPlumbing(t *testing.T) {
 	// them. Its second round rewinds the frame-streaming cursors in place.
 	sa := &simArena{machines: map[engineKey]*engine.Machine{}}
 	for round := 0; round < 2; round++ {
-		if got := sa.runMapping(c, streaming, aff, nil); !reflect.DeepEqual(got, want) {
+		if got := sa.runMapping(&stream, aff); !reflect.DeepEqual(got, want) {
 			t.Fatalf("streaming arena round %d: %+v, want %+v", round, got, want)
 		}
 	}

@@ -2,11 +2,15 @@
 // §5.1.2): benchmarks encapsulated one-per-VM under a Xen-style hypervisor
 // on the same dual-core machine. The signature hardware is identical — the
 // RBV is simply computed per VM instead of per process at every vcpu world
-// switch — so the layer reduces to (a) building the process set with the
-// hypervisor's per-instruction overhead attached and (b) charging a world-
-// switch cost at every context switch. Both effects compress the relative
-// scheduling gains, which is exactly the Fig 10 → Fig 11 difference the
-// paper reports (54% native vs 26% virtualized for mcf).
+// switch — so the layer reduces to a cost model: the hypervisor's
+// per-instruction overhead factor on every guest thread (Decorate), and a
+// world-switch cost at every context switch plus the Dom0 background
+// descriptor on the machine (EngineConfig). Both effects compress the
+// relative scheduling gains, which is exactly the Fig 10 → Fig 11
+// difference the paper reports (54% native vs 26% virtualized for mcf).
+// Booting the VMs is those calls on a process set and an engine
+// configuration; the experiments package makes them on its reusable
+// simulation state.
 package virt
 
 import (
@@ -105,48 +109,6 @@ func (ov Overhead) EngineConfig(cfg engine.Config, seed uint64) engine.Config {
 	return cfg
 }
 
-// VM is one virtual machine hosting a single benchmark, the paper's
-// configuration ("each VM ran Fedora Core Linux and one benchmark").
-type VM struct {
-	Name string
-	Proc *kernel.Process
-}
-
-// System is a hypervisor-managed machine: VMs over a shared-cache multicore
-// with the signature unit collecting per-VM footprints.
-type System struct {
-	Machine  *engine.Machine
-	VMs      []*VM
-	Overhead Overhead
-}
-
-// NewSystem boots VMs (one per profile) on a machine with the given engine
-// configuration. The engine's SwitchCost is overridden with the hypervisor's
-// world-switch cost and every guest thread carries the per-instruction
-// overhead factor.
-func NewSystem(cfg engine.Config, profiles []workload.Profile, seed uint64, sc workload.Scale, ov Overhead) *System {
-	ov = ov.Normalized()
-	procs := kernel.Workload(profiles, seed, sc)
-	ov.Decorate(procs)
-	vms := make([]*VM, len(procs))
-	for i, p := range procs {
-		vms[i] = &VM{Name: p.Name, Proc: p}
-	}
-	return &System{
-		Machine:  engine.New(ov.EngineConfig(cfg, seed), procs),
-		VMs:      vms,
-		Overhead: ov,
-	}
-}
-
 // asidShiftVirt mirrors the workload package's address-space layout so the
 // Dom0 region never collides with guest regions.
 const asidShiftVirt = 40
-
-// Run executes the system (delegates to the engine).
-func (s *System) Run(opts engine.RunOptions) engine.Result {
-	return s.Machine.Run(opts)
-}
-
-// CompletionUser returns the user time to completion of VM i's workload.
-func (s *System) CompletionUser(i int) uint64 { return s.VMs[i].Proc.CompletionUser() }

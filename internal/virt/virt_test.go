@@ -29,6 +29,18 @@ func profilesByName(t *testing.T, names ...string) []workload.Profile {
 	return out
 }
 
+// boot runs the named benchmarks one per VM under ov: the cost model is
+// resolved (Normalized), every guest thread carries the overhead factor
+// (Decorate) and the machine the hypervisor's world-switch cost and Dom0
+// activity (EngineConfig), the three calls a VM boot consists of.
+func boot(t *testing.T, ov Overhead, names ...string) ([]*kernel.Process, *engine.Machine) {
+	t.Helper()
+	ov = ov.Normalized()
+	procs := kernel.Workload(profilesByName(t, names...), 1, workload.TestScale)
+	ov.Decorate(procs)
+	return procs, engine.New(ov.EngineConfig(testEngineConfig(), 1), procs)
+}
+
 func TestDefaultOverhead(t *testing.T) {
 	ov := DefaultOverhead()
 	if ov.CostNum <= ov.CostDen || ov.CostDen == 0 {
@@ -39,29 +51,24 @@ func TestDefaultOverhead(t *testing.T) {
 	}
 }
 
-func TestNewSystemPanicsOnSub1Overhead(t *testing.T) {
+func TestNormalizedPanicsOnSub1Overhead(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overhead < 1 did not panic")
 		}
 	}()
-	NewSystem(testEngineConfig(), profilesByName(t, "povray"), 1, workload.TestScale,
-		Overhead{CostNum: 7, CostDen: 8})
+	Overhead{CostNum: 7, CostDen: 8}.Normalized()
 }
 
 func TestVMsRunToCompletion(t *testing.T) {
-	sys := NewSystem(testEngineConfig(), profilesByName(t, "povray", "gobmk"), 1,
-		workload.TestScale, DefaultOverhead())
-	if len(sys.VMs) != 2 {
-		t.Fatalf("VMs = %d", len(sys.VMs))
-	}
-	res := sys.Run(engine.RunOptions{})
+	procs, m := boot(t, DefaultOverhead(), "povray", "gobmk")
+	res := m.Run(engine.RunOptions{})
 	if !res.AllDone {
 		t.Fatal("VM workloads did not complete")
 	}
-	for i, vm := range sys.VMs {
-		if sys.CompletionUser(i) == 0 {
-			t.Fatalf("VM %s never completed", vm.Name)
+	for _, p := range procs {
+		if p.CompletionUser() == 0 {
+			t.Fatalf("VM %s never completed", p.Name)
 		}
 	}
 }
@@ -75,11 +82,10 @@ func TestVirtualizationOverheadSlowsGuests(t *testing.T) {
 	nm.Run(engine.RunOptions{})
 	nativeTime := native[0].CompletionUser()
 
-	sys := NewSystem(testEngineConfig(), profilesByName(t, "povray"), 1,
-		workload.TestScale, DefaultOverhead())
-	sys.Machine.SetAffinities([]int{0})
-	sys.Run(engine.RunOptions{})
-	vmTime := sys.CompletionUser(0)
+	guests, m := boot(t, DefaultOverhead(), "povray")
+	m.SetAffinities([]int{0})
+	m.Run(engine.RunOptions{})
+	vmTime := guests[0].CompletionUser()
 
 	ratio := float64(vmTime) / float64(nativeTime)
 	if ratio < 1.05 || ratio > 1.35 {
@@ -94,11 +100,10 @@ func TestVMContentionPreservedButCompressed(t *testing.T) {
 	relGain := func(virtual bool) float64 {
 		run := func(aff []int) uint64 {
 			if virtual {
-				sys := NewSystem(testEngineConfig(), profilesByName(t, "mcf", "libquantum"),
-					1, workload.TestScale, DefaultOverhead())
-				sys.Machine.SetAffinities(aff)
-				sys.Run(engine.RunOptions{})
-				return sys.CompletionUser(0)
+				guests, m := boot(t, DefaultOverhead(), "mcf", "libquantum")
+				m.SetAffinities(aff)
+				m.Run(engine.RunOptions{})
+				return guests[0].CompletionUser()
 			}
 			procs := kernel.Workload(profilesByName(t, "mcf", "libquantum"), 1, workload.TestScale)
 			m := engine.New(testEngineConfig(), procs)
@@ -130,10 +135,9 @@ func TestWorldSwitchCostCharged(t *testing.T) {
 	mk := func(switchCycles uint64) uint64 {
 		ov := DefaultOverhead()
 		ov.SwitchCycles = switchCycles
-		sys := NewSystem(testEngineConfig(), profilesByName(t, "povray", "gobmk"), 1,
-			workload.TestScale, ov)
-		sys.Machine.SetAffinities([]int{0, 0})
-		return sys.Run(engine.RunOptions{}).Cycles
+		_, m := boot(t, ov, "povray", "gobmk")
+		m.SetAffinities([]int{0, 0})
+		return m.Run(engine.RunOptions{}).Cycles
 	}
 	cheap := mk(0)
 	dear := mk(500_000) // half a quantum per switch
@@ -148,11 +152,10 @@ func TestDom0BackgroundGeneratesCacheTraffic(t *testing.T) {
 	quiet := DefaultOverhead()
 	quiet.Dom0Period, quiet.Dom0Ops = 0, 0
 	mkCycles := func(ov Overhead) (uint64, uint64) {
-		sys := NewSystem(testEngineConfig(), profilesByName(t, "povray"), 1,
-			workload.TestScale, ov)
-		sys.Machine.SetAffinities([]int{0})
-		res := sys.Run(engine.RunOptions{})
-		return res.Cycles, sys.Machine.Hierarchy().L2For(0).Stats().Accesses
+		_, m := boot(t, ov, "povray")
+		m.SetAffinities([]int{0})
+		res := m.Run(engine.RunOptions{})
+		return res.Cycles, m.Hierarchy().L2For(0).Stats().Accesses
 	}
 	quietCycles, quietL2 := mkCycles(quiet)
 	busyCycles, busyL2 := mkCycles(DefaultOverhead())
@@ -165,17 +168,19 @@ func TestDom0BackgroundGeneratesCacheTraffic(t *testing.T) {
 	}
 }
 
-func TestSystemAccessors(t *testing.T) {
-	sys := NewSystem(testEngineConfig(), profilesByName(t, "povray", "gobmk"), 1,
-		workload.TestScale, DefaultOverhead())
-	if sys.Overhead.CostNum != 9 || sys.Overhead.CostDen != 8 {
-		t.Fatalf("overhead = %+v", sys.Overhead)
+func TestDecorateCarriesOverheadFactor(t *testing.T) {
+	// The zero model resolves to the default, and every guest thread —
+	// including each thread of a multi-threaded guest — carries its factor.
+	if got := (Overhead{}).Normalized(); got != DefaultOverhead() {
+		t.Fatalf("zero overhead normalized to %+v, want the default", got)
 	}
-	if sys.VMs[0].Name != "povray" || sys.VMs[1].Name != "gobmk" {
-		t.Fatalf("VM names = %v, %v", sys.VMs[0].Name, sys.VMs[1].Name)
+	procs, _ := boot(t, Overhead{}, "povray", "ferret")
+	if procs[0].Name != "povray" || procs[1].Name != "ferret" || len(procs[1].Threads) < 2 {
+		t.Fatalf("guests = %s (%d threads), %s (%d threads)",
+			procs[0].Name, len(procs[0].Threads), procs[1].Name, len(procs[1].Threads))
 	}
-	for _, vm := range sys.VMs {
-		for _, th := range vm.Proc.Threads {
+	for _, p := range procs {
+		for _, th := range p.Threads {
 			if th.CostNum != 9 || th.CostDen != 8 {
 				t.Fatalf("guest thread missing overhead factor: %+v", th)
 			}
