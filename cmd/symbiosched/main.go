@@ -41,6 +41,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -376,8 +377,10 @@ func runShard(cfg experiments.Config, shard, figure, out string, pool []workload
 }
 
 // progress aggregates scheduler task completions into a live throughput line
-// (at most one per second, on stderr) and a final utilization summary.
+// (at most one per second) and a final utilization summary, both written to
+// w.
 type progress struct {
+	w       io.Writer
 	workers int
 	start   time.Time
 
@@ -394,11 +397,12 @@ func newProgress(cfg experiments.Config) *progress {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &progress{workers: w, start: time.Now()}
+	return &progress{w: os.Stderr, workers: w, start: time.Now()}
 }
 
 // onTask is installed as Config.OnTask; it is called concurrently from the
-// scheduler's workers.
+// scheduler's workers. The rate counts every completed task, so studies with
+// no phase 1 (Fig 3's pairwise runs) report their throughput too.
 func (p *progress) onTask(ti experiments.TaskInfo) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -417,8 +421,8 @@ func (p *progress) onTask(ti experiments.TaskInfo) {
 	}
 	p.last = now
 	elapsed := now.Sub(p.start).Seconds()
-	fmt.Fprintf(os.Stderr, "progress: %d mixes profiled, %d candidates done, %.1f mixes/sec, %d stolen\n",
-		p.phase1, p.cands, float64(p.phase1)/elapsed, p.steals)
+	fmt.Fprintf(p.w, "progress: %d mixes profiled, %d candidates done, %.1f tasks/sec, %d stolen\n",
+		p.phase1, p.cands, float64(p.phase1+p.cands)/elapsed, p.steals)
 }
 
 // summary prints the end-of-run totals: task counts, steal count, and
@@ -431,7 +435,7 @@ func (p *progress) summary() {
 		return
 	}
 	util := p.busy.Seconds() / (elapsed.Seconds() * float64(p.workers))
-	fmt.Fprintf(os.Stderr, "progress: total %d phase-1 + %d candidate tasks, %d stolen, %.0f%% worker utilization over %v\n",
+	fmt.Fprintf(p.w, "progress: total %d phase-1 + %d candidate tasks, %d stolen, %.0f%% worker utilization over %v\n",
 		p.phase1, p.cands, p.steals, 100*util, elapsed.Round(time.Millisecond))
 }
 

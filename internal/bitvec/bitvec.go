@@ -35,16 +35,6 @@ func New(n int) *Vector {
 	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// FromIndices returns a Vector of length n with exactly the given bit
-// positions set. It panics if any index is out of range.
-func FromIndices(n int, indices ...int) *Vector {
-	v := New(n)
-	for _, i := range indices {
-		v.Set(i)
-	}
-	return v
-}
-
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 
@@ -109,42 +99,6 @@ func (v *Vector) mustMatch(o *Vector) {
 	}
 }
 
-// maskTail zeroes the bits beyond Len in the last word. Internal invariant:
-// all operations keep the tail zeroed; maskTail re-establishes it after word
-// level operations that could set tail bits (e.g. Not).
-func (v *Vector) maskTail() {
-	if rem := v.n % wordBits; rem != 0 && len(v.words) > 0 {
-		v.words[len(v.words)-1] &= (1 << uint(rem)) - 1
-	}
-}
-
-// And stores a ∧ b into v. All three may alias.
-func (v *Vector) And(a, b *Vector) {
-	a.mustMatch(b)
-	v.mustMatch(a)
-	for i := range v.words {
-		v.words[i] = a.words[i] & b.words[i]
-	}
-}
-
-// Or stores a ∨ b into v. All three may alias.
-func (v *Vector) Or(a, b *Vector) {
-	a.mustMatch(b)
-	v.mustMatch(a)
-	for i := range v.words {
-		v.words[i] = a.words[i] | b.words[i]
-	}
-}
-
-// Xor stores a ⊕ b into v. All three may alias.
-func (v *Vector) Xor(a, b *Vector) {
-	a.mustMatch(b)
-	v.mustMatch(a)
-	for i := range v.words {
-		v.words[i] = a.words[i] ^ b.words[i]
-	}
-}
-
 // AndNot stores a ∧ ¬b into v. This is the paper's RBV combination:
 // RBV = ¬(CF → LF) = CF ∧ ¬LF, with a=CF and b=LF. All three may alias.
 func (v *Vector) AndNot(a, b *Vector) {
@@ -175,15 +129,6 @@ func (v *Vector) AndNotCmp(a, b *Vector) (changed bool, pop int) {
 	return changed, pop
 }
 
-// Not stores ¬a into v. v and a may alias.
-func (v *Vector) Not(a *Vector) {
-	v.mustMatch(a)
-	for i := range v.words {
-		v.words[i] = ^a.words[i]
-	}
-	v.maskTail()
-}
-
 // XorCount returns popcount(v ⊕ o) without allocating. This is the paper's
 // symbiosis metric between an RBV and a Core Filter.
 func (v *Vector) XorCount(o *Vector) int {
@@ -195,21 +140,10 @@ func (v *Vector) XorCount(o *Vector) int {
 	return c
 }
 
-// AndCount returns popcount(v ∧ o) without allocating: the number of filter
-// positions both vectors claim, i.e. the direct overlap of two footprints.
-func (v *Vector) AndCount(o *Vector) int {
-	v.mustMatch(o)
-	c := 0
-	for i, w := range v.words {
-		c += bits.OnesCount64(w & o.words[i])
-	}
-	return c
-}
-
 // XorAndCount returns popcount(v ⊕ o) and popcount(v ∧ o) in a single pass —
 // the fused symbiosis/overlap kernel. A context-switch signature needs both
 // metrics against the same core filter, and computing them together halves
-// the memory traffic versus XorCount followed by AndCount. The word loop is
+// the memory traffic of two separate popcount passes. The word loop is
 // 4-way unrolled: each iteration loads both operand words once and feeds the
 // XOR and AND popcounts from the same registers.
 func (v *Vector) XorAndCount(o *Vector) (xor, and int) {
@@ -231,21 +165,6 @@ func (v *Vector) XorAndCount(o *Vector) (xor, and int) {
 		and += bits.OnesCount64(a[i] & b[i])
 	}
 	return xor, and
-}
-
-// TestAndSet sets bit i and reports whether the vector's content changed
-// (the bit was previously 0). Callers that must act before a content
-// mutation — the copy-on-write core-filter versioning — use Test first and
-// Set after; this fused form serves the plain "did anything change" case.
-func (v *Vector) TestAndSet(i int) bool {
-	v.check(i)
-	mask := uint64(1) << (uint(i) % wordBits)
-	w := &v.words[i/wordBits]
-	if *w&mask != 0 {
-		return false
-	}
-	*w |= mask
-	return true
 }
 
 // Equal reports whether v and o have identical length and contents.
@@ -271,19 +190,6 @@ func (v *Vector) Any() bool {
 	return false
 }
 
-// Indices returns the positions of all set bits in increasing order.
-func (v *Vector) Indices() []int {
-	out := make([]int, 0, v.PopCount())
-	for wi, w := range v.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, wi*wordBits+b)
-			w &= w - 1
-		}
-	}
-	return out
-}
-
 // String renders the vector as a compact 0/1 string (bit 0 first), capped at
 // 256 bits with an ellipsis, for debugging output.
 func (v *Vector) String() string {
@@ -307,7 +213,3 @@ func (v *Vector) String() string {
 	}
 	return sb.String()
 }
-
-// Words exposes the raw backing words (read-only by convention) so that
-// codecs and hashing can operate without copying.
-func (v *Vector) Words() []uint64 { return v.words }

@@ -87,7 +87,7 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	v := FromIndices(100, 0, 50, 99)
+	v := fromIndices(100, 0, 50, 99)
 	v.Reset()
 	if v.Any() {
 		t.Fatal("vector not empty after Reset")
@@ -98,7 +98,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	v := FromIndices(70, 1, 68)
+	v := fromIndices(70, 1, 68)
 	w := v.Clone()
 	if !v.Equal(w) {
 		t.Fatal("clone not equal to original")
@@ -111,7 +111,7 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestCopyFrom(t *testing.T) {
 	v := New(70)
-	src := FromIndices(70, 3, 69)
+	src := fromIndices(70, 3, 69)
 	v.CopyFrom(src)
 	if !v.Equal(src) {
 		t.Fatal("CopyFrom did not copy contents")
@@ -128,67 +128,32 @@ func TestCopyFromLengthMismatchPanics(t *testing.T) {
 }
 
 func TestBooleanOps(t *testing.T) {
-	a := FromIndices(130, 0, 1, 64, 129)
-	b := FromIndices(130, 1, 2, 64, 128)
-
-	and := New(130)
-	and.And(a, b)
-	if got, want := and.Indices(), []int{1, 64}; !equalInts(got, want) {
-		t.Fatalf("And = %v, want %v", got, want)
-	}
-
-	or := New(130)
-	or.Or(a, b)
-	if got, want := or.Indices(), []int{0, 1, 2, 64, 128, 129}; !equalInts(got, want) {
-		t.Fatalf("Or = %v, want %v", got, want)
-	}
-
-	xor := New(130)
-	xor.Xor(a, b)
-	if got, want := xor.Indices(), []int{0, 2, 128, 129}; !equalInts(got, want) {
-		t.Fatalf("Xor = %v, want %v", got, want)
-	}
+	a := fromIndices(130, 0, 1, 64, 129)
+	b := fromIndices(130, 1, 2, 64, 128)
 
 	andNot := New(130)
 	andNot.AndNot(a, b)
-	if got, want := andNot.Indices(), []int{0, 129}; !equalInts(got, want) {
+	if got, want := indices(andNot), []int{0, 129}; !equalInts(got, want) {
 		t.Fatalf("AndNot = %v, want %v", got, want)
-	}
-}
-
-func TestNotMasksTail(t *testing.T) {
-	a := New(70) // 6 tail bits in the last word must stay zero
-	n := New(70)
-	n.Not(a)
-	if got := n.PopCount(); got != 70 {
-		t.Fatalf("PopCount(¬0) = %d, want 70", got)
-	}
-	n.Not(n)
-	if n.Any() {
-		t.Fatal("double negation of empty vector is not empty")
 	}
 }
 
 // TestRBVIdentity checks the paper's RBV construction: RBV = CF ∧ ¬LF equals
 // ¬(LF ∨ ¬CF), the "inverse of implication" formulation in §3.1.
 func TestRBVIdentity(t *testing.T) {
-	cf := FromIndices(128, 1, 2, 3, 64, 100)
-	lf := FromIndices(128, 2, 64, 99)
+	cf := fromIndices(128, 1, 2, 3, 64, 100)
+	lf := fromIndices(128, 2, 64, 99)
 
 	rbv := New(128)
 	rbv.AndNot(cf, lf)
 
-	// ¬(CF → LF) = ¬(¬CF ∨ LF)
-	alt := New(128)
-	notCF := New(128)
-	notCF.Not(cf)
-	alt.Or(notCF, lf)
-	alt.Not(alt)
-
-	if !rbv.Equal(alt) {
-		t.Fatalf("AndNot RBV %v != implication RBV %v", rbv.Indices(), alt.Indices())
+	// ¬(CF → LF) = ¬(¬CF ∨ LF), bit by bit.
+	for i := 0; i < 128; i++ {
+		if want := !(!cf.Test(i) || lf.Test(i)); rbv.Test(i) != want {
+			t.Fatalf("bit %d: AndNot RBV %v, implication RBV %v", i, rbv.Test(i), want)
+		}
 	}
-	if got, want := rbv.Indices(), []int{1, 3, 100}; !equalInts(got, want) {
+	if got, want := indices(rbv), []int{1, 3, 100}; !equalInts(got, want) {
 		t.Fatalf("RBV = %v, want %v", got, want)
 	}
 }
@@ -206,24 +171,15 @@ func TestXorCountMatchesExplicitXor(t *testing.T) {
 				b.Set(i)
 			}
 		}
-		x := New(n)
-		x.Xor(a, b)
-		if a.XorCount(b) != x.PopCount() {
-			t.Fatalf("XorCount mismatch at n=%d", n)
+		want := 0
+		for i := 0; i < n; i++ {
+			if a.Test(i) != b.Test(i) {
+				want++
+			}
 		}
-		y := New(n)
-		y.And(a, b)
-		if a.AndCount(b) != y.PopCount() {
-			t.Fatalf("AndCount mismatch at n=%d", n)
+		if got := a.XorCount(b); got != want {
+			t.Fatalf("XorCount = %d, want %d at n=%d", got, want, n)
 		}
-	}
-}
-
-func TestIndicesRoundTrip(t *testing.T) {
-	idx := []int{0, 7, 63, 64, 65, 200, 255}
-	v := FromIndices(256, idx...)
-	if got := v.Indices(); !equalInts(got, idx) {
-		t.Fatalf("Indices = %v, want %v", got, idx)
 	}
 }
 
@@ -234,7 +190,7 @@ func TestEqualDifferentLengths(t *testing.T) {
 }
 
 func TestStringSmall(t *testing.T) {
-	v := FromIndices(4, 0, 2)
+	v := fromIndices(4, 0, 2)
 	if got := v.String(); got != "1010" {
 		t.Fatalf("String = %q, want %q", got, "1010")
 	}
@@ -262,7 +218,7 @@ func TestXorPopcountIdentityQuick(t *testing.T) {
 		a, b := New(n), New(n)
 		copy(a.words, aw)
 		copy(b.words, bw)
-		return a.XorCount(b) == a.PopCount()+b.PopCount()-2*a.AndCount(b)
+		return a.XorCount(b) == a.PopCount()+b.PopCount()-2*andCount(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -297,42 +253,39 @@ func TestAndNotSemanticsQuick(t *testing.T) {
 	}
 }
 
-// Property: double Xor with the same operand is the identity.
-func TestXorInvolutionQuick(t *testing.T) {
-	f := func(aw, bw []uint64) bool {
-		n := len(aw)
-		if len(bw) < n {
-			n = len(bw)
-		}
-		n *= 64
-		if n == 0 {
-			return true
-		}
-		a, b := New(n), New(n)
-		copy(a.words, aw)
-		copy(b.words, bw)
-		out := a.Clone()
-		out.Xor(out, b)
-		out.Xor(out, b)
-		return out.Equal(a)
+func TestAliasedOps(t *testing.T) {
+	a := fromIndices(80, 1, 2, 3)
+	b := fromIndices(80, 2, 3, 4)
+	a.AndNot(a, b) // aliased destination
+	if got, want := indices(a), []int{1}; !equalInts(got, want) {
+		t.Fatalf("aliased AndNot = %v, want %v", got, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	c := fromIndices(80, 9, 70)
+	c.AndNot(c, c) // fully aliased: x ∧ ¬x = 0
+	if c.Any() {
+		t.Fatal("x AndNot x is not empty")
 	}
 }
 
-func TestAliasedOps(t *testing.T) {
-	a := FromIndices(80, 1, 2, 3)
-	b := FromIndices(80, 2, 3, 4)
-	a.And(a, b) // aliased destination
-	if got, want := a.Indices(), []int{2, 3}; !equalInts(got, want) {
-		t.Fatalf("aliased And = %v, want %v", got, want)
+// fromIndices returns a Vector of length n with exactly the given bit
+// positions set.
+func fromIndices(n int, idx ...int) *Vector {
+	v := New(n)
+	for _, i := range idx {
+		v.Set(i)
 	}
-	c := FromIndices(80, 9)
-	c.Xor(c, c) // fully aliased: x⊕x = 0
-	if c.Any() {
-		t.Fatal("x Xor x is not empty")
+	return v
+}
+
+// indices returns the positions of v's set bits in increasing order.
+func indices(v *Vector) []int {
+	var out []int
+	for i := 0; i < v.Len(); i++ {
+		if v.Test(i) {
+			out = append(out, i)
+		}
 	}
+	return out
 }
 
 func equalInts(a, b []int) bool {
@@ -359,19 +312,5 @@ func BenchmarkXorCount64K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = v.XorCount(w)
-	}
-}
-
-func TestWordsExposesBacking(t *testing.T) {
-	v := FromIndices(70, 0, 64)
-	w := v.Words()
-	if len(w) != 2 || w[0] != 1 || w[1] != 1 {
-		t.Fatalf("Words = %v", w)
-	}
-	// Words is the live backing store (documented read-mostly); codec paths
-	// write through it deliberately.
-	w[0] |= 2
-	if !v.Test(1) {
-		t.Fatal("write through Words not visible")
 	}
 }

@@ -1,8 +1,9 @@
 // Package bloom implements the paper's memory-footprint signature hardware:
-// counting Bloom filters over L2 line addresses, per-core Core Filters (CF)
-// and Last Filters (LF), Running Bit Vector (RBV) extraction at context
-// switches, and the occupancy-weight and symbiosis metrics consumed by the
-// resource-allocation algorithms (§2.4 and §3.1 of the paper).
+// the split counting Bloom filter of §3.1 over L2 line addresses (one shared
+// counter array plus per-core Core Filters (CF) and Last Filters (LF)),
+// Running Bit Vector (RBV) extraction at context switches, and the
+// occupancy-weight and symbiosis metrics consumed by the resource-allocation
+// algorithms.
 package bloom
 
 import (
@@ -115,47 +116,4 @@ func NewHasher(kind HashKind, entries int) Hasher {
 	default:
 		panic(fmt.Sprintf("bloom: unknown hash kind %d", int(kind)))
 	}
-}
-
-// MultiHasher derives k independent hash functions for the generic counting
-// Bloom filter of §2.4 by seeding the fold with distinct multiplicative
-// mixes. Used only by the classic CBF; the signature unit uses one function
-// (the paper's choice, to avoid saturating the small filters).
-type MultiHasher struct {
-	entries int
-	seeds   []uint64
-}
-
-// NewMultiHasher returns k hash functions over a power-of-two entry count.
-func NewMultiHasher(k, entries int) *MultiHasher {
-	if k <= 0 {
-		panic("bloom: k must be positive")
-	}
-	if entries <= 0 || entries&(entries-1) != 0 {
-		panic(fmt.Sprintf("bloom: entries %d must be a positive power of two", entries))
-	}
-	seeds := make([]uint64, k)
-	s := uint64(0x9e3779b97f4a7c15)
-	for i := range seeds {
-		// splitmix64 step gives well-distributed odd multipliers.
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		seeds[i] = z ^ (z >> 31) | 1
-	}
-	return &MultiHasher{entries: entries, seeds: seeds}
-}
-
-// K returns the number of hash functions.
-func (m *MultiHasher) K() int { return len(m.seeds) }
-
-// Entries returns the size of the index space.
-func (m *MultiHasher) Entries() int { return m.entries }
-
-// Index returns the i-th hash of lineAddr.
-func (m *MultiHasher) Index(i int, lineAddr uint64) int {
-	z := lineAddr * m.seeds[i]
-	z ^= z >> 33
-	return int(z & uint64(m.entries-1))
 }

@@ -119,43 +119,3 @@ func TestXORFoldUsesHighBitsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMultiHasher(t *testing.T) {
-	m := NewMultiHasher(4, 256)
-	if m.K() != 4 || m.Entries() != 256 {
-		t.Fatalf("K=%d Entries=%d", m.K(), m.Entries())
-	}
-	// Functions must be distinct and in-range.
-	distinct := 0
-	for addr := uint64(1); addr < 1000; addr += 7 {
-		idx0 := m.Index(0, addr)
-		for i := 0; i < 4; i++ {
-			idx := m.Index(i, addr)
-			if idx < 0 || idx >= 256 {
-				t.Fatalf("hash %d out of range: %d", i, idx)
-			}
-			if i > 0 && idx != idx0 {
-				distinct++
-			}
-		}
-	}
-	if distinct == 0 {
-		t.Fatal("all multi-hash functions identical")
-	}
-}
-
-func TestMultiHasherPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewMultiHasher(0, 64) },
-		func() { NewMultiHasher(2, 63) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("invalid MultiHasher config did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}

@@ -282,29 +282,6 @@ func TestSignatureReleaseRecycles(t *testing.T) {
 	again.Materialize()
 }
 
-// TestSignatureCloneBeforeMaterialize: cloning an unread lazy capture must
-// yield the same values as the eager twin (the Clone path force-materializes
-// and detaches).
-func TestSignatureCloneBeforeMaterialize(t *testing.T) {
-	cfg := lazyTestConfig()
-	ul, ue := NewUnit(cfg), NewUnit(cfg)
-	for i := 0; i < 25; i++ {
-		ul.OnFill(0, uint64(i*3), i%64, i%4)
-		ul.OnFill(1, uint64(500+i), i%64, i%4)
-		ue.OnFill(0, uint64(i*3), i%64, i%4)
-		ue.OnFill(1, uint64(500+i), i%64, i%4)
-	}
-	lz := ul.ContextSwitchInto(0, nil)
-	eg := ue.ContextSwitchEagerInto(0, nil)
-	// Mutate after capture, then clone without ever reading the original.
-	ul.OnFill(1, 9999, 13, 2)
-	c := lz.Clone()
-	mustEqualSig(t, 0, c, eg)
-	if c.unit != nil {
-		t.Fatal("clone still attached to the unit")
-	}
-}
-
 // TestCaptureSteadyStateAllocs pins the per-switch capture at zero
 // allocations after warmup, including the copy-on-write freeze path (the
 // version and vector pools must cycle, not grow).

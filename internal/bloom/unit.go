@@ -89,9 +89,8 @@ func DefaultConfig(g Geometry, cores int) Config {
 // Symbiosis/Overlap popcounts to the first read: the capture snapshots the
 // RBV and takes references on the per-core Core Filter versions (see
 // cfVersion), and Materialize computes the vectors on demand against exactly
-// the capture-time filter contents. Manually constructed or decoded
-// Signatures have no backing unit and behave as plain values — Materialize
-// is a no-op on them.
+// the capture-time filter contents. Manually constructed Signatures have no
+// backing unit and behave as plain values — Materialize is a no-op on them.
 type Signature struct {
 	LastCore  int   // core the application last ran on
 	Occupancy int   // popcount(RBV): cache footprint estimate
@@ -104,13 +103,12 @@ type Signature struct {
 	Overlap []int
 	RBV     *bitvec.Vector
 
-	// Lazy-capture state. unit is the capturing Unit (nil once materialized
-	// state has been detached, e.g. by Clone/decode, or for hand-built
-	// values). cfRefs[j] is the Core Filter version referenced at capture;
-	// valid[j] reports whether Symbiosis[j]/Overlap[j] already holds the
-	// value for the current RBV/version pair (memoized across switches whose
-	// RBV and filter versions did not change). mat is the all-valid fast
-	// path flag.
+	// Lazy-capture state. unit is the capturing Unit (nil for released
+	// records and hand-built values). cfRefs[j] is the Core Filter version
+	// referenced at capture; valid[j] reports whether
+	// Symbiosis[j]/Overlap[j] already holds the value for the current
+	// RBV/version pair (memoized across switches whose RBV and filter
+	// versions did not change). mat is the all-valid fast path flag.
 	unit   *Unit
 	cfRefs []*cfVersion
 	valid  []bool
@@ -195,20 +193,6 @@ func (s *Signature) ensureLazy(cores int) {
 	if len(s.valid) != cores {
 		s.valid = make([]bool, cores)
 	}
-}
-
-// Clone returns an independent deep copy. A lazily captured signature is
-// materialized first, so the clone is a self-contained value that never
-// touches the capturing unit again.
-func (s *Signature) Clone() *Signature {
-	s.Materialize()
-	c := &Signature{LastCore: s.LastCore, Occupancy: s.Occupancy}
-	c.Symbiosis = append([]int(nil), s.Symbiosis...)
-	c.Overlap = append([]int(nil), s.Overlap...)
-	if s.RBV != nil {
-		c.RBV = s.RBV.Clone()
-	}
-	return c
 }
 
 // cfVersion identifies one epoch of a Core Filter's contents. While a
@@ -356,9 +340,6 @@ func (u *Unit) takeSignature() *Signature {
 		valid:     make([]bool, u.cfg.Cores),
 	}
 }
-
-// Config returns the unit's configuration.
-func (u *Unit) Config() Config { return u.cfg }
 
 // Entries returns the filter size.
 func (u *Unit) Entries() int { return u.entries }
@@ -526,36 +507,9 @@ func (u *Unit) DiscardSwitch(core int) {
 	u.lf[core].CopyFrom(u.cf[core])
 }
 
-// CoreFilter returns a copy of core's CF (exposed for experiments that plot
-// footprints; the scheduler only consumes Signatures).
-func (u *Unit) CoreFilter(core int) *bitvec.Vector { return u.cf[core].Clone() }
-
 // OccupancyWeight returns popcount(CF[core]): the running footprint estimate
 // for the core (Fig 5's "occupancy weight" series).
 func (u *Unit) OccupancyWeight(core int) int { return u.cf[core].PopCount() }
-
-// TotalOccupancy returns the number of nonzero shared counters: the filter's
-// view of the whole L2's live footprint.
-func (u *Unit) TotalOccupancy() int {
-	n := 0
-	for _, c := range u.counters {
-		if c != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// SymbiosisAgainst returns popcount(rbv ⊕ CF[core]): the symbiosis of a
-// previously captured RBV with the current contents of another core's filter
-// (used by the interference-graph algorithms).
-func (u *Unit) SymbiosisAgainst(rbv *bitvec.Vector, core int) int {
-	return rbv.XorCount(u.cf[core])
-}
-
-// Saturated reports whether the filter has lost increments to saturation,
-// after which footprint estimates may be biased low.
-func (u *Unit) Saturated() bool { return u.Saturations > 0 }
 
 // Reset clears all counters, filters and statistics. Outstanding lazy
 // signatures stay materializable: any referenced live Core Filter version is

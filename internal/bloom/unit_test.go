@@ -15,6 +15,18 @@ func testConfig() Config {
 	}
 }
 
+// nonzeroCounters returns the number of nonzero shared counters: the
+// filter's view of the whole cache's live footprint.
+func nonzeroCounters(u *Unit) int {
+	n := 0
+	for _, c := range u.counters {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestUnitConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Geometry: Geometry{Sets: 63, Ways: 4}, Cores: 2, CounterBits: 3, SampleRate: 1},
@@ -57,8 +69,8 @@ func TestUnitFillSetsCF(t *testing.T) {
 	if u.OccupancyWeight(1) != 0 {
 		t.Fatalf("core 1 occupancy = %d, want 0", u.OccupancyWeight(1))
 	}
-	if u.TotalOccupancy() != 1 {
-		t.Fatalf("total occupancy = %d, want 1", u.TotalOccupancy())
+	if nonzeroCounters(u) != 1 {
+		t.Fatalf("total occupancy = %d, want 1", nonzeroCounters(u))
 	}
 }
 
@@ -68,8 +80,8 @@ func TestUnitEvictClearsAllCFsWhenCounterZero(t *testing.T) {
 	// the same address so the counter reaches 2 and both CFs set one bit.
 	u.OnFill(0, 0x40, 3, 0)
 	u.OnFill(1, 0x40, 3, 1)
-	if u.TotalOccupancy() != 1 {
-		t.Fatalf("total occupancy = %d, want 1 (same address)", u.TotalOccupancy())
+	if nonzeroCounters(u) != 1 {
+		t.Fatalf("total occupancy = %d, want 1 (same address)", nonzeroCounters(u))
 	}
 	// First eviction: counter 2→1, CFs untouched.
 	u.OnEvict(0x40, 3, 0)
@@ -208,9 +220,6 @@ func TestUnitCounterSaturationTracked(t *testing.T) {
 	if u.Saturations != 1 {
 		t.Fatalf("Saturations = %d, want 1", u.Saturations)
 	}
-	if u.Saturated() != true {
-		t.Fatal("Saturated() = false after saturation")
-	}
 }
 
 func TestUnitUnderflowTracked(t *testing.T) {
@@ -226,25 +235,13 @@ func TestUnitReset(t *testing.T) {
 	u.OnFill(0, 1, 0, 0)
 	u.ContextSwitch(0)
 	u.Reset()
-	if u.TotalOccupancy() != 0 || u.Fills != 0 {
+	if nonzeroCounters(u) != 0 || u.Fills != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	// LF must also clear: a fresh fill must show up in the next RBV.
 	u.OnFill(0, 1, 0, 0)
 	if sig := u.ContextSwitch(0); sig.Occupancy != 1 {
 		t.Fatalf("post-reset RBV occupancy = %d, want 1", sig.Occupancy)
-	}
-}
-
-func TestSignatureClone(t *testing.T) {
-	u := NewUnit(testConfig())
-	u.OnFill(0, 7, 0, 0)
-	sig := u.ContextSwitch(0)
-	c := sig.Clone()
-	c.Symbiosis[0] = -1
-	c.RBV.Set(5)
-	if sig.Symbiosis[0] == -1 || sig.RBV.Test(5) {
-		t.Fatal("Clone shares storage with original")
 	}
 }
 

@@ -100,13 +100,6 @@ func (h *Hierarchy) L2For(core int) *Cache { return h.l2for[core] }
 // L1For returns the private L1 of a core.
 func (h *Hierarchy) L1For(core int) *Cache { return h.l1[core] }
 
-// SetL2Listener attaches the signature unit to every L2 in the hierarchy.
-func (h *Hierarchy) SetL2Listener(l Listener) {
-	for _, c := range h.l2 {
-		c.SetListener(l)
-	}
-}
-
 // L2s returns the distinct L2 caches: one element when shared, one per core
 // when private.
 func (h *Hierarchy) L2s() []*Cache { return h.l2 }
@@ -132,10 +125,6 @@ func (h *Hierarchy) Access(core int, addr uint64) Level {
 	}
 	return Memory
 }
-
-// FlushL1 invalidates a core's private L1 (used to model migration cost when
-// a process moves between cores).
-func (h *Hierarchy) FlushL1(core int) { h.l1[core].Flush() }
 
 // Reset returns every cache in the hierarchy to its just-constructed state
 // (contents, recency, statistics) while keeping all allocations — the arena

@@ -117,25 +117,21 @@ type countListener struct{ fills, evicts int }
 func (c *countListener) OnFill(core int, lineAddr uint64, set, way int) { c.fills++ }
 func (c *countListener) OnEvict(lineAddr uint64, set, way int)          { c.evicts++ }
 
+// TestSetL2ListenerSharedAndPrivate attaches one listener to every L2 the
+// way the engine wires its signature unit, and checks that fills from both
+// cores reach it whether the L2 is shared or private.
 func TestSetL2ListenerSharedAndPrivate(t *testing.T) {
 	for _, shared := range []bool{true, false} {
 		h := NewHierarchy(tinyHierarchy(shared))
 		cl := &countListener{}
-		h.SetL2Listener(cl)
+		for _, l2 := range h.L2s() {
+			l2.SetListener(cl)
+		}
 		h.Access(0, 0)
 		h.Access(1, 1<<16)
 		if cl.fills != 2 {
 			t.Fatalf("shared=%v: listener saw %d fills, want 2", shared, cl.fills)
 		}
-	}
-}
-
-func TestFlushL1(t *testing.T) {
-	h := NewHierarchy(tinyHierarchy(true))
-	h.Access(0, 0)
-	h.FlushL1(0)
-	if got := h.Access(0, 0); got != L2 {
-		t.Fatalf("post-flush access = %v, want L2", got)
 	}
 }
 

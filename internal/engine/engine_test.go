@@ -363,9 +363,8 @@ func TestOverlapCapturedInSignatures(t *testing.T) {
 		t.Fatal("no cross-core overlap between two cache-filling processes")
 	}
 	// Identity: |RBV ⊕ CF| + 2·|RBV ∧ CF| = |RBV| + |CF| for any vectors.
-	cf1 := m.Unit().CoreFilter(1)
 	lhs := sig.Symbiosis[1] + 2*sig.Overlap[1]
-	rhs := sig.RBV.PopCount() + cf1.PopCount()
+	rhs := sig.RBV.PopCount() + m.Unit().OccupancyWeight(1)
 	if lhs != rhs {
 		t.Fatalf("XOR/AND identity violated: %d != %d", lhs, rhs)
 	}

@@ -19,9 +19,6 @@ type AblationResult struct {
 	MeanImprovement float64
 	// McfImprovement isolates the most schedule-sensitive benchmark.
 	McfImprovement float64
-	// Saturations counts filter-counter saturation events during phase 1
-	// (nonzero values explain degraded decisions at narrow counter widths).
-	Saturations uint64
 }
 
 // AblateReplacement runs the canonical mix's two-phase flow with the shared

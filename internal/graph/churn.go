@@ -33,10 +33,6 @@ type Drift struct {
 // Drift returns the accumulated drift counters.
 func (s *Sparse) Drift() Drift { return s.drift }
 
-// ResetDrift clears the drift counters (after a caller-driven rebuild has
-// been swapped in, or a policy decision to re-arm the thresholds).
-func (s *Sparse) ResetDrift() { s.drift = Drift{} }
-
 // Frag returns the fraction of edge storage abandoned by relocations and
 // removals — 0 for a fresh build, approaching 1 under heavy unreclaimed
 // churn. The rebuild-fallback policies in internal/experiments compare this

@@ -28,8 +28,8 @@ func TestNewAndAccessors(t *testing.T) {
 	if got := g.Weight(3, 2); got != 7 {
 		t.Fatalf("Weight(3,2) = %g, want 7", got)
 	}
-	if got := g.Degree(0); got != 1 {
-		t.Fatalf("Degree(0) = %d", got)
+	if cols, _ := g.Row(0); len(cols) != 1 {
+		t.Fatalf("Row(0) has %d neighbors, want 1", len(cols))
 	}
 	if got := g.TotalWeight(); got != 10 {
 		t.Fatalf("TotalWeight = %g, want 10", got)
@@ -55,7 +55,7 @@ func TestOutOfRangePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { b.Add(0, 2, 1) },
 		func() { b.Reset(-1, 0) },
-		func() { g.Degree(2) },
+		func() { g.Row(2) },
 		func() { g.Removed(-1) },
 		func() { g.UpdateWeight(0, 2, 1) },
 		func() { g.CutWeight([]int{0}, []int{2}) },

@@ -65,12 +65,6 @@ func (s *Sparse) Removed(i int) bool {
 // Edges returns the undirected edge count.
 func (s *Sparse) Edges() int { return s.slots / 2 }
 
-// Degree returns the neighbor count of node i (0 for tombstoned nodes).
-func (s *Sparse) Degree(i int) int {
-	s.check(i)
-	return int(s.end[i] - s.off[i])
-}
-
 // Row returns node i's neighbor ids and weights. The slices alias the
 // graph's storage and must not be modified (weights change via UpdateWeight
 // so the symmetric copy stays in sync); they are invalidated by the next

@@ -1,25 +1,14 @@
 // Package metrics provides the small reporting toolkit the experiment
 // drivers share: aligned ASCII tables and CSV for the paper's tables, (x,y)
-// series for its figures, and the improvement arithmetic used throughout
-// §5 (improvement of a chosen schedule over the worst schedule).
+// series for its figures, and the summary statistics (mean, max,
+// correlation) their rows report.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Improvement returns the paper's headline metric: the relative gain of the
-// chosen schedule over the worst schedule, (worst−chosen)/worst. A chosen
-// time above worst yields a negative improvement (regression).
-func Improvement(worst, chosen float64) float64 {
-	if worst <= 0 {
-		return 0
-	}
-	return (worst - chosen) / worst
-}
 
 // Mean returns the arithmetic mean (0 for an empty slice).
 func Mean(xs []float64) float64 {
@@ -224,17 +213,6 @@ func RenderSeries(title string, series ...Series) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// SortedKeys returns the sorted keys of a string-keyed map of ints (helper
-// for deterministic report iteration).
-func SortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Markdown renders the table as GitHub-flavored markdown.

@@ -6,18 +6,6 @@ import (
 	"testing"
 )
 
-func TestImprovement(t *testing.T) {
-	if got := Improvement(100, 78); math.Abs(got-0.22) > 1e-9 {
-		t.Fatalf("Improvement(100,78) = %g", got)
-	}
-	if got := Improvement(100, 120); got >= 0 {
-		t.Fatalf("regression not negative: %g", got)
-	}
-	if Improvement(0, 5) != 0 {
-		t.Fatal("zero worst must yield 0")
-	}
-}
-
 func TestMeanMax(t *testing.T) {
 	if Mean(nil) != 0 || Max(nil) != 0 {
 		t.Fatal("empty slices must yield 0")
@@ -121,14 +109,6 @@ func TestRenderSeries(t *testing.T) {
 	}
 	if out := RenderSeries("empty"); !strings.Contains(out, "empty") {
 		t.Fatal("empty render broken")
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("SortedKeys = %v", got)
 	}
 }
 

@@ -290,9 +290,6 @@ func (p *PhasedPattern) Reset() {
 	}
 }
 
-// CurrentPhase returns the index of the active phase (for footprint plots).
-func (p *PhasedPattern) CurrentPhase() int { return p.cur }
-
 // Validate sanity-checks a pattern's parameters and returns a descriptive
 // error for region sizes that are zero or not line-multiples.
 func Validate(p Pattern) error {

@@ -135,14 +135,6 @@ func (s Scale) Validate() error {
 	return nil
 }
 
-// ReferenceScale runs the full-size machine (4MB L2) and full run lengths.
-var ReferenceScale = Scale{Region: 1, Instr: 1}
-
-// ExperimentScale is the default for reproducing the paper's figures: a
-// 1/16-size machine (256KB shared L2) with full-length runs, keeping runs
-// tens of scheduler quanta long.
-var ExperimentScale = Scale{Region: 16, Instr: 1}
-
 // TestScale keeps unit tests fast: a 1/64-size machine with 1/8-length runs.
 var TestScale = Scale{Region: 64, Instr: 8}
 

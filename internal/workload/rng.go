@@ -72,7 +72,3 @@ func NewThreshold(frac float64) Threshold {
 // threshold — exactly equivalent to Float64() < frac for the matching
 // NewThreshold(frac), consuming one Uint64 draw either way.
 func (r *Rand) Below(t Threshold) bool { return Threshold(r.Uint64()>>11) < t }
-
-// Fork derives an independent generator from this one, for seeding
-// per-thread streams from a per-process seed.
-func (r *Rand) Fork() *Rand { return NewRand(r.Uint64()) }

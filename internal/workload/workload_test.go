@@ -38,15 +38,6 @@ func TestRandIntnPanics(t *testing.T) {
 	NewRand(1).Intn(0)
 }
 
-func TestRandFork(t *testing.T) {
-	r := NewRand(9)
-	f1 := r.Fork()
-	f2 := r.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Fatal("forked generators identical")
-	}
-}
-
 func TestStridePatternWraps(t *testing.T) {
 	p := &StridePattern{Region: 256, Stride: 64}
 	r := NewRand(1)
@@ -155,7 +146,7 @@ func TestPhasedPatternSwitches(t *testing.T) {
 	phases := map[int]bool{}
 	for i := 0; i < 12; i++ {
 		p.Next(r)
-		phases[p.CurrentPhase()] = true
+		phases[p.cur] = true
 	}
 	if len(phases) != 2 {
 		t.Fatalf("phased pattern visited %d phases, want 2", len(phases))
