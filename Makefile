@@ -145,26 +145,37 @@ servicecheck:
 # The churn contract, uncached: incremental insert/remove/age on the sparse
 # graph stays parity-exact with a fresh Builder build (fuzz seed corpus +
 # shadow-map unit tests), Compact repacks in place without allocating or
-# changing a row, repair breaks equal-gain moves toward the smaller group
-# id, repaired partitions keep the ±1 balance envelope and exact cut
-# bookkeeping over the live population, hierarchical 4-way MIN-CUT keeps its
-# recorded regret against an exhaustive balanced k-way optimum on 200
-# seeded 8-node graphs (TestPartitionK4Regret), the monitor's per-thread
-# state shrinks and regrows with the thread population (reused IDs inherit
-# nothing), the Snapshotter releases a burst's backing after the
-# population stays small, lazy aging matches eager decay, and a seeded
-# arrival/departure campaign — both Poisson and trace modes, including the
-# drift-triggered rebuild fallback — replays byte-identically. The
-# experiments line also runs TestChurnGolden (recorded campaign checksums),
-# TestChurnTopPartnersMatchesSelection (the partner window against a
-# selection-sort oracle over alloc.PairWeight), TestChurnScoreIndexMirrorsViews
-# (the per-core score index equals the views after every campaign event) and
-# TestChurnTopPartnersZeroAllocs. Every alternative is a full anchored name.
+# changing a row, edge storage moves O(log n) times over n arrivals
+# (TestEdgeStorageGrowsGeometrically), repair breaks equal-gain moves toward
+# the smaller group id, repaired partitions keep the ±1 balance envelope and
+# exact cut bookkeeping over the live population, hierarchical 4-way
+# MIN-CUT keeps its recorded regret against an exhaustive balanced k-way
+# optimum on 200 seeded 8-node graphs (TestPartitionK4Regret), arrivals and
+# departures through InsertAndRepair and RemoveAndRepair keep theirs
+# against an exhaustive re-partition over the ⌊n/k⌋..⌈n/k⌉ envelope at
+# k = 2 and 4 and never land below it (TestRepairRegret), the monitor's
+# per-thread state shrinks and regrows with the thread population (reused
+# IDs inherit nothing), the Snapshotter releases a burst's backing after the
+# population stays small, lazy aging matches eager decay and a Reset Ager a
+# fresh one, and a seeded arrival/departure campaign — both Poisson and
+# trace modes, including the drift-triggered rebuild fallback — replays
+# byte-identically. The experiments line also runs TestChurnGolden (recorded
+# campaign checksums), TestChurnTopPartnersMatchesSelection (the partner
+# window against a selection-sort oracle over alloc.PairWeight),
+# TestChurnScoreIndexMirrorsViews (the per-core score index equals the views
+# after every campaign event), TestChurnTopPartnersZeroAllocs, and the
+# campaign scratch's pins: a rebuild into it after churn with dead slots
+# equals a fresh alloc.SparseInterferenceGraph plus Sparse.NewPartition row
+# for row, weight bit for weight bit and in its assignment
+# (TestChurnRebuildMatchesFresh), a warm rebuild allocates nothing
+# (TestChurnRebuildZeroAllocs), and neither do 100 steady quanta once the
+# storage covers the population (TestChurnQuantumZeroAllocs). Every
+# alternative is a full anchored name.
 churncheck:
-	$(call gate,./internal/graph,^TestInsertNodeMatchesFreshBuild$$|^TestRemoveNodeMatchesFreshBuild$$|^TestInsertNodeValidation$$|^TestDriftCountersAndCompact$$|^TestCompactInPlace$$|^TestRepairTiesToSmallerGroup$$|^TestInsertAndRepair$$|^TestRemoveAndRepairRestoresEnvelope$$|^TestChurnInterleaved$$|^FuzzPartition$$|^TestPartitionK4Regret$$)
-	$(call gate,./internal/monitor,^TestSmoothShrinkThenGrow$$|^TestForget$$|^TestAgerRefreshBlendsAndDecays$$|^TestAgerLazyMatchesEager$$|^TestAgerChurn$$|^TestAgerSteadyStateAllocs$$)
+	$(call gate,./internal/graph,^TestInsertNodeMatchesFreshBuild$$|^TestRemoveNodeMatchesFreshBuild$$|^TestInsertNodeValidation$$|^TestDriftCountersAndCompact$$|^TestCompactInPlace$$|^TestRepairTiesToSmallerGroup$$|^TestInsertAndRepair$$|^TestRemoveAndRepairRestoresEnvelope$$|^TestChurnInterleaved$$|^FuzzPartition$$|^TestPartitionK4Regret$$|^TestEdgeStorageGrowsGeometrically$$|^TestRepairRegret$$)
+	$(call gate,./internal/monitor,^TestSmoothShrinkThenGrow$$|^TestForget$$|^TestAgerRefreshBlendsAndDecays$$|^TestAgerLazyMatchesEager$$|^TestAgerChurn$$|^TestAgerSteadyStateAllocs$$|^TestAgerResetMatchesFresh$$)
 	$(call gate,./internal/kernel,^TestSnapshotterShrinksAfterBurst$$|^TestSnapshotterSteadyStateAllocs$$)
-	$(call gate,./internal/experiments,^TestChurnDeterministic$$|^TestChurnPoissonCampaign$$|^TestChurnTraceMode$$|^TestChurnRebuildFallback$$|^TestChurnObserverDoesNotChangeReport$$|^TestChurnGolden$$|^TestChurnTopPartnersMatchesSelection$$|^TestChurnScoreIndexMirrorsViews$$|^TestChurnTopPartnersZeroAllocs$$)
+	$(call gate,./internal/experiments,^TestChurnDeterministic$$|^TestChurnPoissonCampaign$$|^TestChurnTraceMode$$|^TestChurnRebuildFallback$$|^TestChurnObserverDoesNotChangeReport$$|^TestChurnGolden$$|^TestChurnTopPartnersMatchesSelection$$|^TestChurnScoreIndexMirrorsViews$$|^TestChurnTopPartnersZeroAllocs$$|^TestChurnRebuildMatchesFresh$$|^TestChurnRebuildZeroAllocs$$|^TestChurnQuantumZeroAllocs$$)
 
 # One iteration of every benchmark: catches bit-rot in the bench suite (and
 # regenerates each figure once) without committing to real measurement time.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -12,10 +13,11 @@ import (
 // The churn layer: per-event cost of the incremental arrival/departure path
 // versus the full rebuild it replaces. Per P, the campaign point samples one
 // seeded Poisson campaign, whose every arrival (alloc.PairWeight scoring +
-// top-m selection + graph.InsertAndRepair), departure
-// (graph.RemoveAndRepair) and aging refresh (monitor.Ager.Refresh + local
-// repair) is timed through the driver's observer; timing never feeds the
-// report, so the campaign checksum is a pure function of the seed. The
+// top-m selection + graph.Partitioner.InsertAndRepair), departure
+// (Partitioner.RemoveAndRepair) and aging refresh (monitor.Ager.Refresh +
+// local repair) is timed through the driver's observer; timing never feeds
+// the report, so the campaign checksum is a pure function of the seed. The
+// point's info also records the MiB one unobserved campaign allocates. The
 // rebuild point samples the alloc layer's sparse decision at the same scale.
 // Their ratio is the crossover: the events per monitor quantum above which
 // one rebuild is cheaper than absorbing each event, a rate the campaign's
@@ -52,8 +54,11 @@ func runChurn(reps int) []Point {
 		rebuild := measure("churn", fmt.Sprintf("rebuild P=%d k=%d", p, k), reps,
 			decision(func() alloc.Mapping { return sparseDecision(views, k) }))
 
+		plain := cfg
+		plain.OnEvent = nil
 		info := map[string]float64{"arrivals": float64(rep.Arrivals), "departures": float64(rep.Departures),
-			"migrations": float64(rep.Migrations), "rebuilds": float64(rep.Rebuilds)}
+			"migrations": float64(rep.Migrations), "rebuilds": float64(rep.Rebuilds),
+			"alloc_mib": allocMiB(func() { experiments.RunChurn(plain) })}
 		if ev := rep.Arrivals + rep.Departures; ev > 0 {
 			// Placement stability: reassignments per structural event, the
 			// §4 migration-cost proxy.
@@ -72,4 +77,13 @@ func runChurn(reps int) []Point {
 		pts = append(pts, campaign, rebuild)
 	}
 	return pts
+}
+
+// allocMiB returns the MiB of heap f allocates.
+func allocMiB(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 }

@@ -40,8 +40,9 @@ func directedTerm(vi *kernel.View, core int, weighted bool) float64 {
 // the edge weight SparseInterferenceGraph would assign the pair. Exported
 // for the churn workflow: when a thread arrives mid-run, the driver scores
 // it against candidate partners with PairWeight to pick the top-m neighbor
-// set for graph.InsertAndRepair, and the monitor's aging refresh recomputes
-// the same term as its fresh reading — all without rebuilding the graph.
+// set for graph.Partitioner.InsertAndRepair, and the monitor's aging
+// refresh recomputes the same term as its fresh reading — all without
+// rebuilding the graph.
 func PairWeight(vi, vj *kernel.View) float64 {
 	return directedTerm(vi, vj.LastCore, true) + directedTerm(vj, vi.LastCore, true)
 }
@@ -230,12 +231,28 @@ func grow[T any](s []T, n int) []T {
 }
 
 // SparseInterferenceGraph builds the §3.3.3 weighted interference graph the
-// policies partition. Exported so callers can drive the incremental
-// workflow directly: partition once, then graph.RepairPartition after small
-// signature deltas instead of re-partitioning from scratch (and so the
-// benchmark harness can measure each stage in isolation).
+// policies partition, on fresh scratch into a fresh graph. Exported so
+// callers can drive the incremental workflow directly: partition once, then
+// graph.Partitioner.Repair after small signature deltas instead of
+// re-partitioning from scratch (and so the benchmark harness can measure
+// each stage in isolation). Scratch.SparseInterferenceGraph is the form
+// that reuses its storage.
 func SparseInterferenceGraph(views []kernel.View) *graph.Sparse {
 	g := new(graph.Sparse)
 	buildSparseGraph(new(rowScan), g, views, true, nil, scanWorkers(len(views)))
 	return g
 }
+
+// SparseInterferenceGraph builds the same graph as the package function into
+// the scratch's own graph, reusing its storage and the row scan's, and
+// returns it: a caller that rebuilds over a population of stable size
+// allocates nothing once warm. The graph belongs to s, so the next build or
+// decision on s overwrites it.
+func (s *Scratch) SparseInterferenceGraph(views []kernel.View) *graph.Sparse {
+	buildSparseGraph(&s.scan, &s.g, views, true, nil, scanWorkers(len(views)))
+	return &s.g
+}
+
+// Partitioner returns the scratch's partitioner arena, the one its
+// decisions run on, for partitioning and repairing the graph s built.
+func (s *Scratch) Partitioner() *graph.Partitioner { return &s.part }

@@ -43,6 +43,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 
 	"symbiosched/internal/experiments"
 	"symbiosched/internal/workload"
@@ -188,13 +190,37 @@ func (c Campaign) SpecFromFiles(files []experiments.TraceFile) (experiments.Swee
 	return spec, nil
 }
 
-// Combos returns the size of the campaign's combination space.
+// Combos returns the size of the campaign's combination space, the number
+// of mixes experiments.Combinations lists, counted in closed form.
 func (c Campaign) Combos() (int, error) {
 	spec, err := c.Spec()
 	if err != nil {
 		return 0, err
 	}
-	return len(experiments.Combinations(len(spec.Pool), spec.MixSize)), nil
+	return binomial(len(spec.Pool), spec.MixSize)
+}
+
+// binomial returns C(n, k), or 0 when k is outside [0, n], and refuses a
+// count an int cannot hold. With m = min(k, n-k), step i leaves c =
+// C(n-m+i, i), which grows with i, so an intermediate that overflows means
+// the result does too; each step multiplies in 128 bits before its exact
+// division.
+func binomial(n, k int) (int, error) {
+	if k < 0 || k > n {
+		return 0, nil
+	}
+	m := min(k, n-k) // C(n, k) = C(n, n-k)
+	c := uint64(1)
+	for i := uint64(1); i <= uint64(m); i++ {
+		hi, lo := bits.Mul64(c, uint64(n-m)+i)
+		if hi < i { // else the quotient needs more than 64 bits
+			c, _ = bits.Div64(hi, lo, i)
+		}
+		if hi >= i || c > math.MaxInt {
+			return 0, fmt.Errorf("coordctl: C(%d, %d) combinations overflow an int", n, k)
+		}
+	}
+	return int(c), nil
 }
 
 // WorkUnit is one granted lease: the campaign, the shard to run, and the

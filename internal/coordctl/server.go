@@ -1,6 +1,7 @@
 package coordctl
 
 import (
+	"context"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
@@ -651,9 +652,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		s.ctr.LeasesGranted++
-		s.opts.Logger.Info("shard leased",
-			"campaign", cs.id, "shard", e.index, "shard_total", cs.c.ShardTotal,
-			"worker", req.Worker, "lease", e.leaseID, "attempt", e.attempts)
+		s.logLeased(r.Context(), cs, e, req.Worker)
 		writeJSON(w, WorkUnit{
 			Campaign:   cs.c,
 			CampaignID: cs.id,
@@ -750,11 +749,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	cs.table.accept(e, sh.Worker, sh.ElapsedSeconds)
 	s.ctr.SubmitsAccepted++
 	s.checkTerminal(cs)
-	s.opts.Logger.Info("shard accepted and merged",
-		"campaign", cs.id, "shard", sh.Index, "worker", sh.Worker, "attempt", sh.Attempt,
-		"elapsed", sh.ElapsedSeconds, "lease", leaseID,
-		"combos_merged", cs.covered, "combos_total", cs.combos)
+	s.logAccepted(r.Context(), cs, &sh, leaseID)
 	writeJSON(w, SubmitResult{Accepted: true, CampaignDone: !cs.running(), Done: s.idleLocked()})
+}
+
+// logLeased and logAccepted write the worker plane's two per-shard lines.
+// Their attributes are typed, so nothing is boxed into an interface: with
+// the level off (the default logger) they allocate nothing.
+func (s *Server) logLeased(ctx context.Context, cs *campaignState, e *shardEntry, worker string) {
+	s.opts.Logger.LogAttrs(ctx, slog.LevelInfo, "shard leased",
+		slog.String("campaign", cs.id), slog.Int("shard", e.index), slog.Int("shard_total", cs.c.ShardTotal),
+		slog.String("worker", worker), slog.String("lease", e.leaseID), slog.Int("attempt", e.attempts))
+}
+
+func (s *Server) logAccepted(ctx context.Context, cs *campaignState, sh *experiments.Shard, leaseID string) {
+	s.opts.Logger.LogAttrs(ctx, slog.LevelInfo, "shard accepted and merged",
+		slog.String("campaign", cs.id), slog.Int("shard", sh.Index), slog.String("worker", sh.Worker),
+		slog.Int("attempt", sh.Attempt), slog.Float64("elapsed", sh.ElapsedSeconds), slog.String("lease", leaseID),
+		slog.Int("combos_merged", cs.covered), slog.Int("combos_total", cs.combos))
 }
 
 // validate checks a submission against its campaign before it is

@@ -679,3 +679,46 @@ func TestMetricsShardCountsMatchScan(t *testing.T) {
 	}
 	check("cancelled")
 }
+
+// TestBinomialMatchesCombinations: the closed-form count equals the length
+// of the list experiments.Combinations builds for every 0 ≤ k ≤ n ≤ 16, is
+// 0 for k outside [0, n] as the list is empty, holds the largest central
+// binomial an int64 can, and refuses the next one as an overflow.
+func TestBinomialMatchesCombinations(t *testing.T) {
+	for n := 0; n <= 16; n++ {
+		for k := -1; k <= n+1; k++ {
+			got, err := binomial(n, k)
+			if want := len(experiments.Combinations(n, k)); err != nil || got != want {
+				t.Fatalf("binomial(%d, %d) = %d, %v; Combinations lists %d", n, k, got, err, want)
+			}
+		}
+	}
+	if got, err := binomial(66, 33); err != nil || got != 7219428434016265740 {
+		t.Fatalf("binomial(66, 33) = %d, %v; want 7219428434016265740", got, err)
+	}
+	for _, nk := range [][2]int{{67, 33}, {67, 34}, {100, 50}, {1 << 20, 1 << 10}} {
+		if got, err := binomial(nk[0], nk[1]); err == nil {
+			t.Fatalf("binomial(%d, %d) = %d, want an overflow refusal", nk[0], nk[1], got)
+		}
+	}
+}
+
+// TestWorkerPlaneLogFreeWhenOff: the per-shard lease and accept lines cost
+// no allocation on the default logger, whose level is off.
+func TestWorkerPlaneLogFreeWhenOff(t *testing.T) {
+	srv, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cs := &campaignState{id: "c1", c: Campaign{ShardTotal: 495}, combos: 495, covered: 17}
+	e := &shardEntry{index: 300, leaseID: "lease-300-2", attempts: 2}
+	sh := &experiments.Shard{Index: 300, Worker: "worker-b", Attempt: 2, ElapsedSeconds: 1.25}
+	ctx := context.Background()
+	if a := testing.AllocsPerRun(100, func() {
+		srv.logLeased(ctx, cs, e, "worker-b")
+		srv.logAccepted(ctx, cs, sh, "lease-300-2")
+	}); a != 0 {
+		t.Fatalf("worker-plane logging allocates %.1f objects per shard with the level off", a)
+	}
+}

@@ -16,7 +16,7 @@ import (
 // 4: how long one allocation decision takes as the thread count grows, on
 // the two paths the policies expose — a full decision (the top-m sparse
 // graph build plus hierarchical partitioning, what every graph policy runs
-// each period) and the incremental UpdateWeight + RepairPartition path
+// each period) and the incremental UpdateWeight + Partitioner.Repair path
 // (the per-quantum cost once a partition exists). One row per P with
 // k = P/16 cores.
 //
@@ -42,7 +42,7 @@ func AllocScale(cfg Config) metrics.Table {
 		})
 
 		// Repair: rebuild graph+partition outside the timed region, then
-		// time 8 weight deltas + RepairPartition. Every rep replays the
+		// time 8 weight deltas + Partitioner.Repair. Every rep replays the
 		// identical schedule (same as cmd/bench) so the repaired decision is
 		// rep-count-invariant.
 		part := graph.NewPartitioner()

@@ -4,9 +4,9 @@
 // re-partitioning from scratch, O(P²) per event. This driver exercises the
 // incremental alternative end to end: an arriving thread is scored against
 // the live population (alloc.PairWeight's weight, read from a per-core score
-// index), spliced into the graph with graph.InsertAndRepair, and registered
-// with the monitor's lazy Ager; a departing thread leaves through
-// graph.RemoveAndRepair; stale signature contributions decay through
+// index), spliced into the graph with Partitioner.InsertAndRepair, and
+// registered with the monitor's lazy Ager; a departing thread leaves through
+// Partitioner.RemoveAndRepair; stale signature contributions decay through
 // Ager.Refresh; and the accumulated drift
 // (sparsification misses + storage fragmentation) triggers the automatic
 // fallback — Compact when only storage drifted, full rebuild when the
@@ -112,15 +112,22 @@ func (c *ChurnConfig) defaults() ChurnConfig {
 // indexed by graph node id (slots are reused exactly as the graph reuses
 // tombstoned ids), the score index beside it, the mutable sparse graph, its
 // partition, and the monitor-side staleness clocks.
+//
+// Every placement step runs on one alloc.Scratch: the seed build and each
+// rebuild write the scratch's graph (g points at it) and re-partition on
+// its Partitioner into pt, and every arrival, departure and refresh repairs
+// on that same Partitioner. A campaign whose storage covers its population
+// therefore allocates nothing per quantum, rebuilds included.
 type churnCampaign struct {
-	cfg   ChurnConfig
-	rng   *rand.Rand
-	views []kernel.View
-	g     *graph.Sparse
-	pt    *graph.Partition
-	ag    *monitor.Ager
-	born  []int // arrival sequence number per id, -1 when dead; trace-mode FIFO victim order
-	seq   int
+	cfg     ChurnConfig
+	rng     *rand.Rand
+	views   []kernel.View
+	scratch alloc.Scratch
+	g       *graph.Sparse
+	pt      *graph.Partition
+	ag      *monitor.Ager
+	born    []int // arrival sequence number per id, -1 when dead; trace-mode FIFO victim order
+	seq     int
 
 	// The score index is views in struct-of-arrays form, written only by
 	// store: lastCore[u] is views[u].LastCore and cols[c][u] is
@@ -165,6 +172,7 @@ func newChurnCampaign(c ChurnConfig) *churnCampaign {
 	cc := &churnCampaign{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
+		ag:  monitor.NewAger(cfg.Alpha, cfg.Decay),
 		sum: newHash64(),
 	}
 	cc.rep = ChurnReport{Mode: cfg.Mode, Seed: cfg.Seed, P0: cfg.P0,
@@ -267,21 +275,22 @@ func (cc *churnCampaign) vector() []int32 {
 }
 
 // rebuild is the fallback path: a fresh top-m build over the current id
-// space, a fresh multilevel partition, fresh staleness clocks. Dead slots
-// carry signatureless views on core 0, which still score d(j→core 0)
-// against every live j, so they get edges until RemoveNode drops them.
+// space, a fresh multilevel partition, fresh staleness clocks — each
+// written over the previous one's storage in the campaign's scratch, and
+// bit-identical to alloc.SparseInterferenceGraph plus Sparse.NewPartition
+// on fresh scratch. Dead slots carry signatureless views on core 0, which
+// still score d(j→core 0) against every live j, so they get edges until
+// RemoveNode drops them.
 func (cc *churnCampaign) rebuild() {
-	cc.g, cc.pt, cc.ag = nil, nil, nil // collectable while the new graph builds
-	g := alloc.SparseInterferenceGraph(cc.views)
-	for i := range cc.views {
-		if cc.born == nil || i >= len(cc.born) || cc.born[i] >= 0 {
-			continue
+	g := cc.scratch.SparseInterferenceGraph(cc.views)
+	for i, born := range cc.born {
+		if born < 0 {
+			g.RemoveNode(i)
 		}
-		g.RemoveNode(i)
 	}
 	cc.g = g
-	cc.pt = g.NewPartition(cc.cfg.Cores)
-	cc.ag = monitor.NewAger(cc.cfg.Alpha, cc.cfg.Decay)
+	cc.pt = cc.scratch.Partitioner().Partition(g, cc.cfg.Cores, cc.pt)
+	cc.ag.Reset()
 }
 
 // quantum advances the campaign one monitor period.
@@ -325,7 +334,7 @@ func (cc *churnCampaign) arrive(q int) {
 	view := cc.newView(-1)
 	cc.seq++
 	nbrs, wts := cc.topPartners(&view)
-	v, migrations := graph.InsertAndRepair(cc.g, cc.pt, nbrs, wts)
+	v, migrations := cc.scratch.Partitioner().InsertAndRepair(cc.g, cc.pt, nbrs, wts)
 	view.ThreadID, view.ProcID = v, v
 	cc.store(v, view, cc.seq-1)
 	cc.ag.NodeInserted(v)
@@ -338,7 +347,7 @@ func (cc *churnCampaign) arrive(q int) {
 // depart removes thread v through the incremental path.
 func (cc *churnCampaign) depart(q, v int) {
 	start := cc.tick()
-	migrations := graph.RemoveAndRepair(cc.g, cc.pt, v)
+	migrations := cc.scratch.Partitioner().RemoveAndRepair(cc.g, cc.pt, v)
 	cc.spare = append(cc.spare, cc.views[v].Symbiosis, cc.views[v].Overlap)
 	cc.store(v, kernel.View{ThreadID: v}, -1)
 	cc.rep.Departures++
@@ -395,6 +404,7 @@ func (cc *churnCampaign) refresh(q int) {
 		count = 1
 	}
 	start := cc.tick()
+	part := cc.scratch.Partitioner()
 	for i := 0; i < count; i++ {
 		for cc.born[cc.cursor%len(cc.born)] < 0 {
 			cc.cursor++
@@ -406,7 +416,7 @@ func (cc *churnCampaign) refresh(q int) {
 			return alloc.PairWeight(vw, &cc.views[u])
 		})
 		cc.touch[0] = v
-		graph.RepairPartition(cc.g, cc.pt, cc.touch[:])
+		part.Repair(cc.g, cc.pt, cc.touch[:])
 	}
 	cc.tock("refresh", start)
 }

@@ -3,12 +3,14 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
 	"symbiosched/internal/alloc"
+	"symbiosched/internal/graph"
 	"symbiosched/internal/kernel"
 )
 
@@ -381,6 +383,126 @@ func TestChurnTopPartnersZeroAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(100, func() { cc.topPartners(view) }); a != 0 {
 			t.Fatalf("topPartners allocates %.1f per call", a)
 		}
+	}
+}
+
+// checkSameGraph fails t unless got and want have the same id space,
+// tombstones, drift counters and CSR rows, weights compared bit for bit.
+func checkSameGraph(t *testing.T, got, want *graph.Sparse, when string) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Alive() != want.Alive() || got.Edges() != want.Edges() || got.Drift() != want.Drift() {
+		t.Fatalf("%s: %d ids, %d alive, %d edges, drift %+v; fresh %d, %d, %d, %+v", when,
+			got.Len(), got.Alive(), got.Edges(), got.Drift(), want.Len(), want.Alive(), want.Edges(), want.Drift())
+	}
+	for i := 0; i < got.Len(); i++ {
+		if got.Removed(i) != want.Removed(i) {
+			t.Fatalf("%s: id %d removed %v, fresh %v", when, i, got.Removed(i), want.Removed(i))
+		}
+		gc, gw := got.Row(i)
+		wc, ww := want.Row(i)
+		if !slices.Equal(gc, wc) || !slices.EqualFunc(gw, ww, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("%s: row %d is %v %v, fresh %v %v", when, i, gc, gw, wc, ww)
+		}
+	}
+}
+
+// TestChurnRebuildMatchesFresh: after churn has left dead slots, tail rows
+// and compactions in the campaign's scratch, a rebuild into that scratch
+// gives the same CSR rows, weight bits, drift, assignment and cut bits as
+// alloc.SparseInterferenceGraph plus Sparse.NewPartition on fresh scratch,
+// which is what rebuild ran before it reused storage. The P=1024 campaign
+// fans the row scan out over the cores where there are several.
+func TestChurnRebuildMatchesFresh(t *testing.T) {
+	big := testChurnConfig()
+	big.P0, big.Cores, big.MeanLife, big.RefreshFrac = 1024, 64, 64, 0.01
+	for _, cfg := range []ChurnConfig{testChurnConfig(), testChurnTraceConfig(), big} {
+		cc := newChurnCampaign(cfg)
+		dead := 0
+		for q := 0; q < 30; q++ {
+			cc.quantum(q)
+		}
+		for _, born := range cc.born {
+			if born < 0 {
+				dead++
+			}
+		}
+		if dead == 0 || len(cc.views) <= cfg.P0 {
+			t.Fatalf("P0=%d: %d ids, %d dead: the campaign left nothing for the rebuild to skip", cfg.P0, len(cc.views), dead)
+		}
+		for round := 0; round < 2; round++ {
+			when := fmt.Sprintf("P0=%d %s rebuild %d", cfg.P0, cfg.Mode, round)
+			cc.rebuild()
+			fresh := alloc.SparseInterferenceGraph(cc.views)
+			for i, born := range cc.born {
+				if born < 0 {
+					fresh.RemoveNode(i)
+				}
+			}
+			pt := fresh.NewPartition(cfg.Cores)
+			checkSameGraph(t, cc.g, fresh, when)
+			if !slices.Equal(cc.pt.Assign(), pt.Assign()) || cc.pt.K() != pt.K() || cc.pt.Alive() != pt.Alive() ||
+				math.Float64bits(cc.pt.Cut()) != math.Float64bits(pt.Cut()) {
+				t.Fatalf("%s: assignment %v cut %v, fresh %v cut %v", when, cc.pt.Assign(), cc.pt.Cut(), pt.Assign(), pt.Cut())
+			}
+			for q := 30; q < 40; q++ { // churn the rebuilt state before the next round
+				cc.quantum(q)
+			}
+		}
+	}
+}
+
+// TestChurnRebuildZeroAllocs: a rebuild into a warm campaign scratch — row
+// scan, graph, dead-slot removal, partition and clock reset — allocates
+// nothing, at P=96 and at P=1024. AllocsPerRun measures at GOMAXPROCS 1,
+// so the measured scans run inline at either size.
+func TestChurnRebuildZeroAllocs(t *testing.T) {
+	big := testChurnConfig()
+	big.P0, big.Cores = 1024, 64
+	for _, cfg := range []ChurnConfig{testChurnConfig(), big} {
+		cc := newChurnCampaign(cfg)
+		for q := 0; q < 10; q++ {
+			cc.quantum(q)
+		}
+		cc.rebuild()
+		if a := testing.AllocsPerRun(10, cc.rebuild); a != 0 {
+			t.Fatalf("P0=%d: a warm rebuild allocates %.1f objects", cfg.P0, a)
+		}
+	}
+}
+
+// TestChurnQuantumZeroAllocs: once the campaign's storage covers its
+// population, whole quanta allocate nothing — arrivals, departures,
+// refreshes, probes, compactions and drift rebuilds alike. The trace
+// schedule holds the population at P0 (two arrivals and two departures a
+// quantum), so departed ids are reused and the id space stops growing.
+// AllocsPerRun runs the 100-quantum window once untimed and once measured,
+// so the figure is the window's exact allocation count.
+func TestChurnQuantumZeroAllocs(t *testing.T) {
+	const warm, window = 300, 100
+	cfg := testChurnConfig()
+	cfg.Mode, cfg.MissLimit, cfg.Quanta = "trace", 24, warm+2*window
+	for q := 0; q < cfg.Quanta; q++ {
+		cfg.Schedule = append(cfg.Schedule, ChurnEvent{Quantum: q, Arrive: true}, ChurnEvent{Quantum: q},
+			ChurnEvent{Quantum: q, Arrive: true}, ChurnEvent{Quantum: q})
+	}
+	cc := newChurnCampaign(cfg)
+	q := 0
+	for ; q < warm; q++ {
+		cc.quantum(q)
+	}
+	before := cc.rep
+	allocs := testing.AllocsPerRun(1, func() {
+		for end := q + window; q < end; q++ {
+			cc.quantum(q)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d steady quanta allocate %.0f objects", window, allocs)
+	}
+	if cc.rep.Rebuilds == before.Rebuilds || cc.rep.Compacts == before.Compacts || cc.rep.Refreshes == before.Refreshes {
+		t.Fatalf("the measured quanta exercise too little: %+v before, %+v after", before, cc.rep)
 	}
 }
 

@@ -139,16 +139,28 @@ func (s *Sparse) newSlot() int {
 }
 
 // grow extends the shared edge storage by need slots and returns the first
-// new index. Growth is amortized over the storage's capacity, which
-// Compact keeps.
+// new index. When the capacity runs short it at least doubles (see
+// extend), so n inserts reallocate the storage O(log n) times; append's
+// ~1.25× steps on large slices would take several per doubling. Compact
+// and a rebuild through BuildKeptInto keep the capacity.
 func (s *Sparse) grow(need int) int {
 	lo := len(s.col)
-	s.col = slices.Grow(s.col, need)[:lo+need]
-	s.wts = slices.Grow(s.wts, need)[:lo+need]
+	s.col, s.wts = extend(s.col, lo+need), extend(s.wts, lo+need)
 	for i := lo; i < lo+need; i++ {
 		s.col[i], s.wts[i] = -1, 0
 	}
 	return lo
+}
+
+// extend returns s resliced to length n, first moving it to a new array of
+// at least twice its capacity when the capacity is short of n.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		t := make([]T, len(s), max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	return s[:n]
 }
 
 // insertHalf splices the half-edge u→j into u's sorted row: shifting within

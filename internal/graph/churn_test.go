@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -296,6 +297,37 @@ func TestCompactInPlace(t *testing.T) {
 	}
 }
 
+// TestEdgeStorageGrowsGeometrically: 4096 arrivals into a 16-node graph
+// move the edge storage O(log n) times — at most once per doubling of its
+// length — because grow at least doubles the capacity whenever a row needs
+// more than is left; col and wts always move together.
+func TestEdgeStorageGrowsGeometrically(t *testing.T) {
+	_, s := randomSparse(16, 4, 7)
+	rng := rand.New(rand.NewSource(7))
+	start, last, moves := len(s.col), cap(s.col), 0
+	for i := 0; i < 4096; i++ {
+		var nbrs []int32
+		var w []float64
+		for d := 1 + rng.Intn(8); len(nbrs) < d; {
+			if u := int32(rng.Intn(s.Len())); !slices.Contains(nbrs, u) {
+				nbrs, w = append(nbrs, u), append(w, float64(1+rng.Intn(9)))
+			}
+		}
+		s.InsertNode(nbrs, w)
+		if cap(s.wts) != cap(s.col) {
+			t.Fatalf("arrival %d: col capacity %d, wts %d", i, cap(s.col), cap(s.wts))
+		}
+		if c := cap(s.col); c != last {
+			moves, last = moves+1, c
+		}
+	}
+	checkSparseInvariants(t, s)
+	if bound := bits.Len(uint(len(s.col)/start)) + 1; moves > bound {
+		t.Fatalf("edge storage grew %d -> %d slots in %d moves, want at most %d", start, len(s.col), moves, bound)
+	}
+	t.Logf("edge storage grew %d -> %d slots (capacity %d) in %d moves", start, len(s.col), cap(s.col), moves)
+}
+
 // checkChurnPartition asserts the partition invariants that hold under
 // churn: live nodes covered exactly once, tombstoned nodes unassigned,
 // sizes within the ±1 envelope over Alive(), cut bookkeeping exact.
@@ -334,6 +366,7 @@ func checkChurnPartition(t *testing.T, s *Sparse, pt *Partition) {
 func TestInsertAndRepair(t *testing.T) {
 	_, s := randomSparse(64, 8, 17)
 	pt := s.NewPartition(8)
+	p := NewPartitioner()
 	rng := rand.New(rand.NewSource(21))
 	for round := 0; round < 20; round++ {
 		deg := 1 + rng.Intn(12)
@@ -349,7 +382,7 @@ func TestInsertAndRepair(t *testing.T) {
 			nbrs = append(nbrs, u)
 			w = append(w, rng.Float64()*9+0.5)
 		}
-		v, migrations := InsertAndRepair(s, pt, nbrs, w)
+		v, migrations := p.InsertAndRepair(s, pt, nbrs, w)
 		if s.Removed(v) || pt.Group(v) < 0 {
 			t.Fatalf("arrival %d not placed", v)
 		}
@@ -364,6 +397,7 @@ func TestInsertAndRepair(t *testing.T) {
 func TestRemoveAndRepairRestoresEnvelope(t *testing.T) {
 	_, s := randomSparse(64, 8, 19)
 	pt := s.NewPartition(8)
+	p := NewPartitioner()
 	rng := rand.New(rand.NewSource(23))
 	removed := 0
 	for round := 0; round < 40; round++ {
@@ -371,7 +405,7 @@ func TestRemoveAndRepairRestoresEnvelope(t *testing.T) {
 		if s.Removed(v) {
 			continue
 		}
-		RemoveAndRepair(s, pt, v)
+		p.RemoveAndRepair(s, pt, v)
 		removed++
 		checkSparseInvariants(t, s)
 		checkChurnPartition(t, s, pt)
@@ -386,6 +420,7 @@ func TestRemoveAndRepairRestoresEnvelope(t *testing.T) {
 func TestChurnInterleaved(t *testing.T) {
 	_, s := randomSparse(48, 6, 29)
 	pt := s.NewPartition(4)
+	p := NewPartitioner()
 	rng := rand.New(rand.NewSource(31))
 	for round := 0; round < 200; round++ {
 		switch op := rng.Intn(10); {
@@ -403,7 +438,7 @@ func TestChurnInterleaved(t *testing.T) {
 				nbrs = append(nbrs, u)
 				w = append(w, rng.Float64()*5+0.1)
 			}
-			InsertAndRepair(s, pt, nbrs, w)
+			p.InsertAndRepair(s, pt, nbrs, w)
 		case op < 8: // departure (keep a quorum so arrivals find neighbors)
 			if s.Alive() <= 8 {
 				continue
@@ -412,7 +447,7 @@ func TestChurnInterleaved(t *testing.T) {
 			for s.Removed(v) {
 				v = (v + 1) % s.Len()
 			}
-			RemoveAndRepair(s, pt, v)
+			p.RemoveAndRepair(s, pt, v)
 		case op < 9: // weight delta + local repair
 			v := rng.Intn(s.Len())
 			if s.Removed(v) {
@@ -426,7 +461,7 @@ func TestChurnInterleaved(t *testing.T) {
 			if !pt.UpdateWeight(s, v, u, rng.Float64()*20) {
 				t.Fatalf("existing edge {%d,%d} not updatable", v, u)
 			}
-			RepairPartition(s, pt, []int{v, u})
+			p.Repair(s, pt, []int{v, u})
 		default:
 			s.Compact()
 		}
@@ -447,18 +482,19 @@ func TestChurnInterleaved(t *testing.T) {
 func BenchmarkChurnEventP1024(b *testing.B) {
 	_, s := randomSparse(1024, 16, 3)
 	pt := s.NewPartition(64)
+	p := NewPartitioner()
 	nbrs := make([]int32, 16)
 	wts := make([]float64, 16)
 	victim := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RemoveAndRepair(s, pt, victim)
+		p.RemoveAndRepair(s, pt, victim)
 		for x := range nbrs {
 			nbrs[x] = int32((victim + 1 + x*61) % 1024)
 			wts[x] = float64(1 + (i+x)%7)
 		}
-		victim, _ = InsertAndRepair(s, pt, nbrs, wts)
+		victim, _ = p.InsertAndRepair(s, pt, nbrs, wts)
 	}
 }
 

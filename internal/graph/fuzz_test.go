@@ -58,7 +58,8 @@ func FuzzPartition(f *testing.F) {
 			touched = append(touched, v, j)
 		}
 		before := pt.Cut()
-		RepairPartition(s, pt, touched)
+		p := NewPartitioner()
+		p.Repair(s, pt, touched)
 		checkKWay(t, pt.Groups(), n, k)
 		if got, want := pt.Cut(), s.CutK(pt.Assign()); !approxEq(got, want) {
 			t.Fatalf("repaired partition cut %g != recomputed %g", got, want)
@@ -85,7 +86,7 @@ func FuzzPartition(f *testing.F) {
 					nbrs = append(nbrs, u)
 					w = append(w, rng.Float64()*10+0.01)
 				}
-				v, _ := InsertAndRepair(s, pt, nbrs, w)
+				v, _ := p.InsertAndRepair(s, pt, nbrs, w)
 				for x, u := range nbrs {
 					shadow[edgeKey(int32(v), u)] = w[x]
 				}
@@ -97,7 +98,7 @@ func FuzzPartition(f *testing.F) {
 				for s.Removed(v) {
 					v = (v + 1) % s.Len()
 				}
-				RemoveAndRepair(s, pt, v)
+				p.RemoveAndRepair(s, pt, v)
 				for e := range shadow {
 					if e[0] == int32(v) || e[1] == int32(v) {
 						delete(shadow, e)

@@ -77,9 +77,10 @@ func growF64(s []float64, n int) []float64 {
 }
 
 // Partitioner is the reusable scratch arena for partitioning and
-// incremental repair. A Partitioner is not safe for concurrent use; the
-// package-level Sparse.PartitionK / RepairPartition helpers draw from a
-// sync.Pool so concurrent callers each get their own.
+// incremental repair. A Partitioner is not safe for concurrent use;
+// Sparse.PartitionK draws one from a sync.Pool so concurrent callers each
+// get their own, and a caller that partitions and repairs one graph for its
+// lifetime, as the churn campaign does, keeps its own.
 type Partitioner struct {
 	localIdx []int32 // global node → local index, -1 when unset
 	tmp      []int32 // stable-partition spill buffer

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -226,6 +228,11 @@ func TestPartitionRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// The partition wraps exactly PartitionK's groups, cut bits included.
+	ref := PartitionFromGroups(s, s.PartitionK(8))
+	if !slices.Equal(pt.Assign(), ref.Assign()) || math.Float64bits(pt.Cut()) != math.Float64bits(ref.Cut()) {
+		t.Fatalf("NewPartition %v cut %v, PartitionFromGroups over PartitionK %v cut %v", pt.Assign(), pt.Cut(), ref.Assign(), ref.Cut())
+	}
 }
 
 func TestRepairImprovesAfterUpdate(t *testing.T) {
@@ -262,7 +269,7 @@ func TestRepairImprovesAfterUpdate(t *testing.T) {
 	}
 	stale := pt.Cut()
 
-	moves := RepairPartition(s, pt, []int{a, b})
+	moves := NewPartitioner().Repair(s, pt, []int{a, b})
 	if moves == 0 {
 		t.Fatal("repair applied no moves")
 	}
@@ -296,7 +303,7 @@ func TestRepairPreservesBalanceUnderPressure(t *testing.T) {
 		}
 		touched = append(touched, v)
 	}
-	RepairPartition(s, pt, touched)
+	NewPartitioner().Repair(s, pt, touched)
 	checkKWay(t, pt.Groups(), 48, 4)
 	if got, want := pt.Cut(), s.CutK(pt.Assign()); !approxEq(got, want) {
 		t.Fatalf("cut bookkeeping: %g != %g", got, want)
@@ -318,7 +325,7 @@ func TestRepairTiesToSmallerGroup(t *testing.T) {
 	}
 	s := b.Build()
 	pt := PartitionFromGroups(s, [][]int{{0, 1, 2}, {5, 6}, {3, 4}, {7, 8}})
-	if moves := RepairPartition(s, pt, []int{0}); moves != 1 || pt.Group(0) != 1 {
+	if moves := NewPartitioner().Repair(s, pt, []int{0}); moves != 1 || pt.Group(0) != 1 {
 		t.Fatalf("%d moves, node 0 in group %d; want 1 move into group 1", moves, pt.Group(0))
 	}
 	if got, want := pt.Cut(), s.CutK(pt.Assign()); !approxEq(got, want) {

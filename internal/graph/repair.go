@@ -2,7 +2,7 @@
 // quantum (ROADMAP direction 2). A signature delta changes a handful of
 // interference weights; instead of recomputing the k-way partition from
 // scratch, the caller updates the affected edges (Partition.UpdateWeight)
-// and calls RepairPartition with the touched nodes — a localized boundary
+// and calls Partitioner.Repair with the touched nodes — a localized boundary
 // refinement that mends the cut while preserving the ±1 balance invariant.
 package graph
 
@@ -67,12 +67,36 @@ func (pt *Partition) syncLen(g *Sparse) {
 	}
 }
 
-// NewPartition partitions g into k groups and wraps the result for repair.
-// It runs on a fresh Partitioner, so the multilevel scratch, which is sized
-// by the whole graph, dies with the call instead of staying in the pool
-// that serves the repairs to come.
+// NewPartition partitions g into k groups and wraps the result for repair:
+// Partitioner.Partition on a fresh arena and a fresh Partition, so the
+// multilevel scratch, which is sized by the whole graph, dies with the call.
+// A caller that re-partitions and repairs over and over, as the churn
+// campaign does, keeps one Partitioner and one Partition instead.
 func (s *Sparse) NewPartition(k int) *Partition {
-	return PartitionFromGroups(s, NewPartitioner().PartitionK(s, k))
+	return NewPartitioner().Partition(s, k, nil)
+}
+
+// Partition partitions g into k groups as PartitionInto does and wraps the
+// assignment for repair in pt, reusing pt's storage (a nil pt gets a fresh
+// Partition), and returns it. Whatever pt held before is discarded. The
+// result equals PartitionFromGroups over PartitionK's groups, and with a
+// warm arena and partition the call allocates nothing.
+func (p *Partitioner) Partition(g *Sparse, k int, pt *Partition) *Partition {
+	if pt == nil {
+		pt = new(Partition)
+	}
+	pt.assign = p.PartitionInto(g, k, pt.assign)
+	pt.sizes = growI32(pt.sizes, k)
+	clear(pt.sizes)
+	pt.k, pt.alive = k, 0
+	for _, a := range pt.assign {
+		if a >= 0 {
+			pt.sizes[a]++
+			pt.alive++
+		}
+	}
+	pt.cut = g.CutK(pt.assign)
+	return pt
 }
 
 // K returns the group count.
@@ -110,20 +134,18 @@ func (pt *Partition) UpdateWeight(g *Sparse, i, j int, w float64) bool {
 	return true
 }
 
-// Absorb assigns the freshly inserted node v to the group it is most
+// absorb assigns the freshly inserted node v to the group it is most
 // connected to among the groups with room under the post-insertion balance
 // ceiling (falling back to the smallest such group when v has no edges;
 // ties break toward the smaller group id), and updates the size and cut
-// bookkeeping. Such a group always exists. Call RepairPartition (or use
-// InsertAndRepair) afterwards to let the neighborhood settle.
-func (pt *Partition) Absorb(g *Sparse, v int) int {
+// bookkeeping. Such a group always exists. InsertAndRepair then lets the
+// neighborhood settle.
+func (p *Partitioner) absorb(g *Sparse, pt *Partition, v int) int {
 	g.check(v)
 	pt.syncLen(g)
 	if pt.assign[v] >= 0 {
 		panic(fmt.Sprintf("graph: node %d absorbed twice", v))
 	}
-	p := partitionerPool.Get().(*Partitioner)
-	defer partitionerPool.Put(p)
 	k := pt.k
 	ceil := int32((int(pt.alive) + 1 + k - 1) / k)
 	p.conn = growF64(p.conn, k)
@@ -161,8 +183,8 @@ func (pt *Partition) Absorb(g *Sparse, v int) int {
 
 // Remove unassigns node v, subtracting its crossing edges from the cut.
 // Call it BEFORE Sparse.RemoveNode — the edges must still be readable — and
-// follow with RepairPartition (or use RemoveAndRepair) to restore the
-// balance envelope, which one departure can break.
+// follow with Partitioner.Repair (or use Partitioner.RemoveAndRepair) to
+// restore the balance envelope, which one departure can break.
 func (pt *Partition) Remove(g *Sparse, v int) {
 	g.check(v)
 	c := pt.assign[v]
@@ -180,27 +202,16 @@ func (pt *Partition) Remove(g *Sparse, v int) {
 	pt.alive--
 }
 
-// RepairPartition mends the cut around the touched nodes after weight
-// updates and churn, drawing scratch from the internal pool. Returns the
-// number of node reassignments applied (a swap counts both endpoints).
-func RepairPartition(g *Sparse, pt *Partition, touched []int) int {
-	p := partitionerPool.Get().(*Partitioner)
-	defer partitionerPool.Put(p)
-	return p.Repair(g, pt, touched)
-}
-
 // InsertAndRepair is the arrival hot path: insert the node into the graph
 // (bounded local CSR edits), absorb it into the partition within the
-// balance envelope, and repair the surrounding cut. Returns the new node id
-// and the number of reassignments the repair applied beyond the arrival's
-// own initial placement — the placement-stability metric (a fresh
-// re-partition would instead reshuffle without bound). nbrs/w are reordered
-// in place, as by Sparse.InsertNode.
-func InsertAndRepair(g *Sparse, pt *Partition, nbrs []int32, w []float64) (v, migrations int) {
+// balance envelope, and repair the surrounding cut, all on this arena's
+// scratch. Returns the new node id and the number of reassignments the
+// repair applied beyond the arrival's own initial placement — the
+// placement-stability metric (a fresh re-partition would instead reshuffle
+// without bound). nbrs/w are reordered in place, as by Sparse.InsertNode.
+func (p *Partitioner) InsertAndRepair(g *Sparse, pt *Partition, nbrs []int32, w []float64) (v, migrations int) {
 	v = g.InsertNode(nbrs, w)
-	pt.Absorb(g, v)
-	p := partitionerPool.Get().(*Partitioner)
-	defer partitionerPool.Put(p)
+	p.absorb(g, pt, v)
 	p.beginSeed(g)
 	p.seedNode(g, int32(v))
 	return v, p.finishRepair(g, pt)
@@ -208,11 +219,9 @@ func InsertAndRepair(g *Sparse, pt *Partition, nbrs []int32, w []float64) (v, mi
 
 // RemoveAndRepair is the departure hot path: drop node v from the partition
 // and the graph, then repair around its former neighborhood — including the
-// forced rebalance when the departure broke the ±1 envelope. Returns the
-// reassignment count.
-func RemoveAndRepair(g *Sparse, pt *Partition, v int) (migrations int) {
-	p := partitionerPool.Get().(*Partitioner)
-	defer partitionerPool.Put(p)
+// forced rebalance when the departure broke the ±1 envelope — on this
+// arena's scratch. Returns the reassignment count.
+func (p *Partitioner) RemoveAndRepair(g *Sparse, pt *Partition, v int) (migrations int) {
 	p.beginSeed(g)
 	p.seedNode(g, int32(v)) // v's neighbors, captured before the edges vanish
 	pt.Remove(g, v)
@@ -220,7 +229,9 @@ func RemoveAndRepair(g *Sparse, pt *Partition, v int) (migrations int) {
 	return p.finishRepair(g, pt)
 }
 
-// Repair is RepairPartition running on this arena's scratch: a localized
+// Repair mends the cut around the touched nodes after weight updates and
+// churn, on this arena's scratch, and returns the number of node
+// reassignments applied (a swap counts both endpoints). It is a localized
 // greedy refinement seeded by the touched nodes and their neighbors. Single
 // moves apply when the group sizes stay within the balanced ⌊n/k⌋..⌈n/k⌉
 // envelope over the live nodes; otherwise the best balance-preserving swap

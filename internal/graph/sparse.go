@@ -112,8 +112,8 @@ func (s *Sparse) Weight(i, j int) float64 {
 // the pair was sparsified away (or never offered) — the structure has
 // drifted from the logical interference graph, the miss is counted in Drift,
 // and the caller decides between living with it and a rebuild through
-// Builder. Pair the weight change with RepairPartition to mend the current
-// cut instead of recomputing it.
+// Builder. Pair the weight change with Partitioner.Repair to mend the
+// current cut instead of recomputing it.
 func (s *Sparse) UpdateWeight(i, j int, w float64) bool {
 	s.check(i)
 	s.check(j)

@@ -34,6 +34,15 @@ func NewAger(alpha, decay float64) *Ager {
 	return &Ager{Alpha: alpha, Decay: decay, pow: []float64{1}}
 }
 
+// Reset restarts every clock, leaving the Ager as NewAger(Alpha, Decay)
+// returns it but keeping its storage, so an Ager that restarts with each
+// graph rebuild allocates nothing once warm.
+func (ag *Ager) Reset() {
+	ag.quantum = 0
+	ag.lastSeen = ag.lastSeen[:0]
+	ag.pow = ag.pow[:1]
+}
+
 // BeginQuantum advances the staleness clock; call once per monitor period
 // before any Refresh of that period.
 func (ag *Ager) BeginQuantum() { ag.quantum++ }
@@ -61,7 +70,7 @@ func (ag *Ager) growTo(v int) {
 // quanta elapsed since its later endpoint was refreshed, then blended with
 // the fresh pairwise reading fresh(u). Updates flow through
 // Partition.UpdateWeight so the cut bookkeeping stays exact; pair with
-// graph.RepairPartition to let the new weights move nodes. Returns the
+// graph.Partitioner.Repair to let the new weights move nodes. Returns the
 // number of edges updated. O(degree(v)) plus the caller's fresh cost.
 func (ag *Ager) Refresh(g *graph.Sparse, pt *graph.Partition, v int, fresh func(u int) float64) int {
 	ag.growTo(v)

@@ -150,8 +150,9 @@ func TestAgerChurn(t *testing.T) {
 	for q := 0; q < 4; q++ {
 		ag.BeginQuantum()
 	}
-	graph.RemoveAndRepair(g, pt, 3)
-	v, _ := graph.InsertAndRepair(g, pt, []int32{0}, []float64{10})
+	p := graph.NewPartitioner()
+	p.RemoveAndRepair(g, pt, 3)
+	v, _ := p.InsertAndRepair(g, pt, []int32{0}, []float64{10})
 	if v != 3 {
 		t.Fatalf("expected id reuse, got %d", v)
 	}
@@ -179,5 +180,38 @@ func TestAgerSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state aging allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestAgerResetMatchesFresh: an Ager whose clocks, quantum and decay cache
+// were run far ahead, once Reset, ages and blends every edge to the same
+// bits as a fresh NewAger, and a warm Reset allocates nothing.
+func TestAgerResetMatchesFresh(t *testing.T) {
+	run := func(ag *Ager, quanta int) []float64 {
+		g, pt := agedPair(t)
+		for q := 0; q < quanta; q++ {
+			ag.BeginQuantum()
+			if q%3 != 1 {
+				ag.Refresh(g, pt, q%4, func(u int) float64 { return float64(u + q) })
+			}
+		}
+		var wts []float64
+		for v := 0; v < g.Len(); v++ {
+			_, w := g.Row(v)
+			wts = append(wts, w...)
+		}
+		return wts
+	}
+	used := NewAger(0.5, 0.9)
+	run(used, 40)
+	used.Reset()
+	got, want := run(used, 9), run(NewAger(0.5, 0.9), 9)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("edge slot %d: %v after Reset, %v fresh", i, got, want)
+		}
+	}
+	if a := testing.AllocsPerRun(10, used.Reset); a != 0 {
+		t.Fatalf("Reset allocates %.1f objects", a)
 	}
 }
